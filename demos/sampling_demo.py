@@ -12,10 +12,10 @@ and a fixed seed gives a reproducible draw.
 from collections import Counter
 
 from catwalk import preset
-from catwalk.sampler import SamplerSpec, sample, total_count
+from catwalk.sampler import Sampler, SamplerSpec, sample
 
 spec = SamplerSpec(preset("skew-cat"), n=10, final="closed", seed=7)
-print(f"closed skew-cat paths of length {spec.n}: {total_count(spec)}")
+print(f"closed skew-cat paths of length {spec.n}: {Sampler(spec.config, spec.n, spec.final).total}")
 
 draws = sample(spec, 12)
 for path in draws:
@@ -30,7 +30,7 @@ print("reproducible:", [str(p) for p in draws] == [str(p) for p in again])
 small = SamplerSpec(preset("skew"), n=6, final="closed", seed=2024)
 counts = Counter(str(p) for p in sample(small, 5000))
 print()
-print(f"5000 draws over the {total_count(small)} closed skew paths of length 6:")
+print(f"5000 draws over the {Sampler(small.config, small.n, small.final).total} closed skew paths of length 6:")
 for word, hits in sorted(counts.items()):
     bar = "#" * (hits // 20)
     print(f"  {word}  {hits / 5000:6.1%}  {bar}")

@@ -20,11 +20,8 @@ from . import render as render_mod
 from . import sampler as sampler_mod
 from . import verify as verify_mod
 from .model import (
-    DYCK_CAT,
-    LayerTag,
     ModelConfig,
     PRESETS,
-    SKEW_CAT,
     normalize_final,
     parse_steps,
     preset,
@@ -155,52 +152,23 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _dp_view(name: str, order: int):
-    """The dynamic-programming counterpart of a registry series, if any."""
-    key = name.strip().lower()
-    if key in ("f0-dyck-cat", "open-dyck-cat"):
-        table = dp.count_table(DYCK_CAT, order)
-        return (
-            table.closed_series(order)
-            if key == "f0-dyck-cat"
-            else table.open_series(order)
-        )
-    layer_map = {"f0-skew-cat": 0, "g0-skew-cat": 1, "h0-skew-cat": 2}
-    if key in ("fgh0-skew-cat", "open-skew-cat") or key in layer_map:
-        table = dp.count_table(SKEW_CAT, order)
-        if key == "fgh0-skew-cat":
-            return table.closed_series(order)
-        if key == "open-skew-cat":
-            return table.open_series(order)
-        layer = (LayerTag.F, LayerTag.G, LayerTag.H)[layer_map[key]]
-        return table.layer_series(layer, 0, order)
-    if ":" in key:
-        head, _, tail = key.partition(":")
-        if head in ("fj", "gj", "hj") and tail.lstrip("-").isdigit():
-            j = int(tail)
-            layer = {"fj": LayerTag.F, "gj": LayerTag.G, "hj": LayerTag.H}[head]
-            return dp.count_table(SKEW_CAT, order).layer_series(layer, j, order)
-    return None
-
-
 def cmd_series(args) -> int:
     s = cf.series_by_name(args.gf, args.order)
     if args.check_dp:
-        other = _dp_view(args.gf, args.order)
-        if other is None:
+        entry = cf.lookup(args.gf)
+        if entry.view is None:
             print(
                 f"error: {args.gf} has no dynamic-programming counterpart to check",
                 file=sys.stderr,
             )
             return 2
-        if s != other:
-            for n in range(args.order + 1):
-                if s.coeff(n) != other.coeff(n):
-                    print(
-                        f"mismatch at z^{n}: closed form {s.coeff(n)}, table {other.coeff(n)}",
-                        file=sys.stderr,
-                    )
-                    break
+        other = entry.view(dp.count_table(entry.model, args.order))
+        n = s.first_difference(other)
+        if n is not None:
+            print(
+                f"mismatch at z^{n}: closed form {s.coeff(n)}, table {other.coeff(n)}",
+                file=sys.stderr,
+            )
             return 1
     if args.format == "json":
         payload = {"gf": args.gf, "order": args.order, "coeffs": s.to_json()}
@@ -296,7 +264,7 @@ def cmd_verify(args) -> int:
             f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in report.checks
         ]
         lines.append(
-            f"suite={report.suite} checks={len(report.checks)} "
+            f"suite={report.name} checks={len(report.checks)} "
             f"failures={len(report.failures())} elapsed_ms={report.elapsed_ms}"
         )
         _emit("\n".join(lines), args)
@@ -389,3 +357,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -3,7 +3,9 @@
 Everything here is an algebraic function of z expanded exactly with
 :class:`series.Series`; the dynamic-programming route in :mod:`dp` computes
 the same coefficients without ever touching these formulas, which is what
-makes comparing the two routes a meaningful check.
+makes comparing the two routes a meaningful check.  This module never
+imports :mod:`dp`: its name registry only says, per series, which preset's
+count table counts the same paths and which table reader returns them.
 
 The kernel of a model is the quadratic (in u) that governs its level
 recursion; u marks the level, z the length:
@@ -29,6 +31,10 @@ e.g. sum f_j = f_0 q^2 / (1 - q).
 
 from __future__ import annotations
 
+from operator import methodcaller
+from typing import Callable, NamedTuple
+
+from .model import DYCK_CAT, LAYER_ORDER, SKEW_CAT, LayerTag, ModelConfig
 from .series import Series
 
 MODELS = ("dyck", "skew")
@@ -186,6 +192,9 @@ def fj_family(j: int, order: int) -> tuple:
     """
     if j < 0:
         raise ValueError("level index must be >= 0")
+    if j > order:
+        # q has valuation 1, so every factor q^j vanishes through z^order
+        return (Series.zero(order),) * 3
     base = f0("skew", order)
     q = inv_r1("skew", order)
     z = Series.z(order)
@@ -258,47 +267,80 @@ def oeis_shift_check(order: int) -> bool:
 
 # -- name registry ---------------------------------------------------------
 
-_FIXED_SERIES = {
-    "disc-dyck": lambda n: disc("dyck", n),
-    "disc-skew": lambda n: disc("skew", n),
-    "r2-dyck": lambda n: r2("dyck", n),
-    "r2-skew": lambda n: r2("skew", n),
-    "f0-dyck-cat": lambda n: f0("dyck", n),
-    "open-dyck-cat": lambda n: open_total("dyck", n),
-    "f0-skew-cat": lambda n: f0("skew", n),
-    "g0-skew-cat": g0,
-    "h0-skew-cat": h0,
-    "fgh0-skew-cat": fgh0,
-    "open-skew-cat": lambda n: open_total("skew", n),
+
+class Entry(NamedTuple):
+    """A registry series: how to expand it, and where the DP counts it.
+
+    ``build(order)`` expands the closed form.  ``model`` is the preset whose
+    count table holds the same numbers and ``view(table)`` reads them off a
+    ``dp.CountTable`` of that model; both are None for series that count no
+    paths (the discriminants and kernel roots).
+    """
+
+    name: str
+    build: Callable
+    model: ModelConfig | None = None
+    view: Callable | None = None
+
+
+_CLOSED = methodcaller("closed_series")
+_OPEN = methodcaller("open_series")
+
+
+def _layer(tag: LayerTag, level: int):
+    return methodcaller("layer_series", tag, level)
+
+
+# the fixed names; :func:`lookup` also builds the level entries fj:J, gj:J, hj:J
+REGISTRY = {
+    e.name: e
+    for e in (
+        Entry("disc-dyck", lambda n: disc("dyck", n)),
+        Entry("disc-skew", lambda n: disc("skew", n)),
+        Entry("r2-dyck", lambda n: r2("dyck", n)),
+        Entry("r2-skew", lambda n: r2("skew", n)),
+        Entry("f0-dyck-cat", lambda n: f0("dyck", n), DYCK_CAT, _CLOSED),
+        Entry("open-dyck-cat", lambda n: open_total("dyck", n), DYCK_CAT, _OPEN),
+        Entry("f0-skew-cat", lambda n: f0("skew", n), SKEW_CAT, _layer(LayerTag.F, 0)),
+        Entry("g0-skew-cat", g0, SKEW_CAT, _layer(LayerTag.G, 0)),
+        Entry("h0-skew-cat", h0, SKEW_CAT, _layer(LayerTag.H, 0)),
+        Entry("fgh0-skew-cat", fgh0, SKEW_CAT, _CLOSED),
+        Entry("open-skew-cat", lambda n: open_total("skew", n), SKEW_CAT, _OPEN),
+    )
 }
 
+# the level families, counting the layers of model.LAYER_ORDER in turn
 _LEVEL_SERIES = ("fj", "gj", "hj")
 
 
 def series_names() -> list:
     """All registry names, the parameterized ones shown as fj:J etc."""
-    return sorted(_FIXED_SERIES) + [f"{p}:J" for p in _LEVEL_SERIES]
+    return sorted(REGISTRY) + [f"{p}:J" for p in _LEVEL_SERIES]
 
 
-def series_by_name(name: str, order: int) -> Series:
-    """Look up a generating function by registry name and expand it.
-
-    Fixed names are listed by :func:`series_names`; the level families are
-    addressed as "fj:3", "gj:0", "hj:2" and so on.
-    """
+def lookup(name: str) -> Entry:
+    """The registry entry for a name: a fixed one such as "f0-skew-cat", or
+    a level series such as "fj:3", "gj:0", "hj:2"."""
     key = name.strip().lower()
-    if key in _FIXED_SERIES:
-        return _FIXED_SERIES[key](order)
-    if ":" in key:
-        head, _, tail = key.partition(":")
-        if head in _LEVEL_SERIES:
-            try:
-                j = int(tail)
-            except ValueError:
-                raise UnknownSeriesName(f"bad level index in {name!r}") from None
-            if j < 0:
-                raise UnknownSeriesName(f"negative level index in {name!r}")
-            return fj_family(j, order)[_LEVEL_SERIES.index(head)]
+    if key in REGISTRY:
+        return REGISTRY[key]
+    head, colon, tail = key.partition(":")
+    if colon and head in _LEVEL_SERIES:
+        try:
+            j = int(tail)
+        except ValueError:
+            raise UnknownSeriesName(f"bad level index in {name!r}") from None
+        if j < 0:
+            raise UnknownSeriesName(f"negative level index in {name!r}")
+        slot = _LEVEL_SERIES.index(head)
+        return Entry(
+            f"{head}:{j}", lambda n: fj_family(j, n)[slot], SKEW_CAT, _layer(LAYER_ORDER[slot], j)
+        )
     raise UnknownSeriesName(
         f"unknown generating function {name!r}; known: {', '.join(series_names())}"
     )
+
+
+def series_by_name(name: str, order: int) -> Series:
+    """Look up a generating function by registry name and expand it."""
+    return lookup(name).build(order)

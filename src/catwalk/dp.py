@@ -7,12 +7,14 @@ The table is filled by one forward sweep; all counts are exact Python ints.
 The same table doubles as the data for the recurrence checker
 :func:`verify_recurrences`, which re-reads the table as a family of
 generating functions per (layer, level) and confirms the step-inflow
-identities those series must satisfy.
+identities those series must satisfy.  Its :class:`Check` and
+:class:`Report` are the result types of every suite in :mod:`verify` too.
 """
 
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass
 
 from . import automaton as automaton_mod
@@ -61,25 +63,25 @@ class CountTable:
         """All nonzero end-state counts at length n, keyed by State."""
         return dict(self._slice(n))
 
+    def _upto(self, order: int | None) -> list:
+        """The slices for lengths 0..order; all of them when order is None."""
+        if order is None:
+            return self._slices
+        if not 0 <= order <= self.n_max:
+            raise ValueError(f"order {order} outside table range 0..{self.n_max}")
+        return self._slices[: order + 1]
+
     def layer_series(self, layer: LayerTag, level: int, order: int | None = None) -> Series:
         """Counts ending in (layer, level) as a power series in the length."""
-        if order is None:
-            order = self.n_max
-        if order > self.n_max:
-            raise ValueError(f"order {order} beyond table range {self.n_max}")
         st = State(layer, level)
-        return Series([self._slices[n].get(st, 0) for n in range(order + 1)])
+        return Series([sl.get(st, 0) for sl in self._upto(order)])
 
     def level_series(self, level: int, order: int | None = None) -> Series:
         """Counts ending at ``level``, all layers merged, as a power series."""
-        if order is None:
-            order = self.n_max
-        if order > self.n_max:
-            raise ValueError(f"order {order} beyond table range {self.n_max}")
         return Series(
             [
-                sum(c for st, c in self._slices[n].items() if st.level == level)
-                for n in range(order + 1)
+                sum(c for st, c in sl.items() if st.level == level)
+                for sl in self._upto(order)
             ]
         )
 
@@ -92,39 +94,29 @@ class CountTable:
         One sweep over the table; prefer this to calling ``layer_series`` in
         a loop over levels.
         """
-        if order is None:
-            order = self.n_max
-        if order > self.n_max:
-            raise ValueError(f"order {order} beyond table range {self.n_max}")
+        slices = self._upto(order)
         acc: dict = {}
-        for n in range(order + 1):
-            for st, c in self._slices[n].items():
+        for n, sl in enumerate(slices):
+            for st, c in sl.items():
                 key = (st.layer, st.level)
                 if key not in acc:
-                    acc[key] = [0] * (order + 1)
+                    acc[key] = [0] * len(slices)
                 acc[key][n] = c
         return {key: Series(lst) for key, lst in acc.items()}
 
     def level_series_map(self, order: int | None = None) -> dict:
         """Per-level series with layers merged, keyed by level."""
-        if order is None:
-            order = self.n_max
-        if order > self.n_max:
-            raise ValueError(f"order {order} beyond table range {self.n_max}")
+        slices = self._upto(order)
         acc: dict = {}
-        for n in range(order + 1):
-            for st, c in self._slices[n].items():
+        for n, sl in enumerate(slices):
+            for st, c in sl.items():
                 if st.level not in acc:
-                    acc[st.level] = [0] * (order + 1)
+                    acc[st.level] = [0] * len(slices)
                 acc[st.level][n] += c
         return {lv: Series(lst) for lv, lst in acc.items()}
 
     def open_series(self, order: int | None = None) -> Series:
-        if order is None:
-            order = self.n_max
-        if order > self.n_max:
-            raise ValueError(f"order {order} beyond table range {self.n_max}")
-        return Series([sum(self._slices[n].values()) for n in range(order + 1)])
+        return Series([sum(sl.values()) for sl in self._upto(order)])
 
     def write_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj)
@@ -157,43 +149,25 @@ def count_table(config: ModelConfig, n_max: int, max_level: int | None = None) -
     return CountTable(auto, slices)
 
 
-def count_closed(config: ModelConfig, n: int) -> int:
-    """Number of length-n paths of the model that end back at level 0."""
-    return count_table(config, n).closed_count(n)
-
-
-def count_open(config: ModelConfig, n: int) -> int:
-    """Number of length-n paths of the model, any final level."""
-    return count_table(config, n).open_count(n)
-
-
-def count_level(config: ModelConfig, n: int, level: int) -> int:
-    """Number of length-n paths ending exactly at ``level``."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return count_table(config, n).level_count(n, level)
-
-
-def layer_series(config: ModelConfig, layer: LayerTag, level: int, order: int) -> Series:
-    """Generating function of counts ending in (layer, level), up to z^order."""
-    return count_table(config, order).layer_series(layer, level, order)
-
-
-# -- recurrence verification ----------------------------------------------
+# -- checks, reports and recurrence verification ---------------------------
 
 
 @dataclass
-class RecurrenceCheck:
+class Check:
+    """One named pass/fail result; ``detail`` says what held or what broke."""
+
     name: str
     ok: bool
     detail: str
 
 
 @dataclass
-class RecurrenceReport:
-    system: str
-    order: int
+class Report:
+    """The checks of one verify suite or of one recurrence system."""
+
+    name: str
     checks: list
+    elapsed_ms: int
 
     @property
     def ok(self) -> bool:
@@ -202,30 +176,38 @@ class RecurrenceReport:
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok]
 
+    def to_json(self) -> dict:
+        return {
+            "suite": self.name,
+            "checks": [
+                {"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail}
+                for c in self.checks
+            ],
+            "elapsed_ms": self.elapsed_ms,
+        }
+
 
 class RecurrenceViolation(Exception):
     """A count table does not satisfy the requested recurrence system."""
 
 
-def _first_mismatch(lhs: Series, rhs: Series):
-    for n in range(min(lhs.order, rhs.order) + 1):
-        if lhs.coeff(n) != rhs.coeff(n):
-            return n, lhs.coeff(n), rhs.coeff(n)
-    return None
+def compare(name: str, pairs, detail_ok: str | None = None) -> Check:
+    """A check that each ``(label, lhs, rhs)`` pair of series agrees.
 
-
-def _aggregate(name: str, pairs) -> RecurrenceCheck:
-    # pairs: iterable of (label, lhs, rhs)
+    A failure names the first pair and the first coefficient that differ;
+    a pass reports ``detail_ok``, by default the number of pairs checked.
+    """
     count = 0
     for label, lhs, rhs in pairs:
         count += 1
-        miss = _first_mismatch(lhs, rhs)
-        if miss is not None:
-            n, a, b = miss
-            return RecurrenceCheck(
-                name, False, f"fails at {label}, coefficient of z^{n}: {a} != {b}"
+        n = lhs.first_difference(rhs)
+        if n is not None:
+            return Check(
+                name,
+                False,
+                f"fails at {label}, coefficient of z^{n}: {lhs.coeff(n)} != {rhs.coeff(n)}",
             )
-    return RecurrenceCheck(name, True, f"{count} instances checked")
+    return Check(name, True, detail_ok or f"{count} instances checked")
 
 
 def infer_system(config: ModelConfig) -> str:
@@ -239,7 +221,7 @@ def verify_recurrences(
     order: int,
     system: str | None = None,
     strict: bool = True,
-) -> RecurrenceReport:
+) -> Report:
     """Check the step-inflow identities of a model's counting series.
 
     The "skew" system keeps the three layers separate and checks, writing
@@ -267,6 +249,7 @@ def verify_recurrences(
     if system not in ("dyck", "skew"):
         raise ValueError(f"unknown recurrence system {system!r}")
 
+    start = time.perf_counter()
     table = count_table(config, order)
     n = order
     rule = config.catastrophe
@@ -281,19 +264,19 @@ def verify_recurrences(
         g = [by_key.get((LayerTag.G, i), nil) for i in range(n + 1)]
         h = [by_key.get((LayerTag.H, i), nil) for i in range(n + 1)]
         checks.append(
-            _aggregate(
+            compare(
                 "up-inflow",
                 ((f"i={i}", f[i + 1], z * (f[i] + g[i])) for i in range(n)),
             )
         )
         checks.append(
-            _aggregate(
+            compare(
                 "black-down-inflow",
                 ((f"i={i}", g[i], z * (f[i + 1] + g[i + 1] + h[i + 1])) for i in range(n)),
             )
         )
         checks.append(
-            _aggregate(
+            compare(
                 "red-down-inflow",
                 ((f"i={i}", h[i], z * (g[i + 1] + h[i + 1])) for i in range(n)),
             )
@@ -302,14 +285,14 @@ def verify_recurrences(
         for i in cat_levels:
             inflow = inflow + f[i] + g[i] + h[i]
         checks.append(
-            _aggregate("axis-boundary", [("f0", f[0], 1 + z * inflow)])
+            compare("axis-boundary", [("f0", f[0], 1 + z * inflow)])
         )
     else:
         by_level = table.level_series_map(n)
         nil = Series.zero(n)
         t = [by_level.get(i, nil) for i in range(n + 1)]
         checks.append(
-            _aggregate(
+            compare(
                 "interior",
                 ((f"i={i}", t[i], z * (t[i - 1] + t[i + 1])) for i in range(1, n)),
             )
@@ -318,10 +301,10 @@ def verify_recurrences(
         for i in cat_levels:
             inflow = inflow + t[i]
         checks.append(
-            _aggregate("axis-boundary", [("t0", t[0], 1 + z * t[1] + z * inflow)])
+            compare("axis-boundary", [("t0", t[0], 1 + z * t[1] + z * inflow)])
         )
 
-    report = RecurrenceReport(system, order, checks)
+    report = Report(system, checks, int((time.perf_counter() - start) * 1000))
     if strict and not report.ok:
         first = report.failures()[0]
         raise RecurrenceViolation(f"{first.name}: {first.detail}")

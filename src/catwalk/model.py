@@ -79,6 +79,11 @@ class ConfigError(ValueError):
     """A model configuration that the package cannot represent."""
 
 
+def _is_level(value) -> bool:
+    """An integer level >= 1; JSON booleans and floats such as 2.5 are not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class CatastropheRule:
     """Which levels are allowed to fire a catastrophe.
@@ -96,12 +101,14 @@ class CatastropheRule:
         if self.kind == "none":
             pass
         elif self.kind in ("min_level", "even_min"):
-            if self.k < 1:
-                raise ConfigError(f"{self.kind} rule needs a threshold k >= 1")
+            if not _is_level(self.k):
+                raise ConfigError(
+                    f"{self.kind} rule needs an integer threshold k >= 1, got {self.k!r}"
+                )
         elif self.kind == "levels":
             object.__setattr__(self, "levels", frozenset(self.levels))
-            if any(lv < 1 for lv in self.levels):
-                raise ConfigError("explicit catastrophe levels must all be >= 1")
+            if not all(_is_level(lv) for lv in self.levels):
+                raise ConfigError("explicit catastrophe levels must all be integers >= 1")
         else:
             raise ConfigError(f"unknown catastrophe rule kind {self.kind!r}")
 
@@ -197,11 +204,14 @@ class ModelConfig:
     def from_json(cls, data: dict) -> "ModelConfig":
         try:
             steps = frozenset(StepKind(s) for s in data["steps"])
+            for pair in data["forbidden_pairs"]:
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ConfigError(f"forbidden_pairs entry must be two steps, got {pair!r}")
             pairs = frozenset(
                 (StepKind(a), StepKind(b)) for a, b in data["forbidden_pairs"]
             )
             rule = CatastropheRule.from_json(data["catastrophe"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"malformed model configuration: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -373,19 +383,6 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
         levels.append(level)
         prev = s
     return Path(config, tuple(steps), tuple(levels))
-
-
-def is_valid(config: ModelConfig, steps: Sequence[StepKind]) -> bool:
-    try:
-        validate_path(config, steps)
-    except PathError:
-        return False
-    return True
-
-
-def level_trace(config: ModelConfig, steps: Sequence[StepKind]) -> tuple:
-    """The sequence of levels visited by a step sequence (validating it first)."""
-    return validate_path(config, steps).levels
 
 
 def parse_steps(text: str) -> tuple:

@@ -94,7 +94,3 @@ def sample(spec: SamplerSpec, count: int) -> list:
     rng = random.Random(spec.seed)
     return [s.draw(rng) for _ in range(count)]
 
-
-def total_count(spec: SamplerSpec) -> int:
-    """Number of paths matching ``spec``."""
-    return Sampler(spec.config, spec.n, spec.final).total

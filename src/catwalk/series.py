@@ -125,6 +125,11 @@ class Series:
                 return i
         return None
 
+    def first_difference(self, other: "Series") -> int | None:
+        """The lowest power of z whose coefficients differ over the common
+        order, or None if they all agree."""
+        return next((n for n, (a, b) in enumerate(zip(self._c, other._c)) if a != b), None)
+
     def as_integers(self) -> list:
         """The coefficients as Python ints.
 

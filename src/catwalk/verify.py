@@ -11,61 +11,11 @@ text or JSON output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import brute, closedform as cf, dp
-from .model import (
-    CatastropheRule,
-    DYCK,
-    DYCK_CAT,
-    LayerTag,
-    PRESETS,
-    SKEW,
-    SKEW_CAT,
-    with_rule,
-)
+from .dp import Check, Report
+from .model import CatastropheRule, DYCK_CAT, PRESETS, SKEW_CAT, with_rule
 from .series import Series
-
-
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list
-    elapsed_ms: int
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [
-                {"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail}
-                for c in self.checks
-            ],
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-def _series_check(name: str, lhs: Series, rhs: Series, detail_ok: str) -> Check:
-    top = min(lhs.order, rhs.order)
-    for n in range(top + 1):
-        if lhs.coeff(n) != rhs.coeff(n):
-            return Check(
-                name, False, f"coefficient of z^{n} differs: {lhs.coeff(n)} != {rhs.coeff(n)}"
-            )
-    return Check(name, True, detail_ok)
 
 
 def _suite_kernel(order: int, max_n: int) -> list:
@@ -105,7 +55,7 @@ def _suite_recurrences(order: int, max_n: int) -> list:
     for name, config in sorted(PRESETS.items()):
         report = dp.verify_recurrences(config, order, strict=False)
         if report.ok:
-            detail = f"{report.system} system holds through z^{order}"
+            detail = f"{report.name} system holds through z^{order}"
         else:
             first = report.failures()[0]
             detail = f"{first.name}: {first.detail}"
@@ -174,133 +124,67 @@ def _suite_theorem(order: int, max_n: int) -> list:
     f0 = cf.f0("skew", n)
     j_top = 10
 
-    # ladder between consecutive level series, multiplied out to avoid 1/r1
     fj = [f0]
     for _ in range(j_top + 1):
         fj.append(fj[-1] * q)
-    bad = None
-    for j in range(j_top + 1):
-        if two_m_z2 * fj[j + 1] != (r2 * fj[j]).truncate(n):
-            bad = j
-            break
-    checks.append(
-        Check(
-            "level-ladder",
-            bad is None,
-            f"(2 - z^2) f_(j+1) == r2 f_j for j <= {j_top}"
-            if bad is None
-            else f"fails at j={bad}",
-        )
-    )
-
     gj = [(r2 - z) * f0 * q]
     hj = [(r2 - 2 * z) * f0 * q]
     for _ in range(j_top):
         gj.append(gj[-1] * q)
         hj.append(hj[-1] * q)
-    bad = None
-    for j in range(j_top + 1):
-        if hj[j] != gj[j] - z * fj[j + 1]:
-            bad = j
-            break
+    levels = range(j_top + 1)
+    # ladder between consecutive level series, multiplied out to avoid 1/r1
     checks.append(
-        Check(
+        dp.compare(
+            "level-ladder",
+            ((f"j={j}", two_m_z2 * fj[j + 1], r2 * fj[j]) for j in levels),
+            f"(2 - z^2) f_(j+1) == r2 f_j for j <= {j_top}",
+        )
+    )
+    checks.append(
+        dp.compare(
             "channel-difference",
-            bad is None,
-            f"h_j == g_j - z f_(j+1) for j <= {j_top}" if bad is None else f"fails at j={bad}",
+            ((f"j={j}", hj[j], gj[j] - z * fj[j + 1]) for j in levels),
+            f"h_j == g_j - z f_(j+1) for j <= {j_top}",
         )
     )
 
-    checks.append(
-        _series_check(
-            "g0-elimination",
-            cf.g0_via_elimination(n),
-            gj[0],
-            f"both g0 routes agree through z^{n}",
-        )
-    )
-    checks.append(
-        _series_check(
-            "axis-sum",
-            cf.fgh0(n),
-            f0 + gj[0] + hj[0],
-            f"fgh0 == f0 + g0 + h0 through z^{n}",
-        )
-    )
     sf, sg, sh = cf.tail_sums(n)
-    checks.append(
-        _series_check(
-            "axis-boundary-tails",
-            f0,
-            1 + z * (sf + sg + sh),
-            f"f0 == 1 + z (tail sums) through z^{n}",
-        )
-    )
-
-    dyck_table = dp.count_table(DYCK_CAT, n)
-    skew_table = dp.count_table(SKEW_CAT, n)
-    layers = skew_table.layer_series_map(n)
-    nil = Series.zero(n)
-    checks.append(
-        _series_check(
-            "dp-axis-dyck",
-            cf.f0("dyck", n),
-            dyck_table.closed_series(n),
-            f"closed form matches table through z^{n}",
-        )
-    )
-    checks.append(
-        _series_check(
-            "dp-open-dyck",
-            cf.open_total("dyck", n),
-            dyck_table.open_series(n),
-            f"closed form matches table through z^{n}",
-        )
-    )
-    for label, series, key in (
-        ("dp-f0-skew", f0, (LayerTag.F, 0)),
-        ("dp-g0-skew", gj[0], (LayerTag.G, 0)),
-        ("dp-h0-skew", hj[0], (LayerTag.H, 0)),
+    for name, lhs, rhs, detail in (
+        ("g0-elimination", cf.g0_via_elimination(n), gj[0], "both g0 routes agree"),
+        ("axis-sum", cf.fgh0(n), f0 + gj[0] + hj[0], "fgh0 == f0 + g0 + h0"),
+        ("axis-boundary-tails", f0, 1 + z * (sf + sg + sh), "f0 == 1 + z (tail sums)"),
     ):
+        checks.append(dp.compare(name, [(name, lhs, rhs)], f"{detail} through z^{n}"))
+
+    # every registry series with a DP view against one count table per model;
+    # the level-0 series expanded above are not expanded again
+    known = {"f0-skew-cat": f0, "g0-skew-cat": gj[0], "h0-skew-cat": hj[0]}
+    tables: dict = {}
+    for entry in cf.REGISTRY.values():
+        if entry.view is None:
+            continue
+        if entry.model not in tables:
+            tables[entry.model] = dp.count_table(entry.model, n)
+        closed = known[entry.name] if entry.name in known else entry.build(n)
         checks.append(
-            _series_check(
-                label,
-                series,
-                layers.get(key, nil),
+            dp.compare(
+                f"dp-{entry.name}",
+                [(entry.name, closed, entry.view(tables[entry.model]))],
                 f"closed form matches table through z^{n}",
             )
         )
-    checks.append(
-        _series_check(
-            "dp-axis-skew",
-            cf.fgh0(n),
-            skew_table.closed_series(n),
-            f"closed form matches table through z^{n}",
-        )
+    j_dp = min(j_top, 5)
+    family = (
+        (cf.lookup(f"{head}:{j}"), series)
+        for j in range(j_dp + 1)
+        for head, series in (("fj", fj[j]), ("gj", gj[j]), ("hj", hj[j]))
     )
     checks.append(
-        _series_check(
-            "dp-open-skew",
-            cf.open_total("skew", n),
-            skew_table.open_series(n),
-            f"closed form matches table through z^{n}",
-        )
-    )
-    bad = None
-    for j in range(min(j_top, 5) + 1):
-        for series, layer in ((fj[j], LayerTag.F), (gj[j], LayerTag.G), (hj[j], LayerTag.H)):
-            if series != layers.get((layer, j), nil):
-                bad = (layer.value, j)
-                break
-        if bad:
-            break
-    checks.append(
-        Check(
+        dp.compare(
             "dp-level-family",
-            bad is None,
-            f"level series match table for j <= {min(j_top, 5)}"
-            if bad is None
-            else f"mismatch at layer {bad[0]}, level {bad[1]}",
+            ((e.name, series, e.view(tables[e.model])) for e, series in family),
+            f"level series match table for j <= {j_dp}",
         )
     )
     return checks
@@ -335,7 +219,7 @@ _SUITES = {
 SUITES = ("all",) + tuple(sorted(_SUITES))
 
 
-def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> SuiteReport:
+def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> Report:
     """Run one named suite (or all of them) and collect the report.
 
     ``order`` bounds the series comparisons, ``max_n`` the brute-force
@@ -357,4 +241,4 @@ def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> SuiteRep
     for b in builders:
         checks.extend(b(order, max_n))
     elapsed = int((time.perf_counter() - start) * 1000)
-    return SuiteReport(suite, checks, elapsed)
+    return Report(suite, checks, elapsed)

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import catwalk
 from catwalk import cli
 from catwalk.model import SKEW_CAT
 
@@ -80,6 +84,15 @@ def test_bad_config_file(tmp_path, capsys):
     code, _, err = run(capsys, "count", "--config", str(cfg), "--n", "4", "--closed")
     assert code == 2
     assert "error:" in err
+    # well-formed JSON that breaks the schema names the offending field
+    for field, value, named in (
+        ("catastrophe", {"kind": "min_level", "k": 2.5}, "k >= 1"),
+        ("forbidden_pairs", [["up"]], "forbidden_pairs"),
+    ):
+        cfg.write_text(json.dumps({**SKEW_CAT.to_json(), field: value}), encoding="utf-8")
+        code, _, err = run(capsys, "count", "--config", str(cfg), "--n", "4", "--closed")
+        assert code == 2
+        assert named in err
 
 
 def test_series_text_frozen(capsys):
@@ -126,10 +139,20 @@ def test_series_check_dp(capsys):
     assert data["dp_match"] is True
 
 
+@pytest.mark.parametrize("gf", ["fj: 2", "fj:+2"])
+def test_series_check_dp_accepts_every_level_spelling(capsys, gf):
+    code, out, _ = run(
+        capsys, "series", "--gf", gf, "--order", "8", "--check-dp", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["dp_match"] is True
+
+
 def test_series_check_dp_without_counterpart(capsys):
-    code, _, err = run(capsys, "series", "--gf", "disc-dyck", "--order", "5", "--check-dp")
-    assert code == 2
-    assert "counterpart" in err
+    for gf in ("disc-dyck", "disc-skew", "r2-dyck", "r2-skew"):
+        code, _, err = run(capsys, "series", "--gf", gf, "--order", "5", "--check-dp")
+        assert code == 2
+        assert "counterpart" in err
 
 
 def test_series_unknown_name(capsys):
@@ -339,3 +362,16 @@ def test_negative_n_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--model", "dyck", "--n", "-3", "--closed"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("module", ["catwalk", "catwalk.cli"])
+def test_module_entry_points(module):
+    src = pathlib.Path(catwalk.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", module, "count", "--model", "dyck", "--n", "4", "--closed"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "2\n")

@@ -93,6 +93,15 @@ def test_fj_family_low_levels():
         cf.fj_family(-1, 5)
 
 
+def test_fj_family_vanishes_beyond_order():
+    zero = Series.zero(3)
+    assert cf.fj_family(10**8, 3) == (zero, zero, zero)
+    # j = order + 1 agrees with the product forms expanded one order higher
+    long = cf.fj_family(7, 7)
+    assert [s.truncate(6) for s in long] == list(cf.fj_family(7, 6))
+    assert long[0].coeff(7) == 1  # UUUUUUU: f_7 starts right past the cut
+
+
 def test_level_ladder():
     n = 40
     r2 = cf.r2("skew", n)

@@ -73,16 +73,6 @@ def test_layer_resolved_axis_counts():
     assert table.layer_series(H, 0, 6).as_integers() == H0_SKEW_CAT
 
 
-def test_free_functions_match_table():
-    table = dp.count_table(SKEW_CAT, 7)
-    assert dp.count_closed(SKEW_CAT, 7) == table.closed_count(7)
-    assert dp.count_open(SKEW_CAT, 7) == table.open_count(7)
-    assert dp.count_level(SKEW_CAT, 7, 3) == table.level_count(7, 3)
-    assert dp.layer_series(SKEW_CAT, G, 1, 6) == table.layer_series(G, 1, 6)
-    with pytest.raises(ValueError):
-        dp.count_level(SKEW_CAT, 5, -1)
-
-
 def test_counts_partition_by_level_and_state():
     table = dp.count_table(SKEW_CAT, 9)
     n = 9
@@ -129,8 +119,8 @@ def test_recurrences_pass_for_presets():
         report = dp.verify_recurrences(config, 30)
         assert report.ok
         assert report.failures() == []
-    assert dp.verify_recurrences(DYCK_CAT, 10).system == "dyck"
-    assert dp.verify_recurrences(SKEW, 10).system == "skew"
+    assert dp.verify_recurrences(DYCK_CAT, 10).name == "dyck"
+    assert dp.verify_recurrences(SKEW, 10).name == "skew"
 
 
 def test_recurrences_pass_for_even_rule():

@@ -16,8 +16,6 @@ from catwalk.model import (
     SKEW,
     SKEW_CAT,
     StepKind,
-    is_valid,
-    level_trace,
     normalize_final,
     parse_steps,
     preset,
@@ -112,9 +110,10 @@ def test_validate_errors_carry_index():
 
 
 def test_red_after_down_is_fine():
-    assert is_valid(SKEW, [U, U, D, R])
-    assert not is_valid(SKEW, [U, R])
-    assert not is_valid(SKEW, [U, U, R, U])
+    validate_path(SKEW, [U, U, D, R])
+    for steps in ([U, R], [U, U, R, U]):
+        with pytest.raises(ForbiddenAdjacency):
+            validate_path(SKEW, steps)
 
 
 def test_path_properties():
@@ -132,7 +131,7 @@ def test_path_properties():
 
 
 def test_level_trace():
-    assert level_trace(DYCK_CAT, parse_steps("UUCU")) == (0, 1, 2, 0, 1)
+    assert validate_path(DYCK_CAT, parse_steps("UUCU")).levels == (0, 1, 2, 0, 1)
 
 
 def test_parse_steps():
@@ -184,6 +183,20 @@ def test_from_json_malformed():
         )
     with pytest.raises(ConfigError):
         ModelConfig.loads('{"steps": []}')
+    # the schema's rule object, integer thresholds and two-step pairs
+    base = SKEW_CAT.to_json()
+    with pytest.raises(ConfigError):
+        ModelConfig.from_json({**base, "catastrophe": 5})
+    for rule in (
+        {"kind": "min_level", "k": 2.5},
+        {"kind": "even_min", "k": True},
+        {"kind": "levels", "levels": [2.0]},
+    ):
+        with pytest.raises(ConfigError, match="integer"):
+            ModelConfig.from_json({**base, "catastrophe": rule})
+    for pairs in ([["up"]], [["up", "down_red", "up"]], ["ud"]):
+        with pytest.raises(ConfigError, match="forbidden_pairs"):
+            ModelConfig.from_json({**base, "forbidden_pairs": pairs})
 
 
 def test_with_rule_replaces_only_rule():

@@ -4,7 +4,7 @@ import pytest
 
 from catwalk import brute, dp, sampler
 from catwalk.model import DYCK, DYCK_CAT, PRESETS, SKEW, SKEW_CAT
-from catwalk.sampler import EmptyEnsemble, Sampler, SamplerSpec, sample, total_count
+from catwalk.sampler import EmptyEnsemble, Sampler, SamplerSpec, sample
 
 
 def test_determinism():
@@ -31,9 +31,9 @@ def test_draws_satisfy_the_spec():
 def test_total_counts_match_dp():
     for name, config in PRESETS.items():
         table = dp.count_table(config, 9)
-        assert total_count(SamplerSpec(config, 9, "all")) == table.open_count(9)
-        assert total_count(SamplerSpec(config, 8, "closed")) == table.closed_count(8)
-        assert total_count(SamplerSpec(config, 9, 3)) == table.level_count(9, 3)
+        assert Sampler(config, 9, "all").total == table.open_count(9)
+        assert Sampler(config, 8, "closed").total == table.closed_count(8)
+        assert Sampler(config, 9, 3).total == table.level_count(9, 3)
 
 
 def test_seeded_random_final_levels_match_brute():
@@ -42,7 +42,7 @@ def test_seeded_random_final_levels_match_brute():
         n = rng.randrange(0, 9)
         k = rng.randrange(0, n + 2)
         try:
-            total = total_count(SamplerSpec(SKEW_CAT, n, k))
+            total = Sampler(SKEW_CAT, n, k).total
         except EmptyEnsemble:
             total = 0
         assert total == len(brute.enumerate_red(SKEW_CAT, n, k))
@@ -52,7 +52,7 @@ def test_empty_ensemble():
     with pytest.raises(EmptyEnsemble):
         sample(SamplerSpec(DYCK, 3, "closed"), 1)
     with pytest.raises(EmptyEnsemble):
-        total_count(SamplerSpec(DYCK, 2, 5))
+        Sampler(DYCK, 2, 5)
 
 
 def test_length_zero():
@@ -65,7 +65,7 @@ def test_length_zero():
 def test_uniformity_small_scale():
     # length-4 closed plain-red paths: UUDD, UUDR, UDUD
     spec = SamplerSpec(SKEW, 4, "closed", seed=11)
-    assert total_count(spec) == 3
+    assert Sampler(spec.config, spec.n, spec.final).total == 3
     draws = sample(spec, 3000)
     freq: dict = {}
     for p in draws:
@@ -86,7 +86,7 @@ def test_reusable_sampler_object():
     s = Sampler(DYCK_CAT, 7, "all")
     rng = random.Random(0)
     draws = [s.draw(rng) for _ in range(10)]
-    assert s.total == dp.count_open(DYCK_CAT, 7)
+    assert s.total == dp.count_table(DYCK_CAT, 7).open_count(7)
     assert all(len(p) == 7 for p in draws)
 
 

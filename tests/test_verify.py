@@ -1,7 +1,7 @@
 import jsonschema
 import pytest
 
-from catwalk import verify
+from catwalk import closedform as cf, dp, verify
 
 from conftest import load_schema
 
@@ -20,7 +20,7 @@ def test_individual_suites():
     for suite in ("kernel", "recurrences", "oracle", "theorem", "oeis"):
         report = verify.run_suite(suite, order=30, max_n=6)
         assert report.ok, report.failures()
-        assert report.suite == suite
+        assert report.name == suite
         assert report.checks
 
 
@@ -43,3 +43,18 @@ def test_suite_arguments():
 def test_suite_names_exported():
     assert verify.SUITES[0] == "all"
     assert set(verify.SUITES) == {"all", "kernel", "oeis", "oracle", "recurrences", "theorem"}
+
+
+DP_VIEWED = sorted(name for name, entry in cf.REGISTRY.items() if entry.view is not None)
+
+
+@pytest.mark.parametrize("name", DP_VIEWED + ["fj:1", "gj:1", "hj:1", "fj:4", "gj:4", "hj:4"])
+def test_registry_series_equal_their_table_views(name):
+    entry = cf.lookup(name)
+    assert entry.build(30) == entry.view(dp.count_table(entry.model, 30))
+
+
+def test_theorem_suite_checks_every_registry_view():
+    report = verify.run_suite("theorem", order=20, max_n=0)
+    checked = {c.name[len("dp-"):] for c in report.checks if c.name.startswith("dp-")}
+    assert checked - {"level-family"} == set(DP_VIEWED)
