@@ -33,11 +33,11 @@ for n in range(N + 1):
     row = "".join(f"{tables[name].open_count(n):>10}" for name in names)
     print(f"{n:<5}{row}")
 
-# Where do paths of length 8 end?  final_counts gives the census by level.
+# Where do paths of length 8 end?  level_count gives the census by level.
 print()
 print("skew-cat, n=8, paths by final level:")
-for level, count in sorted(tables["skew-cat"].final_counts(8).items()):
-    print(f"  level {level}: {count}")
+for level in range(8 + 1):
+    print(f"  level {level}: {tables['skew-cat'].level_count(8, level)}")
 
 # The same numbers as generating series, straight out of the table.
 print()

@@ -2,10 +2,10 @@
 Drawing paths uniformly at random
 =================================
 
-The completion-count trick: tabulate, for every automaton state, how
-many ways the walk can finish from there, then walk forward choosing
-each step with probability proportional to the completions it leaves
-open.  Every path of the target length comes out with equal probability,
+The recursive method: tabulate, for every length and end state, how many
+paths reach it, pick the end state in proportion to its count, then walk
+back choosing each previous state in proportion to its count one step
+earlier.  Every path of the target length comes out with equal probability,
 and a fixed seed gives a reproducible draw.
 """
 

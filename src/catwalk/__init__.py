@@ -2,8 +2,8 @@
 catastrophe resets.
 
 Three independent computation routes are provided and kept in agreement:
-brute-force enumeration (:mod:`catwalk.brute`), dynamic programming over a
-layered automaton (:mod:`catwalk.dp`), and closed-form generating functions
+brute-force enumeration (:mod:`catwalk.brute`), a level-vector transfer DP
+(:mod:`catwalk.dp`), and closed-form generating functions
 (:mod:`catwalk.closedform`).  :mod:`catwalk.verify` pits them against each
 other; :mod:`catwalk.sampler` draws exactly uniform random paths; the
 ``catwalk`` command line wraps everything.

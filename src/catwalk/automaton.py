@@ -1,4 +1,4 @@
-"""The layered counting automaton behind the dynamic programming route.
+"""The layered state space of a model and its explicit automaton.
 
 A state is a pair (layer, level): the level is the current height, the layer
 remembers what kind of step got us here (:class:`model.LayerTag`).  Because
@@ -7,23 +7,17 @@ this one-step memory is enough to decide which steps may come next, so paths
 of a model correspond exactly to walks of this automaton from the start
 state (F, 0).
 
-The automaton is truncated at a maximum level; walks of length n never pass
-level n, so truncating at (or above) the longest path length keeps counting
-exact.
+``ModelConfig.next_steps`` is that rule.  The level-vector transfer step of
+:mod:`catwalk.dp` reads it once per layer; :func:`build` spells it out as an
+explicit transition table, truncated at a maximum level.  Walks of length n
+never pass level n, so truncating at (or above) n loses no path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import (
-    ENTRY_LAYER,
-    LAYER_ORDER,
-    STEP_ORDER,
-    LayerTag,
-    ModelConfig,
-    StepKind,
-)
+from .model import ENTRY_LAYER, INCOMING, LAYER_ORDER, LayerTag, ModelConfig, StepKind
 
 
 @dataclass(frozen=True)
@@ -39,16 +33,7 @@ def sort_key(state: State):
     return (LAYER_ORDER.index(state.layer), state.level)
 
 
-def _incoming_kind(state: State):
-    # Which step kind must have produced this state.  (F, 0) is special: it
-    # is the start state and the target of catastrophes, neither of which
-    # constrains the next step (catastrophe-first forbidden pairs are
-    # rejected when the config is built).
-    if state.layer is LayerTag.F:
-        return StepKind.UP if state.level > 0 else None
-    if state.layer is LayerTag.G:
-        return StepKind.DOWN_BLACK
-    return StepKind.DOWN_RED
+START = State(LayerTag.F, 0)
 
 
 @dataclass(frozen=True)
@@ -67,33 +52,6 @@ class Automaton:
     def states(self) -> list:
         return sorted(self.transitions, key=sort_key)
 
-    def to_text(self) -> str:
-        lines = []
-        for st in self.states():
-            arrows = " ".join(
-                f"{step.value}->{tgt}" for step, tgt in self.successors(st)
-            )
-            lines.append(f"{st}: {arrows}" if arrows else f"{st}:")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "max_level": self.max_level,
-            "start": str(self.start),
-            "states": [
-                {
-                    "id": str(st),
-                    "layer": st.layer.value,
-                    "level": st.level,
-                    "transitions": [
-                        {"step": step.value, "to": str(tgt)}
-                        for step, tgt in self.successors(st)
-                    ],
-                }
-                for st in self.states()
-            ],
-        }
-
 
 def build(config: ModelConfig, max_level: int) -> Automaton:
     """Build the layered automaton of a model.
@@ -105,8 +63,9 @@ def build(config: ModelConfig, max_level: int) -> Automaton:
     * down red  -> (H, level - 1)   if level > 0
     * catastrophe -> (F, 0)         if the rule allows firing from ``level``
 
-    each kept only when the step is in the model and the (incoming, outgoing)
-    pair is not forbidden.
+    each kept only when ``config.next_steps`` allows the step after the one
+    that entered (layer, level).  (F, 0) is the start and the catastrophe
+    target, neither of which constrains the next step.
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
@@ -114,13 +73,9 @@ def build(config: ModelConfig, max_level: int) -> Automaton:
     for layer in LAYER_ORDER:
         for level in range(max_level + 1):
             st = State(layer, level)
-            came_by = _incoming_kind(st)
             out = []
-            for step in STEP_ORDER:
-                if step not in config.steps:
-                    continue
-                if came_by is not None and not config.allows_pair(came_by, step):
-                    continue
+            came_by = None if st == START else INCOMING[layer]
+            for step in config.next_steps(came_by):
                 if step is StepKind.UP:
                     if level < max_level:
                         out.append((step, State(LayerTag.F, level + 1)))
@@ -132,19 +87,15 @@ def build(config: ModelConfig, max_level: int) -> Automaton:
                     if config.catastrophe.allows(level):
                         out.append((step, State(LayerTag.F, 0)))
             transitions[st] = tuple(out)
-    return Automaton(config, max_level, State(LayerTag.F, 0), transitions)
+    return Automaton(config, max_level, START, transitions)
 
 
 def reachable_states(auto: Automaton) -> list:
     """States reachable from the start by following transitions, sorted."""
-    seen = {auto.start}
-    frontier = [auto.start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            for _, tgt in auto.successors(st):
-                if tgt not in seen:
-                    seen.add(tgt)
-                    nxt.append(tgt)
-        frontier = nxt
+    seen, todo = {auto.start}, [auto.start]
+    while todo:
+        for _, tgt in auto.successors(todo.pop()):
+            if tgt not in seen:
+                seen.add(tgt)
+                todo.append(tgt)
     return sorted(seen, key=sort_key)

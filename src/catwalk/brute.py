@@ -53,8 +53,8 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     The order of the step alphabet is U < D < R < C.  ``final`` restricts
     the final level (None or "all" for no restriction, "closed" or 0 for the
     axis, any int for that level).  Validation logic is deliberately local:
-    the walk tracks level and previous step itself instead of calling the
-    automaton, so the result is independent of the DP route.
+    the walk tracks level and previous step itself instead of reading
+    ``ModelConfig.next_steps``, so the result is independent of the DP route.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")

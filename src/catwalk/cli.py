@@ -129,14 +129,7 @@ def _add_output_group(p, formats, default: str):
 
 def cmd_count(args) -> int:
     label, config = _resolve_config(args)
-    want = normalize_final(args.final)
-    table = dp.count_table(config, args.n)
-    if want is None:
-        value = table.open_count(args.n)
-    elif want == 0:
-        value = table.closed_count(args.n)
-    else:
-        value = table.level_count(args.n, want)
+    value = dp.count(config, args.n, args.final)
     sel = _final_label(args.final)
     if args.format == "json":
         _emit(

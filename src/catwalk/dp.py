@@ -1,152 +1,200 @@
-"""Exact big-integer path counting by dynamic programming over the automaton.
+"""Exact big-integer path counting by a level-vector transfer DP.
 
-A :class:`CountTable` holds, for every length ``n <= n_max`` and every
-automaton state, the number of paths of length n that end in that state.
-The table is filled by one forward sweep; all counts are exact Python ints.
+A row counts the paths of one length by end state: a tuple (F, G, H) of int
+lists indexed by level, one per layer (after an up-step, the start or a
+catastrophe; after a black down-step; after a red down-step).
+:class:`Transfer` advances a row one step by list shifts and ``map(add)``;
+:func:`count` keeps one rolling row, :class:`CountTable` one row per length.
 
-The same table doubles as the data for the recurrence checker
-:func:`verify_recurrences`, which re-reads the table as a family of
-generating functions per (layer, level) and confirms the step-inflow
+The table doubles as the data for :func:`verify_recurrences`, which re-reads
+it as generating functions per (layer, level) and confirms the step-inflow
 identities those series must satisfy.  Its :class:`Check` and
 :class:`Report` are the result types of every suite in :mod:`verify` too.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
+from operator import add, itemgetter
 
-from . import automaton as automaton_mod
-from .automaton import Automaton, State, sort_key
-from .model import LayerTag, ModelConfig, StepKind
+from .automaton import State
+from .model import INCOMING, LAYER_ORDER, STEP_ORDER, FinalSpec, LayerTag, ModelConfig
+from .model import normalize_final
 from .series import Series
+
+UP, DOWN_BLACK, DOWN_RED, CATASTROPHE = STEP_ORDER
+
+
+class Transfer:
+    """The level-vector transfer step of one model.
+
+    ``sources[step]`` holds the layers (indices into ``LAYER_ORDER``) whose
+    states may take ``step``.  (F, 0) is its own slot: the start and the
+    catastrophe target carry no adjacency constraint, so it may take any
+    step of the model, and only an up-step leaves level 0.
+    """
+
+    def __init__(self, config: ModelConfig):
+        # a layer no step of the model enters stays empty; (F, 0) holds the start
+        live = [j for j, tag in enumerate(LAYER_ORDER) if j == 0 or INCOMING[tag] in config.steps]
+        after = {j: config.next_steps(INCOMING[LAYER_ORDER[j]]) for j in live}
+        self.sources = {step: tuple(j for j in live if step in after[j]) for step in STEP_ORDER}
+        self.lift_start = UP in config.steps and 0 not in self.sources[UP]
+        self.firing = config.catastrophe.firing
+
+    def __call__(self, row: tuple, size: int) -> tuple:
+        """The row one step longer, cut to levels 0..size-1 (size <= len + 1)."""
+        sums = {(): [0] * len(row[0]), (0,): row[0], (1,): row[1], (2,): row[2]}
+
+        def inflow(step):  # the elementwise sum of the layers that may take ``step``
+            layers = self.sources[step]
+            for k in range(2, len(layers) + 1):
+                if layers[:k] not in sums:
+                    sums[layers[:k]] = list(map(add, sums[layers[: k - 1]], row[layers[k - 1]]))
+            return sums[layers]
+
+        fire = inflow(CATASTROPHE)
+        f = [sum(map(fire.__getitem__, self.firing(len(fire) - 1)))]
+        f += inflow(UP)[: size - 1]
+        if self.lift_start and size > 1:
+            f[1] += row[0][0]
+        g, h = (inflow(step)[1 : size + 1] for step in (DOWN_BLACK, DOWN_RED))
+        return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
+
+    def predecessors(self, prev: tuple, layer: int, level: int):
+        """The moves into (layer, level) from the row ``prev`` one step
+        shorter, as (count, (step, layer, level)); catastrophe sources come
+        lowest level first."""
+        top = len(prev[0]) - 1
+        if layer == level == 0:
+            cat = self.sources[CATASTROPHE]
+            return ((prev[j][i], (CATASTROPHE, j, i)) for i in self.firing(top) for j in cat)
+        step = INCOMING[LAYER_ORDER[layer]]
+        i = level - 1 if step is UP else level + 1
+        moves = [(prev[j][i], (step, j, i)) for j in self.sources[step] if i <= top]
+        if self.lift_start and (layer, level) == (0, 1):
+            moves.append((prev[0][0], (UP, 0, 0)))
+        return moves
+
+    def rows(self, n: int, want: int | None = None):
+        """The rows of lengths 0..n in turn; the row of length t has levels 0..t.
+
+        Without catastrophes a level above ``want`` plus the steps left
+        cannot come down in time, so given ``want`` it is dropped.
+        """
+        if n < 0:
+            raise ValueError("path length must be >= 0")
+        trim = want is not None and not (self.sources[CATASTROPHE] and self.firing(n))
+        row = ([1], [0], [0])  # length 0: the empty path, in (F, 0)
+        yield row
+        for t in range(1, n + 1):
+            row = self(row, min(t, want + n - t) + 1 if trim else t + 1)
+            yield row
+
+
+def ending(row: tuple, want: int | None) -> int:
+    """The paths of one row that end at level ``want``, or anywhere if None."""
+    if want is None:
+        return sum(map(sum, row))
+    return sum(vec[want] for vec in row) if 0 <= want < len(row[0]) else 0
+
+
+def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
+    """The number of length-n paths meeting the end condition ``final``,
+    from one rolling row."""
+    want = normalize_final(final)
+    for row in Transfer(config).rows(n, want):
+        pass
+    return ending(row, want)
 
 
 class CountTable:
     """Counts of paths by length and end state for one model."""
 
-    def __init__(self, auto: Automaton, slices: list):
-        self._auto = auto
-        self._slices = slices
-
-    @property
-    def config(self) -> ModelConfig:
-        return self._auto.config
-
-    @property
-    def auto(self) -> Automaton:
-        return self._auto
+    def __init__(self, config: ModelConfig, rows: list):
+        self.config = config
+        self._rows = rows
 
     @property
     def n_max(self) -> int:
-        return len(self._slices) - 1
+        return len(self._rows) - 1
 
-    def _slice(self, n: int) -> dict:
+    def _row(self, n: int) -> tuple:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"length {n} outside table range 0..{self.n_max}")
-        return self._slices[n]
+        return self._rows[n]
 
     def state_count(self, n: int, state: State) -> int:
-        return self._slice(n).get(state, 0)
+        return self.final_counts(n).get(state, 0)
 
     def level_count(self, n: int, level: int) -> int:
-        return sum(c for st, c in self._slice(n).items() if st.level == level)
+        return ending(self._row(n), level)
 
     def closed_count(self, n: int) -> int:
         return self.level_count(n, 0)
 
     def open_count(self, n: int) -> int:
-        return sum(self._slice(n).values())
+        return ending(self._row(n), None)
 
     def final_counts(self, n: int) -> dict:
         """All nonzero end-state counts at length n, keyed by State."""
-        return dict(self._slice(n))
+        return {
+            State(layer, level): c
+            for layer, vec in zip(LAYER_ORDER, self._row(n))
+            for level, c in enumerate(vec)
+            if c
+        }
 
     def _upto(self, order: int | None) -> list:
-        """The slices for lengths 0..order; all of them when order is None."""
+        """The rows for lengths 0..order; all of them when order is None."""
         if order is None:
-            return self._slices
+            return self._rows
         if not 0 <= order <= self.n_max:
             raise ValueError(f"order {order} outside table range 0..{self.n_max}")
-        return self._slices[: order + 1]
+        return self._rows[: order + 1]
 
     def layer_series(self, layer: LayerTag, level: int, order: int | None = None) -> Series:
         """Counts ending in (layer, level) as a power series in the length."""
-        st = State(layer, level)
-        return Series([sl.get(st, 0) for sl in self._upto(order)])
+        j = LAYER_ORDER.index(layer)
+        return Series(
+            [row[j][level] if 0 <= level < len(row[j]) else 0 for row in self._upto(order)]
+        )
 
     def level_series(self, level: int, order: int | None = None) -> Series:
         """Counts ending at ``level``, all layers merged, as a power series."""
-        return Series(
-            [
-                sum(c for st, c in sl.items() if st.level == level)
-                for sl in self._upto(order)
-            ]
-        )
+        return Series([ending(row, level) for row in self._upto(order)])
 
     def closed_series(self, order: int | None = None) -> Series:
         return self.level_series(0, order)
 
-    def layer_series_map(self, order: int | None = None) -> dict:
-        """All per-(layer, level) series at once, keyed by (LayerTag, level).
+    def _columns(self, pick, order: int | None) -> dict:
+        """The nonzero level columns of ``pick(row)`` as series, keyed by level."""
+        vecs = [pick(row) for row in self._upto(order)]
+        width = len(vecs[-1])
+        cols = zip(*(vec + [0] * (width - len(vec)) for vec in vecs))
+        return {level: Series(col) for level, col in enumerate(cols) if any(col)}
 
-        One sweep over the table; prefer this to calling ``layer_series`` in
-        a loop over levels.
-        """
-        slices = self._upto(order)
-        acc: dict = {}
-        for n, sl in enumerate(slices):
-            for st, c in sl.items():
-                key = (st.layer, st.level)
-                if key not in acc:
-                    acc[key] = [0] * len(slices)
-                acc[key][n] = c
-        return {key: Series(lst) for key, lst in acc.items()}
+    def layer_series_map(self, order: int | None = None) -> dict:
+        """All nonzero per-(layer, level) series at once, keyed by
+        (LayerTag, level); prefer this to ``layer_series`` in a loop."""
+        return {
+            (layer, level): series
+            for j, layer in enumerate(LAYER_ORDER)
+            for level, series in self._columns(itemgetter(j), order).items()
+        }
 
     def level_series_map(self, order: int | None = None) -> dict:
         """Per-level series with layers merged, keyed by level."""
-        slices = self._upto(order)
-        acc: dict = {}
-        for n, sl in enumerate(slices):
-            for st, c in sl.items():
-                if st.level not in acc:
-                    acc[st.level] = [0] * len(slices)
-                acc[st.level][n] += c
-        return {lv: Series(lst) for lv, lst in acc.items()}
+        return self._columns(lambda row: list(map(sum, zip(*row))), order)
 
     def open_series(self, order: int | None = None) -> Series:
-        return Series([sum(sl.values()) for sl in self._upto(order)])
-
-    def write_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["n", "state", "count"])
-        for n, sl in enumerate(self._slices):
-            for st in sorted(sl, key=sort_key):
-                writer.writerow([n, str(st), sl[st]])
+        return Series([ending(row, None) for row in self._upto(order)])
 
 
-def count_table(config: ModelConfig, n_max: int, max_level: int | None = None) -> CountTable:
-    """Fill the count table for all lengths up to ``n_max``.
-
-    ``max_level`` defaults to ``n_max``, which is always enough: a path of
-    length n cannot climb past level n.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if max_level is None:
-        max_level = n_max
-    auto = automaton_mod.build(config, max_level)
-    cur = {auto.start: 1}
-    slices = [dict(cur)]
-    for _ in range(n_max):
-        nxt: dict = {}
-        for st, cnt in cur.items():
-            for _step, tgt in auto.successors(st):
-                nxt[tgt] = nxt.get(tgt, 0) + cnt
-        slices.append(nxt)
-        cur = nxt
-    return CountTable(auto, slices)
+def count_table(config: ModelConfig, n_max: int) -> CountTable:
+    """The count table of a model for all lengths up to ``n_max``."""
+    return CountTable(config, list(Transfer(config).rows(n_max)))
 
 
 # -- checks, reports and recurrence verification ---------------------------
@@ -213,7 +261,7 @@ def compare(name: str, pairs, detail_ok: str | None = None) -> Check:
 def infer_system(config: ModelConfig) -> str:
     """Pick the recurrence family matching a config: layered for red-step
     models, merged single-sequence otherwise."""
-    return "skew" if StepKind.DOWN_RED in config.steps else "dyck"
+    return "skew" if DOWN_RED in config.steps else "dyck"
 
 
 def verify_recurrences(
@@ -252,8 +300,7 @@ def verify_recurrences(
     start = time.perf_counter()
     table = count_table(config, order)
     n = order
-    rule = config.catastrophe
-    cat_levels = [i for i in range(1, n + 1) if rule.allows(i)]
+    cat_levels = config.catastrophe.firing(n)
     z = Series.z(n)
     checks: list = []
 

@@ -74,6 +74,9 @@ ENTRY_LAYER = {
     StepKind.DOWN_RED: LayerTag.H,
 }
 
+# the step kind that enters each layer at a level above 0
+INCOMING = {ENTRY_LAYER[s]: s for s in (StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED)}
+
 
 class ConfigError(ValueError):
     """A model configuration that the package cannot represent."""
@@ -130,15 +133,17 @@ class CatastropheRule:
 
     def allows(self, level: int) -> bool:
         """True if a catastrophe may start from ``level``."""
-        if level < 1:
-            return False
+        return level in self.firing(level)
+
+    def firing(self, top: int):
+        """The levels 1..top that may fire a catastrophe, ascending."""
         if self.kind == "none":
-            return False
+            return range(0)
         if self.kind == "min_level":
-            return level >= self.k
+            return range(self.k, top + 1)
         if self.kind == "even_min":
-            return level >= self.k and level % 2 == 0
-        return level in self.levels
+            return range(self.k + self.k % 2, top + 1, 2)
+        return sorted(lv for lv in self.levels if lv <= top)
 
     def to_json(self) -> dict:
         if self.kind == "none":
@@ -149,16 +154,28 @@ class CatastropheRule:
 
     @classmethod
     def from_json(cls, data: dict) -> "CatastropheRule":
-        kind = data.get("kind")
-        if kind == "none":
-            return cls.none()
-        if kind == "min_level":
-            return cls.min_level(data["k"])
-        if kind == "even_min":
-            return cls.even_min(data["k"])
+        fields = {"none": (), "min_level": ("k",), "even_min": ("k",), "levels": ("levels",)}
+        kind = data.get("kind") if isinstance(data, dict) else None
+        if kind not in fields:
+            raise ConfigError(f"unknown catastrophe rule {data!r}")
+        _only(data, ("kind", *fields[kind]), "catastrophe")
         if kind == "levels":
-            return cls.explicit(data["levels"])
-        raise ConfigError(f"unknown catastrophe rule kind {kind!r}")
+            _distinct(data["levels"], "catastrophe levels")
+        return cls(kind, **{key: data[key] for key in fields[kind]})
+
+
+def _only(data, keys: tuple, where: str) -> None:
+    """Reject what is not a JSON object with no key outside ``keys``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    extra = sorted(set(data) - set(keys))
+    if extra:
+        raise ConfigError(f"{where} has unknown key(s): {', '.join(extra)}")
+
+
+def _distinct(items: list, where: str) -> None:
+    if not isinstance(items, list) or len(set(items)) != len(items):
+        raise ConfigError(f"{where} must be an array without repeats, got {items!r}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +208,11 @@ class ModelConfig:
     def allows_pair(self, first: StepKind, second: StepKind) -> bool:
         return (first, second) not in self.forbidden_pairs
 
+    def next_steps(self, came_by) -> tuple:
+        """The steps that may follow a ``came_by`` step (None: any), in canonical order."""
+        allowed = (s for s in STEP_ORDER if came_by is None or self.allows_pair(came_by, s))
+        return tuple(s for s in allowed if s in self.steps)
+
     def to_json(self) -> dict:
         return {
             "steps": [s.value for s in STEP_ORDER if s in self.steps],
@@ -203,6 +225,8 @@ class ModelConfig:
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
         try:
+            _only(data, ("steps", "forbidden_pairs", "catastrophe"), "model configuration")
+            _distinct(data["steps"], "steps")
             steps = frozenset(StepKind(s) for s in data["steps"])
             for pair in data["forbidden_pairs"]:
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:

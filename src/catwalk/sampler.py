@@ -1,11 +1,11 @@
-"""Exactly uniform random sampling of model paths.
+"""Exactly uniform random sampling of model paths by the recursive method
+(Nijenhuis and Wilf, 1978; Flajolet, Zimmermann and Van Cutsem, 1994).
 
-The sampler walks the counting automaton forward while consulting a table
-of completion counts: for every state and number of remaining steps, the
-exact number of ways to finish a path that meets the end condition.  Each
-step is drawn with ``randrange`` over integer weights, so every admissible
-path of the ensemble has probability exactly 1/total; no floats are
-involved at any point.
+The sampler picks the end state weighted by its count in the forward rows
+of :class:`dp.Transfer`, then walks back, picking each predecessor weighted
+by its count one length earlier.  Each choice is one ``randrange`` over
+exact integer weights, so every admissible path of the ensemble has
+probability exactly 1/total; no floats are involved at any point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import automaton as automaton_mod
+from . import dp
 from .model import FinalSpec, ModelConfig, Path, normalize_final, validate_path
 
 
@@ -31,35 +31,27 @@ class SamplerSpec:
     seed: int = 0
 
 
+def _choose(rng: random.Random, total: int, options):
+    """The value of one ``(weight, value)`` option, drawn with probability
+    weight / total; the weights must sum to ``total``."""
+    x = rng.randrange(total)
+    for weight, value in options:
+        if x < weight:
+            return value
+        x -= weight
+    raise RuntimeError("sampler weights do not sum to the forward count")
+
+
 class Sampler:
     """Reusable sampler for one (model, length, end condition) ensemble."""
 
     def __init__(self, config: ModelConfig, n: int, final: FinalSpec = "closed"):
-        if n < 0:
-            raise ValueError("path length must be >= 0")
         self.config = config
         self.n = n
         self.want = normalize_final(final)
-        self.auto = automaton_mod.build(config, n)
-        # completion[r][state] = number of admissible r-step continuations
-        layer0 = {
-            st: 1
-            for st in self.auto.transitions
-            if self.want is None or st.level == self.want
-        }
-        table = [layer0]
-        for _ in range(n):
-            prev = table[-1]
-            cur: dict = {}
-            for st, succ in self.auto.transitions.items():
-                total = 0
-                for _step, tgt in succ:
-                    total += prev.get(tgt, 0)
-                if total:
-                    cur[st] = total
-            table.append(cur)
-        self._completion = table
-        self.total = table[n].get(self.auto.start, 0)
+        self._step = dp.Transfer(config)
+        self._rows = list(self._step.rows(n))
+        self.total = dp.ending(self._rows[n], self.want)
         if self.total == 0:
             raise EmptyEnsemble(
                 f"no length-{n} path meets the end condition {final!r}"
@@ -67,23 +59,16 @@ class Sampler:
 
     def draw(self, rng: random.Random) -> Path:
         """One exactly uniform draw from the ensemble."""
-        state = self.auto.start
+        rows, n = self._rows, self.n
+        levels = range(n + 1) if self.want is None else (self.want,)
+        ends = ((rows[n][j][i], (j, i)) for j in range(3) for i in levels)
+        layer, level = _choose(rng, self.total, ends)
         steps = []
-        for remaining in range(self.n, 0, -1):
-            layer = self._completion[remaining - 1]
-            choices = [
-                (step, tgt, layer[tgt])
-                for step, tgt in self.auto.successors(state)
-                if tgt in layer
-            ]
-            x = rng.randrange(sum(w for _, _, w in choices))
-            for step, tgt, w in choices:
-                if x < w:
-                    steps.append(step)
-                    state = tgt
-                    break
-                x -= w
-        return validate_path(self.config, steps)
+        for t in range(n, 0, -1):
+            moves = self._step.predecessors(rows[t - 1], layer, level)
+            step, layer, level = _choose(rng, rows[t][layer][level], moves)
+            steps.append(step)
+        return validate_path(self.config, steps[::-1])
 
 
 def sample(spec: SamplerSpec, count: int) -> list:
@@ -93,4 +78,3 @@ def sample(spec: SamplerSpec, count: int) -> list:
     s = Sampler(spec.config, spec.n, spec.final)
     rng = random.Random(spec.seed)
     return [s.draw(rng) for _ in range(count)]
-

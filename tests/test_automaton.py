@@ -108,20 +108,6 @@ def test_state_count_and_sorting():
     assert str(states[-1]) == "H2"
 
 
-def test_to_text_and_json():
-    auto = build(DYCK, 2)
-    text = auto.to_text()
-    assert "F1: up->F2 down_black->G0" in text
-    data = auto.to_json()
-    assert data["start"] == "F0"
-    assert data["max_level"] == 2
-    f1 = next(s for s in data["states"] if s["id"] == "F1")
-    assert f1["transitions"] == [
-        {"step": "up", "to": "F2"},
-        {"step": "down_black", "to": "G0"},
-    ]
-
-
 def test_negative_max_level_rejected():
     with pytest.raises(ValueError):
         build(DYCK, -1)

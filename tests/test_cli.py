@@ -88,6 +88,10 @@ def test_bad_config_file(tmp_path, capsys):
     for field, value, named in (
         ("catastrophe", {"kind": "min_level", "k": 2.5}, "k >= 1"),
         ("forbidden_pairs", [["up"]], "forbidden_pairs"),
+        ("extra", 1, "extra"),
+        ("catastrophe", {"kind": "min_level", "k": 2, "junk": 0}, "junk"),
+        ("steps", ["up", "down_black", "up"], "steps"),
+        ("catastrophe", {"kind": "levels", "levels": [2, 2]}, "levels"),
     ):
         cfg.write_text(json.dumps({**SKEW_CAT.to_json(), field: value}), encoding="utf-8")
         code, _, err = run(capsys, "count", "--config", str(cfg), "--n", "4", "--closed")

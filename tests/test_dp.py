@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -103,15 +102,6 @@ def test_table_bounds():
         table.layer_series(F, 0, 7)
     with pytest.raises(ValueError):
         dp.count_table(DYCK, -1)
-
-
-def test_write_csv():
-    buf = io.StringIO()
-    dp.count_table(DYCK, 2).write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,state,count"
-    assert "2,F2,1" in lines
-    assert "2,G0,1" in lines
 
 
 def test_recurrences_pass_for_presets():

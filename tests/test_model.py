@@ -197,6 +197,17 @@ def test_from_json_malformed():
     for pairs in ([["up"]], [["up", "down_red", "up"]], ["ud"]):
         with pytest.raises(ConfigError, match="forbidden_pairs"):
             ModelConfig.from_json({**base, "forbidden_pairs": pairs})
+    # no key the schema does not name, no repeated step or level
+    for data, named in (
+        ({**base, "extra": 1}, "extra"),
+        ({**base, "catastrophe": {"kind": "min_level", "k": 2, "junk": 0}}, "junk"),
+        ({**base, "catastrophe": {"kind": "none", "k": 2}}, "k"),
+        ({**base, "steps": ["up", "down_black", "up"]}, "steps"),
+        ({**base, "steps": ""}, "steps"),
+        ({**base, "catastrophe": {"kind": "levels", "levels": [2, 3, 2]}}, "levels"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            ModelConfig.from_json(data)
 
 
 def test_with_rule_replaces_only_rule():

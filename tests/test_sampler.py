@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -53,6 +54,10 @@ def test_empty_ensemble():
         sample(SamplerSpec(DYCK, 3, "closed"), 1)
     with pytest.raises(EmptyEnsemble):
         Sampler(DYCK, 2, 5)
+    with pytest.raises(EmptyEnsemble):
+        Sampler(DYCK_CAT, 1, "closed")
+    with pytest.raises(EmptyEnsemble):
+        Sampler(SKEW_CAT, 6, 7)
 
 
 def test_length_zero():
@@ -80,6 +85,15 @@ def test_every_ensemble_member_is_reachable():
     spec = SamplerSpec(SKEW, 6, "closed", seed=5)
     seen = {str(p) for p in sample(spec, 400)}
     assert seen == {str(p) for p in brute.enumerate_red(SKEW, 6, "closed")}
+    # with catastrophes the walk back passes through (F, 0) from several
+    # levels; 40 draws per member, each member within about 4 sigma of 40
+    for config in (SKEW_CAT, DYCK_CAT):
+        for final in ("closed", "all", 2):
+            members = {str(p) for p in brute.enumerate_red(config, 6, final)}
+            spec = SamplerSpec(config, 6, final, seed=6)
+            hits = Counter(str(p) for p in sample(spec, 40 * len(members)))
+            assert set(hits) == members
+            assert all(15 <= h <= 65 for h in hits.values()), (final, hits)
 
 
 def test_reusable_sampler_object():
