@@ -11,6 +11,11 @@ state (F, 0).
 :mod:`catwalk.dp` reads it once per layer; :func:`build` spells it out as an
 explicit transition table, truncated at a maximum level.  Walks of length n
 never pass level n, so truncating at (or above) n loses no path.
+
+No counting route walks the explicit table; it stays because the tests read
+its transitions and the benchmark's tracer (``bench/tracer.py``) wraps
+:func:`build`, and :class:`State` stays as the key of
+``dp.CountTable.final_counts``.
 """
 
 from __future__ import annotations
@@ -29,10 +34,6 @@ class State:
         return f"{self.layer.value}{self.level}"
 
 
-def sort_key(state: State):
-    return (LAYER_ORDER.index(state.layer), state.level)
-
-
 START = State(LayerTag.F, 0)
 
 
@@ -48,9 +49,6 @@ class Automaton:
     def successors(self, state: State) -> tuple:
         """The (step, target) pairs leaving ``state``, in canonical step order."""
         return self.transitions[state]
-
-    def states(self) -> list:
-        return sorted(self.transitions, key=sort_key)
 
 
 def build(config: ModelConfig, max_level: int) -> Automaton:
@@ -88,14 +86,3 @@ def build(config: ModelConfig, max_level: int) -> Automaton:
                         out.append((step, State(LayerTag.F, 0)))
             transitions[st] = tuple(out)
     return Automaton(config, max_level, START, transitions)
-
-
-def reachable_states(auto: Automaton) -> list:
-    """States reachable from the start by following transitions, sorted."""
-    seen, todo = {auto.start}, [auto.start]
-    while todo:
-        for _, tgt in auto.successors(todo.pop()):
-            if tgt not in seen:
-                seen.add(tgt)
-                todo.append(tgt)
-    return sorted(seen, key=sort_key)

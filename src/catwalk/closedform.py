@@ -197,7 +197,7 @@ def fj_family(j: int, order: int) -> tuple:
         return (Series.zero(order),) * 3
     base = f0("skew", order)
     q = inv_r1("skew", order)
-    z = Series.z(order)
+    z = _poly((0, 1), order)  # zero at order 0, where Series.z has no room
     rt = r2("skew", order)
     fq = base * q.pow(j)
     tail = base * q.pow(j + 1)

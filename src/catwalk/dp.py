@@ -6,17 +6,18 @@ catastrophe; after a black down-step; after a red down-step).
 :class:`Transfer` advances a row one step by list shifts and ``map(add)``;
 :func:`count` keeps one rolling row, :class:`CountTable` one row per length.
 
-The table doubles as the data for :func:`verify_recurrences`, which re-reads
-it as generating functions per (layer, level) and confirms the step-inflow
-identities those series must satisfy.  Its :class:`Check` and
-:class:`Report` are the result types of every suite in :mod:`verify` too.
+The rows also feed :func:`verify_recurrences`, which streams them two at a
+time and confirms, coefficient by coefficient, the step-inflow identities
+the per-(layer, level) generating functions must satisfy.  Its
+:class:`Check` and :class:`Report` are the result types of every suite in
+:mod:`verify` too.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
 
 from .automaton import State
 from .model import INCOMING, LAYER_ORDER, STEP_ORDER, FinalSpec, LayerTag, ModelConfig
@@ -125,9 +126,6 @@ class CountTable:
             raise ValueError(f"length {n} outside table range 0..{self.n_max}")
         return self._rows[n]
 
-    def state_count(self, n: int, state: State) -> int:
-        return self.final_counts(n).get(state, 0)
-
     def level_count(self, n: int, level: int) -> int:
         return ending(self._row(n), level)
 
@@ -167,26 +165,6 @@ class CountTable:
 
     def closed_series(self, order: int | None = None) -> Series:
         return self.level_series(0, order)
-
-    def _columns(self, pick, order: int | None) -> dict:
-        """The nonzero level columns of ``pick(row)`` as series, keyed by level."""
-        vecs = [pick(row) for row in self._upto(order)]
-        width = len(vecs[-1])
-        cols = zip(*(vec + [0] * (width - len(vec)) for vec in vecs))
-        return {level: Series(col) for level, col in enumerate(cols) if any(col)}
-
-    def layer_series_map(self, order: int | None = None) -> dict:
-        """All nonzero per-(layer, level) series at once, keyed by
-        (LayerTag, level); prefer this to ``layer_series`` in a loop."""
-        return {
-            (layer, level): series
-            for j, layer in enumerate(LAYER_ORDER)
-            for level, series in self._columns(itemgetter(j), order).items()
-        }
-
-    def level_series_map(self, order: int | None = None) -> dict:
-        """Per-level series with layers merged, keyed by level."""
-        return self._columns(lambda row: list(map(sum, zip(*row))), order)
 
     def open_series(self, order: int | None = None) -> Series:
         return Series([ending(row, None) for row in self._upto(order)])
@@ -235,10 +213,6 @@ class Report:
         }
 
 
-class RecurrenceViolation(Exception):
-    """A count table does not satisfy the requested recurrence system."""
-
-
 def compare(name: str, pairs, detail_ok: str | None = None) -> Check:
     """A check that each ``(label, lhs, rhs)`` pair of series agrees.
 
@@ -258,101 +232,84 @@ def compare(name: str, pairs, detail_ok: str | None = None) -> Check:
     return Check(name, True, detail_ok or f"{count} instances checked")
 
 
-def infer_system(config: ModelConfig) -> str:
-    """Pick the recurrence family matching a config: layered for red-step
-    models, merged single-sequence otherwise."""
-    return "skew" if DOWN_RED in config.steps else "dyck"
-
-
-def verify_recurrences(
-    config: ModelConfig,
-    order: int,
-    system: str | None = None,
-    strict: bool = True,
-) -> Report:
+def verify_recurrences(config: ModelConfig, order: int) -> Report:
     """Check the step-inflow identities of a model's counting series.
 
-    The "skew" system keeps the three layers separate and checks, writing
-    f_i, g_i, h_i for the series of counts ending in (F, i), (G, i), (H, i):
+    Writing f_i, g_i, h_i for the series of counts ending in (F, i), (G, i),
+    (H, i), a model with red steps is checked against the "skew" system
 
         f_{i+1} = z (f_i + g_i)                 up-steps never follow a red step
         g_i     = z (f_{i+1} + g_{i+1} + h_{i+1})
         h_i     = z (g_{i+1} + h_{i+1})         red steps never follow an up-step
         f_0     = 1 + z * sum of (f_i + g_i + h_i) over catastrophe levels i
 
-    The "dyck" system merges layers into t_i and checks
+    and any other model against the "dyck" system on the merged t_i:
 
         t_i = z (t_{i-1} + t_{i+1})   for i >= 1
         t_0 = 1 + z t_1 + z * sum of t_i over catastrophe levels i
 
-    The identities encode the preset adjacency rules, so feeding the wrong
-    system to a table (pass ``system=`` explicitly) is a deliberate way to
-    watch the check fail.  With ``strict`` a failure raises
-    :class:`RecurrenceViolation`; otherwise the report carries the failures.
+    The catastrophe levels are those of the rule, and none when the model
+    lacks the catastrophe step.  The identities are written out here, not
+    derived from :class:`Transfer`, so they check the kernel rather than
+    restate it; they encode the preset adjacency rules, so a model outside
+    them fails.  Coefficient by coefficient, the z^t identity ties the row
+    of length t to the row of length t - 1 (all zero for t = 0), so the
+    rows stream past two at a time.  A failed check names its first failing
+    instance and the first coefficient where it fails.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if system is None:
-        system = infer_system(config)
-    if system not in ("dyck", "skew"):
-        raise ValueError(f"unknown recurrence system {system!r}")
-
     start = time.perf_counter()
-    table = count_table(config, order)
     n = order
-    cat_levels = config.catastrophe.firing(n)
-    z = Series.z(n)
-    checks: list = []
+    cat = config.catastrophe.firing(n) if CATASTROPHE in config.steps else ()
+    inflow = [f"i={i}" for i in range(n)]
+    if DOWN_RED in config.steps:
+        system = "skew"
+        labels = {
+            "up-inflow": inflow,
+            "black-down-inflow": inflow,
+            "red-down-inflow": inflow,
+            "axis-boundary": ["f0"],
+        }
 
-    if system == "skew":
-        by_key = table.layer_series_map(n)
-        nil = Series.zero(n)
-        f = [by_key.get((LayerTag.F, i), nil) for i in range(n + 1)]
-        g = [by_key.get((LayerTag.G, i), nil) for i in range(n + 1)]
-        h = [by_key.get((LayerTag.H, i), nil) for i in range(n + 1)]
-        checks.append(
-            compare(
-                "up-inflow",
-                ((f"i={i}", f[i + 1], z * (f[i] + g[i])) for i in range(n)),
+        def sides(t, row, prev):  # the (lhs, rhs) coefficient pairs of each check
+            (f, g, h), (pf, pg, ph) = row, prev
+            return (
+                [(f[i + 1], pf[i] + pg[i]) for i in range(n)],
+                [(g[i], pf[i + 1] + pg[i + 1] + ph[i + 1]) for i in range(n)],
+                [(h[i], pg[i + 1] + ph[i + 1]) for i in range(n)],
+                [(f[0], (t == 0) + sum(pf[i] + pg[i] + ph[i] for i in cat))],
             )
-        )
-        checks.append(
-            compare(
-                "black-down-inflow",
-                ((f"i={i}", g[i], z * (f[i + 1] + g[i + 1] + h[i + 1])) for i in range(n)),
-            )
-        )
-        checks.append(
-            compare(
-                "red-down-inflow",
-                ((f"i={i}", h[i], z * (g[i + 1] + h[i + 1])) for i in range(n)),
-            )
-        )
-        inflow = Series.zero(n)
-        for i in cat_levels:
-            inflow = inflow + f[i] + g[i] + h[i]
-        checks.append(
-            compare("axis-boundary", [("f0", f[0], 1 + z * inflow)])
-        )
+
     else:
-        by_level = table.level_series_map(n)
-        nil = Series.zero(n)
-        t = [by_level.get(i, nil) for i in range(n + 1)]
-        checks.append(
-            compare(
-                "interior",
-                ((f"i={i}", t[i], z * (t[i - 1] + t[i + 1])) for i in range(1, n)),
-            )
-        )
-        inflow = Series.zero(n)
-        for i in cat_levels:
-            inflow = inflow + t[i]
-        checks.append(
-            compare("axis-boundary", [("t0", t[0], 1 + z * t[1] + z * inflow)])
-        )
+        system = "dyck"
+        labels = {"interior": inflow[1:], "axis-boundary": ["t0"]}
 
-    report = Report(system, checks, int((time.perf_counter() - start) * 1000))
-    if strict and not report.ok:
-        first = report.failures()[0]
-        raise RecurrenceViolation(f"{first.name}: {first.detail}")
-    return report
+        def sides(t, row, prev):
+            s, ps = (list(map(sum, zip(*r))) for r in (row, prev))
+            return (
+                [(s[i], ps[i - 1] + ps[i + 1]) for i in range(1, n)],
+                [(s[0], (t == 0) + ps[1] + sum(ps[i] for i in cat))],
+            )
+
+    first: dict = {}  # check name -> (instance, t, lhs, rhs) of its first failure
+    prev = ([0] * (n + 1),) * 3
+    for t, row in enumerate(Transfer(config).rows(n)):
+        row = tuple(vec + [0] * (n + 1 - len(vec)) for vec in row)
+        for name, pairs in zip(labels, sides(t, row, prev)):
+            # only an earlier instance than the one already failing can take its place
+            below = first.get(name, (len(pairs),))[0]
+            k = next((k for k in range(below) if pairs[k][0] != pairs[k][1]), None)
+            if k is not None:
+                first[name] = (k, t, *pairs[k])
+        prev = row
+
+    checks = []
+    for name, instances in labels.items():
+        if name in first:
+            k, t, lhs, rhs = first[name]
+            detail = f"fails at {instances[k]}, coefficient of z^{t}: {lhs} != {rhs}"
+            checks.append(Check(name, False, detail))
+        else:
+            checks.append(Check(name, True, f"{len(instances)} instances checked"))
+    return Report(system, checks, int((time.perf_counter() - start) * 1000))

@@ -228,12 +228,13 @@ class ModelConfig:
             _only(data, ("steps", "forbidden_pairs", "catastrophe"), "model configuration")
             _distinct(data["steps"], "steps")
             steps = frozenset(StepKind(s) for s in data["steps"])
-            for pair in data["forbidden_pairs"]:
+            pairs = data["forbidden_pairs"]
+            if not isinstance(pairs, list):
+                raise ConfigError(f"forbidden_pairs must be an array, got {pairs!r}")
+            for pair in pairs:
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise ConfigError(f"forbidden_pairs entry must be two steps, got {pair!r}")
-            pairs = frozenset(
-                (StepKind(a), StepKind(b)) for a, b in data["forbidden_pairs"]
-            )
+            pairs = frozenset((StepKind(a), StepKind(b)) for a, b in pairs)
             rule = CatastropheRule.from_json(data["catastrophe"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"malformed model configuration: {exc}") from exc

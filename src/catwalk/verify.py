@@ -53,7 +53,7 @@ def _suite_kernel(order: int, max_n: int) -> list:
 def _suite_recurrences(order: int, max_n: int) -> list:
     checks = []
     for name, config in sorted(PRESETS.items()):
-        report = dp.verify_recurrences(config, order, strict=False)
+        report = dp.verify_recurrences(config, order)
         if report.ok:
             detail = f"{report.name} system holds through z^{order}"
         else:

@@ -1,7 +1,6 @@
 import pytest
 
-from catwalk import automaton
-from catwalk.automaton import State, build, reachable_states
+from catwalk.automaton import State, build
 from catwalk.model import (
     CatastropheRule,
     DYCK,
@@ -38,13 +37,13 @@ def test_dyck_transitions():
 def test_dyck_h_states_exist_but_are_unreachable():
     auto = build(DYCK, 4)
     assert State(H, 2) in auto.transitions
-    reach = reachable_states(auto)
-    assert all(st.layer is not H for st in reach)
-    assert State(F, 0) in reach and State(G, 0) in reach
-    # the top G level cannot be reached either: a down-step from level 5
-    # would need a state above the truncation
-    assert State(G, 4) not in reach
-    assert State(G, 3) in reach
+    targets = {tgt for moves in auto.transitions.values() for _, tgt in moves}
+    assert all(st.layer is not H for st in targets)
+    assert State(F, 1) in targets and State(G, 0) in targets
+    # nothing lands on the top G level: a down-step onto it would start
+    # above the truncation
+    assert State(G, 4) not in targets
+    assert State(G, 3) in targets
 
 
 def test_skew_adjacency_rules_in_transitions():
@@ -92,22 +91,6 @@ def test_even_rule_transitions():
     assert (C, State(F, 0)) not in succ(auto, G, 1)
 
 
-def test_reachable_states_skew_cat():
-    auto = build(SKEW_CAT, 3)
-    reach = set(reachable_states(auto))
-    assert State(F, 0) in reach
-    assert State(H, 0) in reach  # reached by UUDR
-    assert State(H, 3) not in reach  # a red step cannot land on the top level
-
-
-def test_state_count_and_sorting():
-    auto = build(DYCK, 2)
-    states = auto.states()
-    assert len(states) == 9  # 3 layers x levels 0..2
-    assert states[0] == State(F, 0)
-    assert str(states[-1]) == "H2"
-
-
 def test_negative_max_level_rejected():
     with pytest.raises(ValueError):
         build(DYCK, -1)
@@ -116,10 +99,3 @@ def test_negative_max_level_rejected():
 def test_max_level_zero():
     auto = build(DYCK_CAT, 0)
     assert succ(auto, F, 0) == ()
-    assert reachable_states(auto) == [State(F, 0)]
-
-
-def test_module_sort_key():
-    states = [State(H, 0), State(F, 2), State(G, 1), State(F, 0)]
-    ordered = sorted(states, key=automaton.sort_key)
-    assert ordered == [State(F, 0), State(F, 2), State(G, 1), State(H, 0)]

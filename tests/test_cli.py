@@ -88,6 +88,7 @@ def test_bad_config_file(tmp_path, capsys):
     for field, value, named in (
         ("catastrophe", {"kind": "min_level", "k": 2.5}, "k >= 1"),
         ("forbidden_pairs", [["up"]], "forbidden_pairs"),
+        ("forbidden_pairs", {}, "forbidden_pairs"),
         ("extra", 1, "extra"),
         ("catastrophe", {"kind": "min_level", "k": 2, "junk": 0}, "junk"),
         ("steps", ["up", "down_black", "up"], "steps"),

@@ -9,12 +9,16 @@ from catwalk.model import (
     DYCK,
     DYCK_CAT,
     LayerTag,
+    ModelConfig,
+    PRESETS,
     SKEW,
     SKEW_CAT,
+    StepKind,
     with_rule,
 )
 
 F, G, H = LayerTag.F, LayerTag.G, LayerTag.H
+U, D, R = StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED
 
 # expansions frozen from the closed forms (see test_closedform) and
 # reproduced here as literals so this module stands on its own
@@ -79,18 +83,18 @@ def test_counts_partition_by_level_and_state():
     assert by_level == table.open_count(n)
     by_state = sum(table.final_counts(n).values())
     assert by_state == table.open_count(n)
-    assert table.state_count(n, State(F, 0)) == table.final_counts(n)[State(F, 0)]
+    axis = [table.final_counts(n).get(State(layer, 0), 0) for layer in (F, G, H)]
+    assert sum(axis) == table.closed_count(n)
 
 
 def test_series_extraction_consistency():
     table = dp.count_table(SKEW_CAT, 10)
-    m = table.layer_series_map(10)
-    for (layer, level), series in m.items():
-        assert series == table.layer_series(layer, level, 10)
-    lm = table.level_series_map(10)
-    assert lm[0] == table.closed_series(10)
-    total = sum(lm.values(), dp.Series.zero(10))
-    assert total == table.open_series(10)
+    levels = [table.level_series(k, 10) for k in range(11)]
+    for k, series in enumerate(levels):
+        f, g, h = (table.layer_series(layer, k, 10) for layer in (F, G, H))
+        assert series == f + g + h
+    assert levels[0] == table.closed_series(10)
+    assert sum(levels, dp.Series.zero(10)) == table.open_series(10)
 
 
 def test_table_bounds():
@@ -113,6 +117,26 @@ def test_recurrences_pass_for_presets():
     assert dp.verify_recurrences(SKEW, 10).name == "skew"
 
 
+RULES = {
+    "none": CatastropheRule.none(),
+    "min1": CatastropheRule.min_level(1),
+    "min3": CatastropheRule.min_level(3),
+    "even1": CatastropheRule.even_min(1),
+    "even3": CatastropheRule.even_min(3),
+    "levels1": CatastropheRule.explicit({1}),
+    "levels35": CatastropheRule.explicit({3, 5}),
+}
+
+
+@pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
+@pytest.mark.parametrize("preset", PRESETS.values(), ids=PRESETS.keys())
+def test_recurrences_pass_under_every_rule(preset, rule):
+    # a rule on a model without the catastrophe step fires nothing, so the
+    # plain presets pass under every rule too
+    report = dp.verify_recurrences(with_rule(preset, rule), 30)
+    assert report.ok, report.failures()
+
+
 def test_recurrences_pass_for_even_rule():
     even = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
     assert dp.verify_recurrences(even, 25).ok
@@ -120,20 +144,33 @@ def test_recurrences_pass_for_even_rule():
     assert dp.verify_recurrences(even_d, 25).ok
 
 
-def test_recurrences_negative_controls():
-    # the layered system encodes the red-model adjacency rules, which a
-    # plain table does not satisfy, and vice versa
-    with pytest.raises(dp.RecurrenceViolation):
-        dp.verify_recurrences(DYCK_CAT, 15, system="skew")
-    with pytest.raises(dp.RecurrenceViolation):
-        dp.verify_recurrences(SKEW_CAT, 15, system="dyck")
-    report = dp.verify_recurrences(SKEW_CAT, 15, system="dyck", strict=False)
-    assert not report.ok
-    assert any("fails at" in c.detail for c in report.failures())
+def failing(report) -> set:
+    for check in report.failures():
+        assert check.detail.startswith("fails at ") and "coefficient of z^" in check.detail
+    return {check.name for check in report.failures()}
+
+
+def test_recurrences_negative_controls(monkeypatch):
+    # the identities encode the preset adjacency rules: red steps free to
+    # follow and precede up-steps break the up and red-down inflows, and a
+    # plain model that forbids an up-step after a down-step breaks the interior
+    red_free = ModelConfig(frozenset({U, D, R}), frozenset(), CatastropheRule.none())
+    assert failing(dp.verify_recurrences(red_free, 15)) == {"up-inflow", "red-down-inflow"}
+    no_du = ModelConfig(frozenset({U, D}), frozenset({(D, U)}), CatastropheRule.none())
+    assert "interior" in failing(dp.verify_recurrences(no_du, 15))
+
+    # a kernel that loses the lowest firing level breaks the boundary identity
+    class Skipping(dp.Transfer):
+        def __init__(self, config):
+            super().__init__(config)
+            firing = self.firing
+            self.firing = lambda top: list(firing(top))[1:]
+
+    monkeypatch.setattr(dp, "Transfer", Skipping)
+    for config in (SKEW_CAT, DYCK_CAT):
+        assert failing(dp.verify_recurrences(config, 15)) == {"axis-boundary"}
 
 
 def test_recurrences_bad_arguments():
     with pytest.raises(ValueError):
         dp.verify_recurrences(DYCK, 0)
-    with pytest.raises(ValueError):
-        dp.verify_recurrences(DYCK, 10, system="motzkin")

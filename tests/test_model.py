@@ -194,7 +194,7 @@ def test_from_json_malformed():
     ):
         with pytest.raises(ConfigError, match="integer"):
             ModelConfig.from_json({**base, "catastrophe": rule})
-    for pairs in ([["up"]], [["up", "down_red", "up"]], ["ud"]):
+    for pairs in ([["up"]], [["up", "down_red", "up"]], ["ud"], {}, ""):
         with pytest.raises(ConfigError, match="forbidden_pairs"):
             ModelConfig.from_json({**base, "forbidden_pairs": pairs})
     # no key the schema does not name, no repeated step or level

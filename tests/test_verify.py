@@ -48,10 +48,14 @@ def test_suite_names_exported():
 DP_VIEWED = sorted(name for name, entry in cf.REGISTRY.items() if entry.view is not None)
 
 
-@pytest.mark.parametrize("name", DP_VIEWED + ["fj:1", "gj:1", "hj:1", "fj:4", "gj:4", "hj:4"])
+LEVELS = [f"{head}:{j}" for j in (0, 1, 4) for head in ("fj", "gj", "hj")]
+
+
+@pytest.mark.parametrize("name", DP_VIEWED + LEVELS)
 def test_registry_series_equal_their_table_views(name):
     entry = cf.lookup(name)
-    assert entry.build(30) == entry.view(dp.count_table(entry.model, 30))
+    for order in (0, 1, 30):
+        assert entry.build(order) == entry.view(dp.count_table(entry.model, order)), order
 
 
 def test_theorem_suite_checks_every_registry_view():
