@@ -4,6 +4,10 @@ Subcommands: count, series, enumerate, sample, render, verify.  Exit code 0
 means success, 1 means a verification found a genuine mismatch, 2 means the
 invocation or its input was bad (unknown model, malformed path, size guard,
 empty ensemble, and so on).
+
+Every handler hands its result to one output path, ``_emit``, as one
+zero-argument builder per format.  Only the form that ``--format`` names is
+built, and ``--out FILE`` receives exactly the bytes stdout would print.
 """
 
 from __future__ import annotations
@@ -44,22 +48,26 @@ def _positive(text: str) -> int:
     return v
 
 
-def _emit(content: str, args) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(content)
-            if not content.endswith("\n"):
-                fh.write("\n")
+def _emit(args, **forms) -> None:
+    """Build the one form ``--format`` names and write it to ``--out`` or stdout.
+
+    Each form is a zero-argument callable: ``json`` returns the payload,
+    ``csv`` the rows with the header first, any other the text itself.
+    """
+    value = forms[args.format]()
+    if args.format == "json":
+        text = json.dumps(value, indent=2)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(value)
+        text = buf.getvalue().rstrip("\n")
     else:
-        print(content)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+        text = value
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
+    else:
+        print(text)
 
 
 def _resolve_config(args):
@@ -131,17 +139,12 @@ def cmd_count(args) -> int:
     label, config = _resolve_config(args)
     value = dp.count(config, args.n, args.final)
     sel = _final_label(args.final)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {"model": label, "n": args.n, "final": sel, "count": value}, indent=2
-            ),
-            args,
-        )
-    elif args.format == "csv":
-        _emit(_csv_text(["model", "n", "final", "count"], [[label, args.n, sel, value]]), args)
-    else:
-        _emit(str(value), args)
+    _emit(
+        args,
+        text=lambda: str(value),
+        json=lambda: {"model": label, "n": args.n, "final": sel, "count": value},
+        csv=lambda: [["model", "n", "final", "count"], [label, args.n, sel, value]],
+    )
     return 0
 
 
@@ -150,11 +153,7 @@ def cmd_series(args) -> int:
     if args.check_dp:
         entry = cf.lookup(args.gf)
         if entry.view is None:
-            print(
-                f"error: {args.gf} has no dynamic-programming counterpart to check",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"{args.gf} has no dynamic-programming counterpart to check")
         other = entry.view(dp.count_table(entry.model, args.order))
         n = s.first_difference(other)
         if n is not None:
@@ -163,104 +162,94 @@ def cmd_series(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    if args.format == "json":
-        payload = {"gf": args.gf, "order": args.order, "coeffs": s.to_json()}
-        if args.check_dp:
-            payload["dp_match"] = True
-        _emit(json.dumps(payload, indent=2), args)
-    elif args.format == "csv":
-        _emit(_csv_text(["n", "coeff"], [[n, str(c)] for n, c in enumerate(s.coeffs())]), args)
-    else:
-        _emit(",".join(str(c) for c in s.coeffs()), args)
+    match = {"dp_match": True} if args.check_dp else {}
+    _emit(
+        args,
+        text=lambda: ",".join(str(c) for c in s.coeffs()),
+        json=lambda: {"gf": args.gf, "order": args.order, "coeffs": s.to_json(), **match},
+        csv=lambda: [["n", "coeff"], *([n, str(c)] for n, c in enumerate(s.coeffs()))],
+    )
     return 0
+
+
+def _emit_paths(args, paths: list, payload) -> None:
+    """Emit ``paths`` one per line as text and one row each as csv."""
+    _emit(
+        args,
+        text=lambda: "\n".join(str(p) if len(p) else "(empty)" for p in paths) or "(none)",
+        json=payload,
+        csv=lambda: [
+            ["index", "steps", "final_level"],
+            *([i, str(p), p.final_level] for i, p in enumerate(paths)),
+        ],
+    )
 
 
 def cmd_enumerate(args) -> int:
     label, config = _resolve_config(args)
     paths = brute.enumerate_red(config, args.n, args.final)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "model": label,
-                    "n": args.n,
-                    "final": _final_label(args.final),
-                    "count": len(paths),
-                    "paths": [p.to_json() for p in paths],
-                },
-                indent=2,
-            ),
-            args,
-        )
-    elif args.format == "csv":
-        rows = [[i, str(p), p.final_level] for i, p in enumerate(paths)]
-        _emit(_csv_text(["index", "steps", "final_level"], rows), args)
-    else:
-        _emit("\n".join(str(p) if len(p) else "(empty)" for p in paths) or "(none)", args)
+    _emit_paths(
+        args,
+        paths,
+        lambda: {
+            "model": label,
+            "n": args.n,
+            "final": _final_label(args.final),
+            "count": len(paths),
+            "paths": [p.to_json() for p in paths],
+        },
+    )
     return 0
 
 
 def cmd_sample(args) -> int:
-    label, config = _resolve_config(args)
+    _, config = _resolve_config(args)
     spec = sampler_mod.SamplerSpec(config, args.n, args.final, args.seed)
     paths = sampler_mod.sample(spec, args.count)
-    if args.format == "json":
-        _emit(json.dumps([p.to_json() for p in paths], indent=2), args)
-    elif args.format == "csv":
-        rows = [[i, str(p), p.final_level] for i, p in enumerate(paths)]
-        _emit(_csv_text(["index", "steps", "final_level"], rows), args)
-    else:
-        _emit("\n".join(str(p) if len(p) else "(empty)" for p in paths), args)
+    _emit_paths(args, paths, lambda: [p.to_json() for p in paths])
     return 0
 
 
 def cmd_render(args) -> int:
-    label, config = _resolve_config(args)
+    _, config = _resolve_config(args)
     path = validate_path(config, parse_steps(args.path))
-    if args.format == "svg":
-        _emit(render_mod.to_svg(path, args.geometry), args)
-    elif args.format == "text":
-        if args.geometry != "red":
-            print("error: ASCII output exists only in the red geometry", file=sys.stderr)
-            return 2
-        _emit(render_mod.to_ascii(path), args)
-    else:
-        verts = render_mod.path_vertices(path, args.geometry)
-        if args.format == "json":
-            _emit(
-                json.dumps(
-                    {
-                        "path": str(path),
-                        "geometry": args.geometry,
-                        "vertices": [list(v) for v in verts],
-                    },
-                    indent=2,
-                ),
-                args,
-            )
-        else:
-            _emit(_csv_text(["x", "y"], [list(v) for v in verts]), args)
+    if args.format == "text" and args.geometry != "red":
+        raise ValueError("ASCII output exists only in the red geometry")
+
+    _emit(
+        args,
+        svg=lambda: render_mod.to_svg(path, args.geometry),
+        text=lambda: render_mod.to_ascii(path),
+        json=lambda: {
+            "path": str(path),
+            "geometry": args.geometry,
+            "vertices": render_mod.path_vertices(path, args.geometry),
+        },
+        csv=lambda: [["x", "y"], *render_mod.path_vertices(path, args.geometry)],
+    )
     return 0
 
 
 def cmd_verify(args) -> int:
     report = verify_mod.run_suite(args.suite, args.order, args.max_n)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2), args)
-    elif args.format == "csv":
-        rows = [
-            [c.name, "pass" if c.ok else "fail", c.detail] for c in report.checks
-        ]
-        _emit(_csv_text(["name", "status", "detail"], rows), args)
-    else:
-        lines = [
-            f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in report.checks
-        ]
+
+    def text():
+        lines = [f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in report.checks]
         lines.append(
             f"suite={report.name} checks={len(report.checks)} "
             f"failures={len(report.failures())} elapsed_ms={report.elapsed_ms}"
         )
-        _emit("\n".join(lines), args)
+        return "\n".join(lines)
+
+    _emit(
+        args,
+        text=text,
+        json=report.to_json,
+        csv=lambda: [
+            ["name", "status", "detail"],
+            *([c.name, "pass" if c.ok else "fail", c.detail] for c in report.checks),
+        ],
+    )
     return 0 if report.ok else 1
 
 

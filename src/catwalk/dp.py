@@ -113,8 +113,7 @@ def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
 class CountTable:
     """Counts of paths by length and end state for one model."""
 
-    def __init__(self, config: ModelConfig, rows: list):
-        self.config = config
+    def __init__(self, rows: list):
         self._rows = rows
 
     @property
@@ -172,7 +171,7 @@ class CountTable:
 
 def count_table(config: ModelConfig, n_max: int) -> CountTable:
     """The count table of a model for all lengths up to ``n_max``."""
-    return CountTable(config, list(Transfer(config).rows(n_max)))
+    return CountTable(list(Transfer(config).rows(n_max)))
 
 
 # -- checks, reports and recurrence verification ---------------------------

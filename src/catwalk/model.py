@@ -133,7 +133,11 @@ class CatastropheRule:
 
     def allows(self, level: int) -> bool:
         """True if a catastrophe may start from ``level``."""
-        return level in self.firing(level)
+        if self.kind == "min_level":
+            return level >= self.k
+        if self.kind == "even_min":
+            return level >= self.k and level % 2 == 0
+        return level in self.levels
 
     def firing(self, top: int):
         """The levels 1..top that may fire a catastrophe, ascending."""

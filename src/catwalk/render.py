@@ -9,37 +9,26 @@ paths without catastrophes.
 
 from __future__ import annotations
 
+from . import brute
 from .model import Path, StepKind
 
 GEOMETRIES = ("red", "sw")
 
 
 def path_vertices(path: Path, geometry: str = "red") -> list:
-    """Vertex list of a path in the chosen geometry, starting at (0, 0)."""
+    """Vertex list of a path in the chosen geometry, starting at (0, 0).
+
+    The red geometry plots the level trace against the step index; the sw
+    geometry is the relabelling of :func:`brute.red_to_geometric`.
+    """
     if geometry not in GEOMETRIES:
         raise ValueError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
-    verts = [(0, 0)]
-    x, y = 0, 0
-    for s in path.steps:
-        if geometry == "red":
-            x += 1
-            if s is StepKind.UP:
-                y += 1
-            elif s is StepKind.CATASTROPHE:
-                y = 0
-            else:
-                y -= 1
-        else:
-            if s is StepKind.UP:
-                x, y = x + 1, y + 1
-            elif s is StepKind.DOWN_BLACK:
-                x, y = x + 1, y - 1
-            elif s is StepKind.DOWN_RED:
-                x, y = x - 1, y - 1
-            else:
-                raise ValueError("catastrophe steps cannot be drawn in sw geometry")
-        verts.append((x, y))
-    return verts
+    if geometry == "red":
+        return list(enumerate(path.levels))
+    if StepKind.CATASTROPHE in path.steps:
+        raise ValueError("catastrophe steps cannot be drawn in sw geometry")
+    return list(brute.red_to_geometric(path).vertices)
+
 
 _SVG_STROKE = {
     StepKind.UP: "#1a1a1a",

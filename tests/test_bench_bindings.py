@@ -1,16 +1,21 @@
-"""The benchmark's tracer still finds every catwalk name it wraps.
+"""The benchmark still binds to this package and accepts its output.
 
 ``bench/tracer.py`` patches spans onto catwalk's functions and methods by
-name from outside the package, so renaming or deleting one of them breaks
-the benchmark without breaking any catwalk test; this test catches that.
+name from outside the package, and ``bench/workloads.py`` parses what each
+command prints, so renaming a name or changing an output format breaks the
+benchmark without breaking any other catwalk test; these tests catch that.
 """
 
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import catwalk
+from catwalk import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -34,3 +39,34 @@ def test_tracer_installs_on_this_package():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("workloads")
+
+
+# one small command for each (subcommand, format) pair the workloads run
+@pytest.mark.parametrize(
+    "builder, params",
+    [
+        ("_count", ("dyck", 30, 4)),
+        ("_count", ("skew-cat", 30, "open")),
+        ("_series", ("fj:2", 30)),
+        ("_series", ("open-dyck-cat", 30, "text", True)),
+        ("_series", ("f0-dyck-cat", 30, "json")),
+        ("_sample", ("skew", 20, "closed", 5, 7)),
+        ("_enumerate", ("dyck", 12, "open")),
+        ("_enumerate", ("skew-cat", 8, "open", "csv")),
+        ("_verify", ("recurrences", 30)),
+        ("_verify", ("theorem", 30)),
+        ("_verify", ("oracle", 30, 8)),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)),
+)
+def test_workload_checks_accept_cli_output(capsys, workloads, builder, params):
+    command = getattr(workloads, builder)(*params)
+    assert cli.main(list(command.argv)) == 0
+    stdout = capsys.readouterr().out
+    assert workloads.check(command, workloads.reference(command), stdout) is None

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 import catwalk
 from catwalk import cli
-from catwalk.model import SKEW_CAT
+from catwalk.model import SKEW_CAT, StepKind, preset, validate_path
 
 from conftest import load_schema
 
@@ -355,6 +356,90 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["count"] == 10
+
+
+# a verify report times itself; nothing else may differ between two runs
+UNTIMED = re.compile(r"(elapsed_ms\W+)\d+")
+
+
+def _views(argv, data) -> tuple:
+    """The csv rows and the text lines that carry the json payload ``data``."""
+    kind = argv[0]
+    if kind == "count":
+        return [list(data), [str(v) for v in data.values()]], [str(data["count"])]
+    if kind == "series":
+        coeffs = data["coeffs"]
+        rows = [[str(n), c] for n, c in enumerate(coeffs)]
+        return [["n", "coeff"], *rows], [",".join(coeffs)]
+    if kind in ("enumerate", "sample"):
+        config = preset(argv[argv.index("--model") + 1])
+        paths = [
+            validate_path(config, [StepKind(s) for s in steps])
+            for steps in (data["paths"] if kind == "enumerate" else data)
+        ]
+        rows = [[str(i), str(p), str(p.final_level)] for i, p in enumerate(paths)]
+        return [["index", "steps", "final_level"], *rows], [str(p) or "(empty)" for p in paths]
+    if kind == "render":
+        verts = data["vertices"]
+        return [["x", "y"], *([str(x), str(y)] for x, y in verts)], None
+    rows = [[c["name"], c["status"], c["detail"]] for c in data["checks"]]
+    lines = [f"{c['status'].upper()} {c['name']}: {c['detail']}" for c in data["checks"]]
+    failures = sum(c["status"] == "fail" for c in data["checks"])
+    summary = f"suite={data['suite']} checks={len(rows)} failures={failures} elapsed_ms="
+    return [["name", "status", "detail"], *rows], lines + [summary]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--model", "skew-cat", "--n", "9", "--level", "1"),
+        ("series", "--gf", "r2-skew", "--order", "9"),
+        ("series", "--gf", "fgh0-skew-cat", "--order", "12", "--check-dp"),
+        ("enumerate", "--model", "skew-cat", "--n", "5", "--open"),
+        ("sample", "--model", "skew", "--n", "8", "--closed", "--count", "4"),
+        ("render", "--path", "UUUDDR", "--geometry", "red"),
+        ("render", "--path", "UUUDDR", "--geometry", "sw"),
+        ("verify", "--suite", "oeis", "--order", "12", "--max-n", "5"),
+    ],
+    ids=[
+        "count",
+        "series",
+        "series-check-dp",
+        "enumerate",
+        "sample",
+        "render-red",
+        "render-sw",
+        "verify",
+    ],
+)
+def test_every_format_writes_one_payload(tmp_path, capsys, argv):
+    """--out writes what stdout prints, and every format carries the json values."""
+    formats = {"render": ("svg", "text", "json", "csv")}.get(argv[0], ("text", "json", "csv"))
+    if "sw" in argv:
+        formats = ("svg", "json", "csv")
+    printed = {}
+    for fmt in formats:
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        target = tmp_path / f"out.{fmt}"
+        code_out, silent, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+        assert (code, code_out, silent) == (0, 0, "")
+        written = target.read_bytes().decode("utf-8")
+        assert UNTIMED.sub(r"\1", written) == UNTIMED.sub(r"\1", out)
+        printed[fmt] = out
+    data = json.loads(printed["json"])
+    rows, lines = _views(argv, data)
+    assert list(csv.reader(io.StringIO(printed["csv"]))) == rows
+    if argv[0] == "render":
+        assert printed["svg"].count("<circle") == len(data["vertices"])
+        if "text" in printed:
+            *bands, axis = printed["text"].splitlines()
+            heights = [y for _, y in data["vertices"]]
+            assert (len(bands), axis) == (max(heights), "-" * (len(heights) - 1))
+    elif argv[0] == "verify":
+        *checks, summary = printed["text"].splitlines()
+        assert checks == lines[:-1] and summary.startswith(lines[-1])
+    else:
+        assert printed["text"].splitlines() == lines
 
 
 def test_unknown_subcommand():

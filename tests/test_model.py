@@ -59,6 +59,27 @@ def test_catastrophe_rules():
     assert not pick.allows(3) and not pick.allows(0)
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        CatastropheRule.none(),
+        CatastropheRule.min_level(1),
+        CatastropheRule.min_level(3),
+        CatastropheRule.even_min(1),
+        CatastropheRule.even_min(2),
+        CatastropheRule.even_min(3),
+        CatastropheRule.explicit({1}),
+        CatastropheRule.explicit({3, 5}),
+        CatastropheRule.explicit(()),
+    ],
+    ids=["none", "min1", "min3", "even1", "even2", "even3", "at1", "at3-5", "at-none"],
+)
+def test_allows_agrees_with_firing(rule):
+    # brute force asks allows() level by level; the kernel reads firing()
+    firing = set(rule.firing(40))
+    assert [rule.allows(lv) for lv in range(41)] == [lv in firing for lv in range(41)]
+
+
 def test_rule_validation():
     with pytest.raises(ConfigError):
         CatastropheRule.min_level(0)
