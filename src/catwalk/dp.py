@@ -260,7 +260,7 @@ def verify_recurrences(config: ModelConfig, order: int) -> Report:
         raise ValueError("order must be >= 1")
     start = time.perf_counter()
     n = order
-    cat = config.catastrophe.firing(n) if CATASTROPHE in config.steps else ()
+    cat = config.catastrophe.firing(n)
     inflow = [f"i={i}" for i in range(n)]
     if DOWN_RED in config.steps:
         system = "skew"

@@ -195,6 +195,9 @@ class ModelConfig:
         object.__setattr__(
             self, "forbidden_pairs", frozenset(tuple(p) for p in self.forbidden_pairs)
         )
+        if StepKind.CATASTROPHE not in self.steps:
+            # a rule for a step the model lacks fires nothing: one canonical form
+            object.__setattr__(self, "catastrophe", CatastropheRule.none())
         for s in self.steps:
             if not isinstance(s, StepKind):
                 raise ConfigError(f"not a step kind: {s!r}")

@@ -1,21 +1,30 @@
 """Truncated formal power series over exact rationals.
 
-A :class:`Series` stores coefficients ``c[0] .. c[order]`` of a power series
-in one variable ``z``, truncated at a fixed order.  Every coefficient is a
-`fractions.Fraction`, so all arithmetic is exact; nothing in this module ever
-touches a float.
+A :class:`Series` holds coefficients ``c[0] .. c[order]`` of a power series
+in one variable ``z``, truncated at a fixed order.  They are stored as Python
+int numerators over one common positive denominator, and every operator
+works on those ints; the series of the path models all have integer
+coefficients, so their denominator is 1.  The public view is exact
+rationals: ``coeff``, ``coeffs``, ``to_json`` and ``str`` give
+`fractions.Fraction` values, ``as_integers`` gives ints.  Nothing in this
+module ever touches a float.
 
 Binary operations truncate to the smaller of the two operand orders and never
 extend a series silently.  The only ways to change the order of an existing
 series are the explicit ``truncate`` / ``shift_up`` methods.  Division is
 power-series division with valuation cancellation (so quotients such as
 ``(4z^2 + 2z^4) / (2z)`` are well defined), and ``sqrt`` expands the branch
-of the square root with constant term ``1``.
+of the square root with constant term ``1``.  Both run their coefficient
+recurrences on the numerators with an exact ``divmod`` per step; the
+denominator grows only when a step does not divide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
@@ -45,12 +54,21 @@ class SqrtDomain(SeriesError):
     """Square root of a series whose constant term is not 1."""
 
 
-def _frac(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x: Rat) -> tuple:
+    """A scalar as (numerator, positive denominator) in lowest terms."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _span(c) -> int:
+    """Length of ``c`` without its trailing zeros."""
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return n
 
 
 class Series:
@@ -59,12 +77,17 @@ class Series:
     ``Series([1, 0, 3], order=5)`` is ``1 + 3 z^2 + O(z^6)``: missing high
     coefficients are zero-filled up to the requested order.  Without an
     explicit order the length of the coefficient list decides it.
+
+    The coefficients are held as int numerators ``_n`` over one positive
+    common denominator ``_d``, in lowest terms (the gcd of ``_d`` and every
+    numerator is 1), so equal series have equal pairs.  Every series of the
+    path models has integer coefficients and ``_d == 1``.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable[Rat], order: int | None = None):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_ratio(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -72,10 +95,26 @@ class Series:
                 raise ValueError(
                     f"{len(cs)} coefficients do not fit in order {order}; truncate explicitly"
                 )
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+            cs.extend([(0, 1)] * (order + 1 - len(cs)))
         elif not cs:
             raise ValueError("empty coefficient list needs an explicit order")
-        self._c = tuple(cs)
+        # each ratio is in lowest terms, so over their lcm the pair is too
+        d = lcm(*(q for _, q in cs))
+        self._n = tuple(p * (d // q) for p, q in cs)
+        self._d = d
+
+    @classmethod
+    def _of(cls, nums, d: int = 1) -> "Series":
+        """The series with coefficients ``nums[i] / d`` (d > 0), reduced."""
+        if d != 1:
+            g = gcd(d, *nums)
+            if g != 1:
+                d //= g
+                nums = [c // g for c in nums]
+        s = object.__new__(cls)
+        s._n = tuple(nums)
+        s._d = d
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -102,25 +141,26 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of ``z^n``; raises OrderExceeded past the truncation."""
         if n < 0:
             raise ValueError("coefficient index must be >= 0")
-        if n >= len(self._c):
+        if n >= len(self._n):
             raise OrderExceeded(f"coefficient {n} beyond truncation order {self.order}")
-        return self._c[n]
+        return Fraction(self._n[n], self._d)
 
     def coeffs(self) -> tuple:
-        return self._c
+        """Every coefficient, as a tuple of Fractions."""
+        return tuple(Fraction(c, self._d) for c in self._n)
 
     def is_zero(self) -> bool:
-        return not any(self._c)
+        return not any(self._n)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self._c):
+        for i, c in enumerate(self._n):
             if c:
                 return i
         return None
@@ -128,7 +168,11 @@ class Series:
     def first_difference(self, other: "Series") -> int | None:
         """The lowest power of z whose coefficients differ over the common
         order, or None if they all agree."""
-        return next((n for n, (a, b) in enumerate(zip(self._c, other._c)) if a != b), None)
+        a, b = self._n, other._n
+        if self._d != other._d:
+            a = [c * other._d for c in a]
+            b = [c * self._d for c in b]
+        return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
     def as_integers(self) -> list:
         """The coefficients as Python ints.
@@ -136,37 +180,47 @@ class Series:
         Raises NonIntegerCoefficient if any coefficient has a denominator,
         naming the offending index.
         """
-        out = []
-        for i, c in enumerate(self._c):
-            if c.denominator != 1:
-                raise NonIntegerCoefficient(f"coefficient of z^{i} is {c}, not an integer")
-            out.append(c.numerator)
-        return out
+        if self._d != 1:
+            i = next(i for i, c in enumerate(self._n) if c % self._d)
+            raise NonIntegerCoefficient(
+                f"coefficient of z^{i} is {self.coeff(i)}, not an integer"
+            )
+        return list(self._n)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = list(self._c)
-            c[0] += _frac(other)
-            return Series(c)
+            p, q = _ratio(other)
+            d = lcm(self._d, q)
+            c = [x * (d // self._d) for x in self._n]
+            c[0] += p * (d // q)
+            return Series._of(c, d)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return Series([self._c[i] + other._c[i] for i in range(n + 1)])
+        return self._termwise(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self._c])
+        return Series._of([-c for c in self._n], self._d)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self + (-_frac(other))
+            return self + (-other)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        return Series([self._c[i] - other._c[i] for i in range(n + 1)])
+        return self._termwise(other, sub)
+
+    def _termwise(self, other: "Series", op) -> "Series":
+        """``op`` on the coefficients of two series, over the common order."""
+        n = min(self.order, other.order) + 1
+        a, b, d = self._n[:n], other._n[:n], self._d
+        if d != other._d:
+            d = lcm(d, other._d)
+            a = [x * (d // self._d) for x in a]
+            b = [x * (d // other._d) for x in b]
+        return Series._of(list(map(op, a, b)), d)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -174,25 +228,27 @@ class Series:
         return NotImplemented
 
     def scale(self, factor: Rat) -> "Series":
-        f = _frac(factor)
-        return Series([c * f for c in self._c])
+        p, q = _ratio(factor)
+        return Series._of([c * p for c in self._n], self._d * q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self._c, other._c
-        out = [Fraction(0)] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b) - 1, n - i) + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return Series(out)
+        n = min(self.order, other.order) + 1
+        a, b = self._n[:n], other._n[:n]
+        # the sparser factor drives the outer loop, the other one is added
+        # in shifted whole (C-level map) for each of its nonzero terms
+        if len(b) - b.count(0) < len(a) - a.count(0):
+            a, b = b, a
+        b = b[: _span(b)]
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                top = min(n, i + len(b))
+                out[i:top] = map(add, out[i:top], map(mul, b, repeat(ai, top - i)))
+        return Series._of(out, self._d * other._d)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -201,10 +257,9 @@ class Series:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            if f == 0:
+            if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return self.scale(Fraction(1, 1) / f)
+            return self.scale(1 / Fraction(other))
         if not isinstance(other, Series):
             return NotImplemented
         return self.div(other)
@@ -216,6 +271,10 @@ class Series:
         ``self`` must vanish at least to order ``v`` as well, the common
         factor ``z^v`` is cancelled, and the result is truncated at
         ``min(orders) - v``.
+
+        The recurrence q_k = (a_k - sum_j b_j q_{k-j}) / b_0 runs on the
+        numerators, with the quotient's numerators kept over a common
+        denominator that grows only when a step does not divide exactly.
         """
         if not isinstance(other, Series):
             raise TypeError("div expects a Series")
@@ -233,26 +292,40 @@ class Series:
                 raise ValuationError(
                     f"divisor valuation {v} exceeds working order {n}"
                 )
-        m = n - v
-        a = self._c[v : v + m + 1] + (Fraction(0),) * max(0, v + m + 1 - len(self._c))
-        b = other._c[v : v + m + 1]
-        inv0 = Fraction(1, 1) / b[0]
-        out = [Fraction(0)] * (m + 1)
-        for k in range(m + 1):
-            acc = a[k]
-            for j in range(1, k + 1):
-                if j < len(b) and b[j] and out[k - j]:
-                    acc -= b[j] * out[k - j]
-            out[k] = acc * inv0
-        return Series(out)
+        a = self._n[v : n + 1]
+        b = other._n[v : n + 1]
+        b = b[: _span(b)]
+        b0, tail = b[0], b[1:]
+        out: list = []
+        den = 1  # out[k] / den is q_k times self._d / other._d
+        for k, ak in enumerate(a):
+            j = min(k, len(tail))
+            acc = ak * den - sum(map(mul, tail[:j], reversed(out[k - j : k])))
+            q, r = divmod(acc, b0)
+            if r:
+                g = abs(b0) // gcd(acc, b0)
+                den *= g
+                out = [c * g for c in out]
+                q = acc * g // b0
+            out.append(q)
+        # self / other = (out / den) * (other._d / self._d)
+        if other._d != 1:
+            out = [c * other._d for c in out]
+        return Series._of(out, den * self._d)
 
     def pow(self, k: int) -> "Series":
+        """``self`` to the power k >= 0, by repeated squaring."""
         if k < 0:
             raise ValueError("negative powers are not defined; divide instead")
-        result = Series.one(self.order)
-        for _ in range(k):
-            result = result * self
-        return result
+        result = None
+        base = self
+        while k:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return Series.one(self.order) if result is None else result
 
     __pow__ = pow
 
@@ -264,18 +337,33 @@ class Series:
 
             r_n = (a_n - sum_{k=1}^{n-1} r_k r_{n-k}) / 2.
 
+        It runs on numerators: with ``a = A / d`` and ``r = R / D``,
+        R_n = (A_n D^2 - d S_n) / (2 D d) with S_n = sum_k R_k R_{n-k}.  D
+        grows only when that division is not exact.
+
         Raises SqrtDomain unless the constant term is exactly 1.
         """
-        if self._c[0] != 1:
-            raise SqrtDomain(f"sqrt needs constant term 1, got {self._c[0]}")
-        n = self.order
-        r = [Fraction(1)] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            acc = self._c[m]
-            for k in range(1, m):
-                acc -= r[k] * r[m - k]
-            r[m] = acc / 2
-        return Series(r)
+        if self._n[0] != self._d:
+            raise SqrtDomain(f"sqrt needs constant term 1, got {self.coeff(0)}")
+        d = self._d
+        den = 1  # D
+        r = [1]
+        for m in range(1, len(self._n)):
+            # S_m by symmetry: twice the pairs k < m - k, plus the middle square
+            h = (m - 1) // 2
+            s = 2 * sum(map(mul, r[1 : h + 1], reversed(r[m - h : m])))
+            if not m & 1:
+                s += r[m // 2] ** 2
+            num = self._n[m] * den * den - d * s
+            div2 = 2 * den * d
+            q, rem = divmod(num, div2)
+            if rem:
+                g = div2 // gcd(num, div2)
+                den *= g
+                r = [c * g for c in r]
+                q = num * g // div2
+            r.append(q)
+        return Series._of(r, den)
 
     # -- order management --------------------------------------------------
 
@@ -287,13 +375,13 @@ class Series:
             raise OrderExceeded(
                 f"cannot truncate order-{self.order} series to larger order {order}"
             )
-        return Series(self._c[: order + 1])
+        return Series._of(self._n[: order + 1], self._d)
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by ``z^k``, extending the order by k."""
         if k < 0:
             raise ValueError("shift amount must be >= 0")
-        return Series((Fraction(0),) * k + self._c)
+        return Series._of((0,) * k + self._n, self._d)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by ``z^k``; the first k coefficients must vanish."""
@@ -301,27 +389,27 @@ class Series:
             raise ValueError("shift amount must be >= 0")
         if k > self.order:
             raise ValuationError(f"cannot shift order-{self.order} series down by {k}")
-        if any(self._c[:k]):
+        if any(self._n[:k]):
             v = self.valuation()
             raise ValuationError(f"series has valuation {v}, cannot divide by z^{k}")
-        return Series(self._c[k:])
+        return Series._of(self._n[k:], self._d)
 
     # -- equality and display ----------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __repr__(self):
-        return f"Series({[str(c) for c in self._c]})"
+        return f"Series({self.to_json()})"
 
     def __str__(self):
         terms = []
-        for n, c in enumerate(self._c):
+        for n, c in enumerate(self.coeffs()):
             if not c:
                 continue
             mag = abs(c)
@@ -338,7 +426,7 @@ class Series:
 
     def to_json(self) -> list:
         """Coefficients as strings ("5", "-3/2") so JSON stays exact."""
-        return [str(c) for c in self._c]
+        return [str(c) for c in self.coeffs()]
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "Series":

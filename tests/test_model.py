@@ -237,3 +237,23 @@ def test_with_rule_replaces_only_rule():
     assert even.forbidden_pairs == SKEW_CAT.forbidden_pairs
     assert even.catastrophe.kind == "even_min"
     assert SKEW_CAT.catastrophe.kind == "min_level"
+
+
+def test_rule_without_catastrophe_step_is_canonical():
+    # a model without the catastrophe step holds rule "none", however built
+    for config in (DYCK, SKEW):
+        for rule in (
+            CatastropheRule.min_level(2),
+            CatastropheRule.even_min(1),
+            CatastropheRule.explicit({3, 5}),
+        ):
+            ruled = with_rule(config, rule)
+            assert ruled == config and hash(ruled) == hash(config)
+            assert ruled.catastrophe == CatastropheRule.none()
+            data = {**config.to_json(), "catastrophe": rule.to_json()}
+            loaded = ModelConfig.from_json(data)
+            assert loaded == config
+            assert loaded.to_json() == config.to_json()
+            assert ModelConfig.loads(loaded.dumps()) == config
+    # with the step, the rule stays
+    assert with_rule(SKEW_CAT, CatastropheRule.min_level(3)) != SKEW_CAT

@@ -3,14 +3,17 @@
 The models draw random step subsets, forbidden pairs (never one that starts
 with a catastrophe) and catastrophe rules, plus two fixed corner cases: a
 catastrophe step without a rule that lets it fire, and a rule without the
-catastrophe step.
+catastrophe step (which the model holds in its canonical form, rule "none").
+Each model also survives a JSON round trip, and a few are counted through
+``catwalk count --config``.
 """
 
+import json
 import random
 
 import pytest
 
-from catwalk import brute, dp
+from catwalk import brute, cli, dp
 from catwalk.automaton import State
 from catwalk.model import STEP_ORDER, CatastropheRule, ModelConfig, StepKind
 from catwalk.sampler import EmptyEnsemble, Sampler
@@ -65,3 +68,19 @@ def test_random_model_routes_agree(config):
                 path = sampler.draw(rng)  # draw() validates the path
                 assert len(path) == n and str(path) in words
                 assert final is None or path.final_level == final
+
+
+@pytest.mark.parametrize("config", MODELS, ids=[f"model{i}" for i in range(len(MODELS))])
+def test_random_model_json_round_trip(config):
+    assert ModelConfig.from_json(json.loads(json.dumps(config.to_json()))) == config
+    assert ModelConfig.loads(config.dumps()) == config
+
+
+@pytest.mark.parametrize("index", [0, 7, 14, 21, 28, 35, 40, 41])
+def test_count_with_random_config_file(index, tmp_path, capsys):
+    config = MODELS[index]
+    path = tmp_path / "model.json"
+    path.write_text(config.dumps(), encoding="utf-8")
+    for flags, final in ((["--open"], None), (["--closed"], 0), (["--level", "2"], 2)):
+        assert cli.main(["count", "--config", str(path), "--n", "12", *flags]) == 0
+        assert capsys.readouterr().out.strip() == str(dp.count(config, 12, final)), flags

@@ -177,3 +177,119 @@ def test_equality_requires_same_order():
     assert Series([1, 2]) != Series([1, 2], order=3)
     assert Series([1, 2]) == Series([1, 2])
     assert hash(Series([1, 2])) == hash(Series([1, 2]))
+
+
+# -- the engine against a plain-Fraction reference -------------------------
+#
+# The engine keeps int numerators over one common denominator; these
+# schoolbook routines work coefficient by coefficient on Fractions, so a
+# slip in the engine's denominator bookkeeping shows as a differing list.
+
+
+def ref_mul(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_div(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    v = next(i for i, c in enumerate(b) if c)
+    a, b = a[v:n], b[v:n]
+    out = []
+    for k in range(len(a)):
+        acc = a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))
+        out.append(acc / b[0])
+    return out
+
+
+def ref_sqrt(a: list) -> list:
+    r = [Fraction(1)]
+    for m in range(1, len(a)):
+        r.append((a[m] - sum(r[k] * r[m - k] for k in range(1, m))) / 2)
+    return r
+
+
+def rand_fracs(rng: random.Random, length: int, denominators=(1, 2, 3, 4, 6, 7, 9)) -> list:
+    return [Fraction(rng.randint(-9, 9), rng.choice(denominators)) for _ in range(length)]
+
+
+def test_engine_add_sub_match_reference_over_mixed_denominators():
+    rng = random.Random(6001)
+    for _ in range(60):
+        a = rand_fracs(rng, rng.randint(1, 12))
+        b = rand_fracs(rng, rng.randint(1, 12), denominators=(1, 5, 8, 10, 12))
+        n = min(len(a), len(b))
+        assert (Series(a) + Series(b)).coeffs() == tuple(x + y for x, y in zip(a[:n], b[:n]))
+        assert (Series(a) - Series(b)).coeffs() == tuple(x - y for x, y in zip(a[:n], b[:n]))
+        k = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        assert (Series(a) + k).coeffs() == tuple([a[0] + k, *a[1:]])
+        assert (k - Series(a)).coeffs() == tuple([k - a[0], *(-x for x in a[1:])])
+
+
+def test_engine_mul_matches_reference():
+    rng = random.Random(6002)
+    for _ in range(60):
+        a = rand_fracs(rng, rng.randint(1, 15))
+        b = rand_fracs(rng, rng.randint(1, 15))
+        if rng.random() < 0.3:  # a sparse polynomial factor
+            b = [c if rng.random() < 0.2 else Fraction(0) for c in b]
+        assert (Series(a) * Series(b)).coeffs() == tuple(ref_mul(a, b))
+
+
+@pytest.mark.parametrize("lead", [1, -1, 2, 3, -5, Fraction(2, 3)])
+def test_engine_div_matches_reference(lead):
+    rng = random.Random(6003)
+    for _ in range(40):
+        a = rand_fracs(rng, 14)
+        b = rand_fracs(rng, 14)
+        b[0] = Fraction(lead)
+        v = rng.randrange(0, 3)
+        # valuation cancellation: both sides carry z^v
+        a = [Fraction(0)] * v + a[: 14 - v]
+        b = [Fraction(0)] * v + b[: 14 - v]
+        q = Series(a) / Series(b)
+        assert q.order == 13 - v
+        assert q.coeffs() == tuple(ref_div(a, b))
+        assert q * Series(b[v:]) == Series(a[v:])
+
+
+def test_engine_sqrt_matches_reference_on_fractional_series():
+    # sqrt(1 + z) = 1 + z/2 - z^2/8 + z^3/16 - 5z^4/128 + ...
+    root = Series([1, 1], order=6).sqrt()
+    assert root.coeffs()[:5] == (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128))
+    assert root.coeffs() == tuple(ref_sqrt([Fraction(1), Fraction(1)] + [Fraction(0)] * 5))
+    assert root * root == Series([1, 1], order=6)
+    rng = random.Random(6004)
+    for _ in range(40):
+        a = [Fraction(1)] + rand_fracs(rng, rng.randint(0, 14))
+        r = Series(a).sqrt()
+        assert r.coeffs() == tuple(ref_sqrt(a))
+        assert r * r == Series(a)
+
+
+def test_engine_pow_is_repeated_product():
+    rng = random.Random(6005)
+    for _ in range(6):
+        s = Series(rand_fracs(rng, 10))
+        product = Series.one(s.order)
+        for k in range(10):
+            assert s.pow(k) == product and s ** k == product
+            product = product * s
+
+
+def test_coefficients_are_fractions_and_spellings_agree():
+    s = Series([1, Fraction(1, 2), Fraction(4, 2), 0])
+    assert all(type(c) is Fraction for c in s.coeffs())
+    assert type(s.coeff(0)) is Fraction and type(s.coeff(1)) is Fraction
+    assert all(type(c) is Fraction for c in Series([1, 2]).coeffs())
+    half = Series([Fraction(1, 2), 1])
+    same = Series([Fraction(2, 4), Fraction(3, 3)])
+    assert half == same and hash(half) == hash(same)
+    # a result that reduces to integers equals the integer spelling
+    assert half * 2 == Series([1, 2]) and hash(half * 2) == hash(Series([1, 2]))
+    assert Series([Fraction(1, 3), Fraction(2, 3)]) + Series([Fraction(2, 3), Fraction(1, 3)]) == Series([1, 1])
+    assert Series([1, Fraction(1, 2)]).truncate(0) == Series([1])
