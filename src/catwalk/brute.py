@@ -53,8 +53,10 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     The order of the step alphabet is U < D < R < C.  ``final`` restricts
     the final level (None or "all" for no restriction, "closed" or 0 for the
     axis, any int for that level).  Validation logic is deliberately local:
-    the walk tracks level and previous step itself instead of reading
-    ``ModelConfig.next_steps``, so the result is independent of the DP route.
+    the walk tracks the level itself, and builds the steps that may follow
+    each step from the model's step set and forbidden pairs instead of
+    reading ``ModelConfig.next_steps``, so the result is independent of the
+    DP route.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
@@ -62,37 +64,39 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
         raise SizeGuard(f"refusing brute-force enumeration past n={RED_LIMIT}")
     want = normalize_final(final)
     steps = [s for s in STEP_ORDER if s in config.steps]
-    rule = config.catastrophe
-    pairs = config.forbidden_pairs
+    # the steps that may follow each previous step (None: the start), in order
+    follows = {
+        prev: [s for s in steps if (prev, s) not in config.forbidden_pairs]
+        for prev in (None, *steps)
+    }
+    allows = config.catastrophe.allows
     out: list = []
     seq: list = []
     levels = [0]
 
-    def walk(level: int, prev) -> None:
+    def walk(level: int, options: list) -> None:
         if len(seq) == n:
             if want is None or level == want:
                 out.append(Path(config, tuple(seq), tuple(levels)))
             return
-        for s in steps:
-            if prev is not None and (prev, s) in pairs:
-                continue
+        for s in options:
             if s is StepKind.UP:
                 nxt = level + 1
-            elif s in (StepKind.DOWN_BLACK, StepKind.DOWN_RED):
-                if level == 0:
-                    continue
-                nxt = level - 1
-            else:
-                if not rule.allows(level):
+            elif s is StepKind.CATASTROPHE:
+                if not allows(level):
                     continue
                 nxt = 0
+            elif level:
+                nxt = level - 1
+            else:
+                continue
             seq.append(s)
             levels.append(nxt)
-            walk(nxt, s)
+            walk(nxt, follows[s])
             seq.pop()
             levels.pop()
 
-    walk(0, None)
+    walk(0, follows[None])
     return out
 
 

@@ -28,12 +28,16 @@ UP, DOWN_BLACK, DOWN_RED, CATASTROPHE = STEP_ORDER
 
 
 class Transfer:
-    """The level-vector transfer step of one model.
+    """The level-vector transfer step of one model, forward and back.
 
     ``sources[step]`` holds the layers (indices into ``LAYER_ORDER``) whose
     states may take ``step``.  (F, 0) is its own slot: the start and the
     catastrophe target carry no adjacency constraint, so it may take any
     step of the model, and only an up-step leaves level 0.
+
+    Forward, :meth:`__call__` advances a whole row by one step.  Back,
+    :meth:`predecessor` finds the one state of the row before that holds a
+    given path into a given state, which is all the sampler needs.
     """
 
     def __init__(self, config: ModelConfig):
@@ -43,6 +47,12 @@ class Transfer:
         self.sources = {step: tuple(j for j in live if step in after[j]) for step in STEP_ORDER}
         self.lift_start = UP in config.steps and 0 not in self.sources[UP]
         self.firing = config.catastrophe.firing
+        # per layer: the step entering it above level 0, the level that step
+        # starts from relative to where it ends, and the layers that take it
+        self._into = [
+            (step, -1 if step is UP else 1, self.sources[step])
+            for step in (INCOMING[tag] for tag in LAYER_ORDER)
+        ]
 
     def __call__(self, row: tuple, size: int) -> tuple:
         """The row one step longer, cut to levels 0..size-1 (size <= len + 1)."""
@@ -63,20 +73,36 @@ class Transfer:
         g, h = (inflow(step)[1 : size + 1] for step in (DOWN_BLACK, DOWN_RED))
         return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
 
-    def predecessors(self, prev: tuple, layer: int, level: int):
-        """The moves into (layer, level) from the row ``prev`` one step
-        shorter, as (count, (step, layer, level)); catastrophe sources come
-        lowest level first."""
-        top = len(prev[0]) - 1
+    def predecessor(self, prev: tuple, layer: int, level: int, x: int) -> tuple:
+        """The (step, layer, level) of the row ``prev`` one step shorter that
+        holds the x-th path into (layer, level), 0 <= x < its count.
+
+        The predecessors come in a fixed order, each holding as many paths
+        as its count in ``prev``: into (F, 0), catastrophes from the lowest
+        firing level up, each level in layer order; into any other state,
+        its entering step from each layer in order, and last the up-step
+        out of (F, 0) into (F, 1) when only the start may take it.
+        """
         if layer == level == 0:
             cat = self.sources[CATASTROPHE]
-            return ((prev[j][i], (CATASTROPHE, j, i)) for i in self.firing(top) for j in cat)
-        step = INCOMING[LAYER_ORDER[layer]]
-        i = level - 1 if step is UP else level + 1
-        moves = [(prev[j][i], (step, j, i)) for j in self.sources[step] if i <= top]
-        if self.lift_start and (layer, level) == (0, 1):
-            moves.append((prev[0][0], (UP, 0, 0)))
-        return moves
+            for i in self.firing(len(prev[0]) - 1):
+                for j in cat:
+                    x -= prev[j][i]
+                    if x < 0:
+                        return CATASTROPHE, j, i
+        else:
+            step, shift, sources = self._into[layer]
+            i = level + shift
+            if i < len(prev[0]):
+                for j in sources:
+                    x -= prev[j][i]
+                    if x < 0:
+                        return step, j, i
+            if self.lift_start and layer == 0 and level == 1:
+                x -= prev[0][0]
+                if x < 0:
+                    return UP, 0, 0
+        raise RuntimeError("sampler weights do not sum to the forward count")
 
     def rows(self, n: int, want: int | None = None):
         """The rows of lengths 0..n in turn; the row of length t has levels 0..t.

@@ -33,6 +33,10 @@ class StepKind(Enum):
     DOWN_RED = "down_red"
     CATASTROPHE = "catastrophe"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with ==; it runs in C, where Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
+
 
 # canonical order, also the lexicographic order used by the enumerators
 STEP_ORDER = (
@@ -49,6 +53,9 @@ _STEP_CHAR = {
     StepKind.CATASTROPHE: "C",
 }
 _CHAR_STEP = {c: s for s, c in _STEP_CHAR.items()}
+for _step, _char in _STEP_CHAR.items():
+    _step.char = _char  # what Path.__str__ reads, one attribute per step
+del _step, _char
 
 
 class LayerTag(Enum):
@@ -211,6 +218,18 @@ class ModelConfig:
                 raise ConfigError(
                     "forbidden pairs starting with a catastrophe are not supported"
                 )
+        # For each previous step (None at the start), the steps that may come
+        # next; read by validate_path.  It is not a field, so ==, hash and
+        # to_json do not see it, and it is built from the model's own sets
+        # rather than from next_steps, the rule the DP reads.
+        object.__setattr__(
+            self,
+            "_follows",
+            {
+                prev: frozenset(s for s in self.steps if (prev, s) not in self.forbidden_pairs)
+                for prev in (None, *self.steps)
+            },
+        )
 
     def allows_pair(self, first: StepKind, second: StepKind) -> bool:
         return (first, second) not in self.forbidden_pairs
@@ -376,7 +395,7 @@ class Path:
         return ENTRY_LAYER[self.steps[-1]]
 
     def __str__(self):
-        return "".join(_STEP_CHAR[s] for s in self.steps)
+        return "".join([s.char for s in self.steps])
 
     def to_json(self) -> list:
         return [s.value for s in self.steps]
@@ -389,7 +408,43 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
     IllegalStep for a step kind outside the model, NegativeLevel for a
     down-step from level 0, ForbiddenAdjacency for a banned step pair, and
     IllegalCatastrophe for a catastrophe from a non-qualifying level.
+
+    Each step costs one lookup in the model's table of the steps that may
+    follow the previous one, plus identity tests.  At the first step that
+    fails them, :func:`_diagnose` walks the sequence again and names the
+    error.
     """
+    steps = tuple(steps)  # one pass here, and a second one if it fails
+    follows = config._follows
+    allows = config.catastrophe.allows
+    level = 0
+    levels = [0]
+    allowed = follows[None]
+    try:
+        for s in steps:
+            if s not in allowed:
+                break
+            if s is StepKind.UP:
+                level += 1
+            elif s is StepKind.CATASTROPHE:
+                if not allows(level):
+                    break
+                level = 0
+            elif level and (s is StepKind.DOWN_BLACK or s is StepKind.DOWN_RED):
+                level -= 1
+            else:
+                break
+            levels.append(level)
+            allowed = follows[s]
+        else:
+            return Path(config, steps, tuple(levels))
+    except TypeError:  # an unhashable entry
+        pass
+    return _diagnose(config, steps)
+
+
+def _diagnose(config: ModelConfig, steps: Sequence) -> Path:
+    """:func:`validate_path` one step at a time, testing each rule in turn."""
     level = 0
     levels = [0]
     prev = None

@@ -6,6 +6,10 @@ of :class:`dp.Transfer`, then walks back, picking each predecessor weighted
 by its count one length earlier.  Each choice is one ``randrange`` over
 exact integer weights, so every admissible path of the ensemble has
 probability exactly 1/total; no floats are involved at any point.
+
+A backward step draws x below the count of the current state and hands it
+to :meth:`dp.Transfer.predecessor`, which subtracts the predecessors'
+counts from x in place until it goes negative: no list of moves is built.
 """
 
 from __future__ import annotations
@@ -59,16 +63,15 @@ class Sampler:
 
     def draw(self, rng: random.Random) -> Path:
         """One exactly uniform draw from the ensemble."""
-        rows, n = self._rows, self.n
+        rows, n, back, randrange = self._rows, self.n, self._step.predecessor, rng.randrange
         levels = range(n + 1) if self.want is None else (self.want,)
         ends = ((rows[n][j][i], (j, i)) for j in range(3) for i in levels)
         layer, level = _choose(rng, self.total, ends)
-        steps = []
+        steps = [None] * n
         for t in range(n, 0, -1):
-            moves = self._step.predecessors(rows[t - 1], layer, level)
-            step, layer, level = _choose(rng, rows[t][layer][level], moves)
-            steps.append(step)
-        return validate_path(self.config, steps[::-1])
+            x = randrange(rows[t][layer][level])
+            steps[t - 1], layer, level = back(rows[t - 1], layer, level, x)
+        return validate_path(self.config, steps)
 
 
 def sample(spec: SamplerSpec, count: int) -> list:

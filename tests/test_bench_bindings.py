@@ -35,6 +35,14 @@ layers = spans.summary()["layers"]
 for name in ("series.mul", "series.sqrt", "series.div", "series.pow"):
     assert layers.get(name, {}).get("calls", 0) > 0, (name, sorted(layers))
 assert layers["series.sqrt"]["calls"] == 3, layers["series.sqrt"]
+
+# the sampler's spans: one build, and each draw validated once through the
+# validate_path name the sampler imports
+from catwalk import cli
+assert cli.main(["sample", "--model", "skew-cat", "--n", "12", "--closed", "--count", "7"]) == 0
+layers = spans.summary()["layers"]
+for name, calls in (("sampler.build", 1), ("sampler.draw", 7), ("model.validate_path", 7)):
+    assert layers.get(name, {}).get("calls") == calls, (name, layers.get(name))
 """
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import jsonschema
 import pytest
 
@@ -128,6 +130,23 @@ def test_validate_errors_carry_index():
     with pytest.raises(IllegalCatastrophe) as exc:
         validate_path(DYCK_CAT, [U, C])
     assert exc.value.index == 1
+
+
+def test_validate_reads_an_iterator_once():
+    # the walk that names an error reads the steps a second time
+    assert validate_path(DYCK, iter([U, D])).steps == (U, D)
+    with pytest.raises(NegativeLevel) as exc:
+        validate_path(DYCK, iter([U, D, D]))
+    assert exc.value.index == 2
+
+
+def test_validation_table_is_not_a_config_field():
+    # ==, hash, repr and to_json read the fields alone
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "steps",
+        "forbidden_pairs",
+        "catastrophe",
+    ]
 
 
 def test_red_after_down_is_fine():

@@ -5,17 +5,36 @@ with a catastrophe) and catastrophe rules, plus two fixed corner cases: a
 catastrophe step without a rule that lets it fire, and a rule without the
 catastrophe step (which the model holds in its canonical form, rule "none").
 Each model also survives a JSON round trip, and a few are counted through
-``catwalk count --config``.
+``catwalk count --config``.  On these models and the presets, the sampler's
+backward step and ``validate_path`` are checked against references written
+out here from the model's rules.
 """
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from catwalk import brute, cli, dp
 from catwalk.automaton import State
-from catwalk.model import STEP_ORDER, CatastropheRule, ModelConfig, StepKind
+from catwalk.model import (
+    ENTRY_LAYER,
+    INCOMING,
+    LAYER_ORDER,
+    PRESETS,
+    STEP_ORDER,
+    CatastropheRule,
+    ForbiddenAdjacency,
+    IllegalCatastrophe,
+    IllegalStep,
+    ModelConfig,
+    NegativeLevel,
+    Path,
+    PathError,
+    StepKind,
+    validate_path,
+)
 from catwalk.sampler import EmptyEnsemble, Sampler
 
 U, D, R, C = STEP_ORDER
@@ -84,3 +103,121 @@ def test_count_with_random_config_file(index, tmp_path, capsys):
     for flags, final in ((["--open"], None), (["--closed"], 0), (["--level", "2"], 2)):
         assert cli.main(["count", "--config", str(path), "--n", "12", *flags]) == 0
         assert capsys.readouterr().out.strip() == str(dp.count(config, 12, final)), flags
+
+
+EVERY_MODEL = [*PRESETS.values(), *MODELS]
+EVERY_ID = [*PRESETS, *(f"model{i}" for i in range(len(MODELS)))]
+
+
+def moves_into(config: ModelConfig, prev: tuple) -> dict:
+    """For each state (layer, level), the count of paths that the row ``prev``
+    sends into it by each move (step, layer, level), from the model's rules."""
+    moves: dict = {}
+    for j, vec in enumerate(prev):
+        for i, paths in enumerate(vec):
+            came_by = None if (j, i) == (0, 0) else INCOMING[LAYER_ORDER[j]]
+            for s in config.steps:
+                if paths == 0 or (came_by, s) in config.forbidden_pairs:
+                    continue
+                if s is U:
+                    into = (0, i + 1)
+                elif s is C:
+                    if not config.catastrophe.allows(i):
+                        continue
+                    into = (0, 0)
+                elif i:
+                    into = (LAYER_ORDER.index(ENTRY_LAYER[s]), i - 1)
+                else:
+                    continue
+                moves.setdefault(into, Counter())[(s, j, i)] += paths
+    return moves
+
+
+@pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
+def test_backward_step_visits_each_predecessor_by_its_weight(config):
+    step = dp.Transfer(config)
+    rows = list(step.rows(12))
+    for t in range(1, len(rows)):
+        prev, moves = rows[t - 1], moves_into(config, rows[t - 1])
+        for layer, vec in enumerate(rows[t]):
+            for level, paths in enumerate(vec):
+                seen = Counter(
+                    step.predecessor(prev, layer, level, x) for x in range(paths)
+                )
+                assert seen == moves.get((layer, level), Counter()), (t, layer, level)
+                with pytest.raises(RuntimeError):
+                    step.predecessor(prev, layer, level, paths)
+
+
+def reference_validate(config: ModelConfig, steps) -> Path:
+    """``validate_path`` as a plain loop testing each rule in turn."""
+    level = 0
+    levels = [0]
+    prev = None
+    for i, s in enumerate(steps):
+        if not isinstance(s, StepKind):
+            raise IllegalStep(f"not a step kind: {s!r}", i)
+        if s not in config.steps:
+            raise IllegalStep(f"{s.value} is not in this model", i)
+        if prev is not None and (prev, s) in config.forbidden_pairs:
+            raise ForbiddenAdjacency(f"{prev.value} may not be followed by {s.value}", i)
+        if s is StepKind.UP:
+            level += 1
+        elif s in (StepKind.DOWN_BLACK, StepKind.DOWN_RED):
+            if level == 0:
+                raise NegativeLevel(f"{s.value} from level 0", i)
+            level -= 1
+        else:
+            if not config.catastrophe.allows(level):
+                raise IllegalCatastrophe(f"catastrophe from level {level} is not allowed here", i)
+            level = 0
+        levels.append(level)
+        prev = s
+    return Path(config, tuple(steps), tuple(levels))
+
+
+def outcome(validate, config: ModelConfig, steps):
+    """The Path, or the class, index and message of the PathError raised."""
+    try:
+        return validate(config, steps)
+    except PathError as exc:
+        return type(exc), exc.index, str(exc)
+
+
+# entries that are not step kinds: a value string, None, an int, an unhashable list
+JUNK = ["up", None, 1, [StepKind.UP]]
+
+
+def step_sequences(config: ModelConfig, rng: random.Random, count: int):
+    """Seeded step lists: legal walks, some with one entry replaced or
+    appended, and lists drawn freely from the step kinds."""
+    entries = [*STEP_ORDER, *JUNK]
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        if rng.random() < 0.3:
+            yield [rng.choice(STEP_ORDER) for _ in range(n)]
+            continue
+        seq: list = []
+        for _ in range(n):
+            legal = [
+                s for s in STEP_ORDER
+                if isinstance(outcome(reference_validate, config, seq + [s]), Path)
+            ]
+            if not legal:
+                break
+            seq.append(rng.choice(legal))
+        if rng.random() < 0.6:
+            k = rng.randint(0, len(seq))
+            seq[k : k + 1] = [rng.choice(entries)]
+        yield seq
+
+
+@pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
+def test_validate_path_matches_reference(config):
+    rng = random.Random(repr(config.to_json()))
+    results = Counter()
+    for steps in step_sequences(config, rng, 300):
+        want = outcome(reference_validate, config, steps)
+        assert outcome(validate_path, config, steps) == want, steps
+        results[want[0] if isinstance(want, tuple) else Path] += 1
+    assert results[Path] and results[IllegalStep], results
