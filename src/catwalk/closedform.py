@@ -7,17 +7,16 @@ makes comparing the two routes a meaningful check.  This module never
 imports :mod:`dp`: its name registry only says, per series, which preset's
 count table counts the same paths and which table reader returns them.
 
-The kernel of a model is the quadratic (in u) that governs its level
-recursion; u marks the level, z the length:
+The kernel of a model is the quadratic K(u) = z u^2 - mid u + z r1 r2 that
+governs its level recursion (u marks the level, z the length): mid = 1 and
+r1 r2 = 1 for the plain model, mid = 1 + z^2 and r1 r2 = 2 - z^2 for the red
+one.  r2 denotes the root that is a power series (valuation 1); r1 is the
+other, Laurent, root, and only 1/r1 = r2 / (r1 r2) is ever needed.
 
-* plain model:  K(u) = z u^2 - u + z,             discriminant 1 - 4 z^2,
-  root product r1 r2 = 1
-* red model:    K(u) = z u^2 - (1 + z^2) u + (2z - z^3),
-  discriminant 1 - 6 z^2 + 5 z^4, root product r1 r2 = 2 - z^2
-
-r2 denotes the root that is a power series (valuation 1); r1 is the other,
-Laurent, root, and only the combination 1/r1 = r2 / (r1 r2) is ever needed,
-which stays a power series.
+The kernel method puts every fixed closed form in Q(z)[sqrt(disc)], disc
+being the kernel's discriminant.  Each one, the roots r2 and 1/r1 included,
+is a row (A, B, D) of polynomial data over its kernel, meaning
+(A + B sqrt(disc)) / D, and one expander turns any row into a series.
 
 Level-j series of the red model with catastrophes, with q = 1/r1:
 
@@ -55,38 +54,61 @@ def _poly(coeffs, order: int) -> Series:
     return Series(list(coeffs)[: order + 1], order=order)
 
 
-# discriminant coefficients, low to high
-_DISC = {
-    "dyck": (1, 0, -4),
-    "skew": (1, 0, -6, 0, 5),
+class _Kernel(NamedTuple):
+    """K(u) = z u^2 - mid u + z (r1 r2); polynomials in z, low to high."""
+
+    disc: tuple  # mid^2 - 4 z^2 (r1 r2)
+    mid: tuple
+    root_product: tuple  # r1 r2
+
+
+_KERNELS = {
+    "dyck": _Kernel(disc=(1, 0, -4), mid=(1,), root_product=(1,)),
+    "skew": _Kernel(disc=(1, 0, -6, 0, 5), mid=(1, 0, 1), root_product=(2, 0, -1)),
 }
 
-# r1 * r2, a polynomial
-_ROOT_PRODUCT = {
-    "dyck": (1,),
-    "skew": (2, 0, -1),
-}
+# twice the shared denominators of the catastrophe presets' forms
+_DEN_DYCK = (2, -2, -4, -2)  # 2 (1 - z - 2z^2 - z^3)
+_DEN_SKEW = (2, 0, -4, -12, -6, 2, 2)  # 2 (1 - 2z^2 - 6z^3 - 3z^4 + z^5 + z^6)
 
-# the u-coefficient of the kernel (the "middle" coefficient)
-_KERNEL_MID = {
-    "dyck": (1,),
-    "skew": (1, 0, 1),
-}
-
-# the constant (in u) kernel coefficient; always z * (root product)
-_KERNEL_LOW = {
-    "dyck": (0, 1),
-    "skew": (0, 2, 0, -1),
+# (A, B, D) of each closed form (A + B sqrt(disc)) / D, keyed by (form, model)
+_FORMS = {
+    **{("r2", m): (k.mid, (-1,), (0, 2)) for m, k in _KERNELS.items()},
+    **{
+        ("inv_r1", m): (k.mid, (-1,), (0, *(2 * c for c in k.root_product)))
+        for m, k in _KERNELS.items()
+    },
+    ("f0", "dyck"): ((2, -3, -2), (0, 1), _DEN_DYCK),
+    ("f0", "skew"): ((1, 0, 0, -9, -5, 3, 2), (1, 0, -1, -1), _DEN_SKEW),
+    ("open", "dyck"): ((1, -1), (1, 1), _DEN_DYCK),
+    ("open", "skew"): ((1, -3, 0, 8, 4, -1, -1), (1, 5, 3, -1, -1), _DEN_SKEW),
+    ("fgh0", "skew"): ((3, -4, -8, 3, 6, 1, -1), (-1, 4, 3, -1, -1), _DEN_SKEW),
 }
 
 
 def disc(model: str, order: int) -> Series:
     """The kernel discriminant, 1 - 4z^2 or 1 - 6z^2 + 5z^4."""
-    return _poly(_DISC[_check_model(model)], order)
+    return _poly(_KERNELS[_check_model(model)].disc, order)
 
 
 def sqrt_disc(model: str, order: int) -> Series:
     return disc(model, order).sqrt()
+
+
+def _expand(form: str, model: str, order: int) -> Series:
+    """The closed form (A + B sqrt(disc)) / D of ``form`` through z^order.
+
+    D is z^v times a polynomial E with E(0) != 0.  The numerator is expanded
+    v orders further, z^v is cancelled by a shift, and what is left is
+    divided by E, or by the scalar E when E is a constant.
+    """
+    a, b, d = _FORMS[form, _check_model(model)]
+    v = next(i for i, c in enumerate(d) if c)
+    n = order + v
+    s = sqrt_disc(model, n)
+    num = _poly(a, n) + (s * b[0] if len(b) == 1 else _poly(b, n) * s)
+    num, e = num.shift_down(v), d[v:]
+    return num / e[0] if len(e) == 1 else num / _poly(e, order)
 
 
 def r2(model: str, order: int) -> Series:
@@ -95,22 +117,20 @@ def r2(model: str, order: int) -> Series:
     mid is 1 for the plain model and 1 + z^2 for the red one.  The numerator
     has valuation >= 1, so dividing by 2z keeps everything a power series.
     """
-    _check_model(model)
-    num = _poly(_KERNEL_MID[model], order + 1) - sqrt_disc(model, order + 1)
-    return num.shift_down(1) / 2
+    return _expand("r2", model, order)
 
 
 def inv_r1(model: str, order: int) -> Series:
-    """1/r1 as a power series: r2 divided by the polynomial r1*r2."""
-    return r2(model, order) / _poly(_ROOT_PRODUCT[_check_model(model)], order)
+    """1/r1 = r2 / (r1 r2) as a power series, (mid - sqrt(disc)) / (2z r1 r2)."""
+    return _expand("inv_r1", model, order)
 
 
 def kernel_at(model: str, u: Series) -> Series:
     """Evaluate the kernel at an arbitrary series u (at u's order)."""
-    _check_model(model)
+    k = _KERNELS[_check_model(model)]
     n = u.order
     z = Series.z(n)
-    return z * u * u - _poly(_KERNEL_MID[model], n) * u + _poly(_KERNEL_LOW[model], n)
+    return z * u * u - _poly(k.mid, n) * u + _poly((0, *k.root_product), n)
 
 
 def kernel_residual(model: str, order: int) -> Series:
@@ -119,10 +139,6 @@ def kernel_residual(model: str, order: int) -> Series:
 
 
 # -- closed forms for the catastrophe presets ------------------------------
-
-# shared denominators (times 2)
-_DEN_DYCK = (1, -1, -2, -1)  # 1 - z - 2z^2 - z^3
-_DEN_SKEW = (1, 0, -2, -6, -3, 1, 1)  # 1 - 2z^2 - 6z^3 - 3z^4 + z^5 + z^6
 
 
 def f0(model: str, order: int) -> Series:
@@ -137,15 +153,7 @@ def f0(model: str, order: int) -> Series:
     visit there ends a prefix counted by f0); for the red model f0 counts
     paths ending on the axis whose last step was not a down-step.
     """
-    _check_model(model)
-    s = sqrt_disc(model, order)
-    if model == "dyck":
-        num = _poly((2, -3, -2), order) + _poly((0, 1), order) * s
-        den = _poly(_DEN_DYCK, order) * 2
-    else:
-        num = _poly((1, 0, 0, -9, -5, 3, 2), order) + _poly((1, 0, -1, -1), order) * s
-        den = _poly(_DEN_SKEW, order) * 2
-    return num / den
+    return _expand("f0", model, order)
 
 
 def open_total(model: str, order: int) -> Series:
@@ -155,16 +163,7 @@ def open_total(model: str, order: int) -> Series:
     red:   ((1+z)(1 - 4z + 4z^2 + 4z^3 - z^5) + (1 + 5z + 3z^2 - z^3 - z^4)
            sqrt(1-6z^2+5z^4)) / (2 (1 - 2z^2 - 6z^3 - 3z^4 + z^5 + z^6))
     """
-    _check_model(model)
-    s = sqrt_disc(model, order)
-    if model == "dyck":
-        num = _poly((1, -1), order) + _poly((1, 1), order) * s
-        den = _poly(_DEN_DYCK, order) * 2
-    else:
-        lead = _poly((1, 1), order) * _poly((1, -4, 4, 4, 0, -1), order)
-        num = lead + _poly((1, 5, 3, -1, -1), order) * s
-        den = _poly(_DEN_SKEW, order) * 2
-    return num / den
+    return _expand("open", model, order)
 
 
 def fgh0(order: int) -> Series:
@@ -173,15 +172,7 @@ def fgh0(order: int) -> Series:
     ((1 - z^2)(3 - z)(1 - z - 2z^2 - z^3) - (1 - 4z - 3z^2 + z^3 + z^4)
     sqrt(1-6z^2+5z^4)) / (2 (1 - 2z^2 - 6z^3 - 3z^4 + z^5 + z^6))
     """
-    s = sqrt_disc("skew", order)
-    lead = (
-        _poly((1, 0, -1), order)
-        * _poly((3, -1), order)
-        * _poly((1, -1, -2, -1), order)
-    )
-    num = lead - _poly((1, -4, -3, 1, 1), order) * s
-    den = _poly(_DEN_SKEW, order) * 2
-    return num / den
+    return _expand("fgh0", "skew", order)
 
 
 def fj_family(j: int, order: int) -> tuple:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
@@ -46,16 +47,11 @@ STEP_ORDER = (
     StepKind.CATASTROPHE,
 )
 
-_STEP_CHAR = {
-    StepKind.UP: "U",
-    StepKind.DOWN_BLACK: "D",
-    StepKind.DOWN_RED: "R",
-    StepKind.CATASTROPHE: "C",
-}
-_CHAR_STEP = {c: s for s, c in _STEP_CHAR.items()}
-for _step, _char in _STEP_CHAR.items():
-    _step.char = _char  # what Path.__str__ reads, one attribute per step
+# each step's letter in compact path strings, read by Path.__str__ and parse_steps
+for _step, _char in zip(STEP_ORDER, "UDRC"):
+    _step.char = _char
 del _step, _char
+_CHAR_STEP = {s.char: s for s in STEP_ORDER}
 
 
 class LayerTag(Enum):
@@ -119,6 +115,8 @@ class CatastropheRule:
             object.__setattr__(self, "levels", frozenset(self.levels))
             if not all(_is_level(lv) for lv in self.levels):
                 raise ConfigError("explicit catastrophe levels must all be integers >= 1")
+            # sorted once for firing(); not a field, so ==, hash and repr ignore it
+            object.__setattr__(self, "_ascending", sorted(self.levels))
         else:
             raise ConfigError(f"unknown catastrophe rule kind {self.kind!r}")
 
@@ -154,7 +152,7 @@ class CatastropheRule:
             return range(self.k, top + 1)
         if self.kind == "even_min":
             return range(self.k + self.k % 2, top + 1, 2)
-        return sorted(lv for lv in self.levels if lv <= top)
+        return self._ascending[: bisect_right(self._ascending, top)]
 
     def to_json(self) -> dict:
         if self.kind == "none":
@@ -231,13 +229,11 @@ class ModelConfig:
             },
         )
 
-    def allows_pair(self, first: StepKind, second: StepKind) -> bool:
-        return (first, second) not in self.forbidden_pairs
-
     def next_steps(self, came_by) -> tuple:
         """The steps that may follow a ``came_by`` step (None: any), in canonical order."""
-        allowed = (s for s in STEP_ORDER if came_by is None or self.allows_pair(came_by, s))
-        return tuple(s for s in allowed if s in self.steps)
+        return tuple(
+            s for s in STEP_ORDER if s in self.steps and (came_by, s) not in self.forbidden_pairs
+        )
 
     def to_json(self) -> dict:
         return {
@@ -405,16 +401,16 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
     """Check a step sequence against a model and return the validated Path.
 
     Raises a :class:`PathError` subclass naming the first offending step:
-    IllegalStep for a step kind outside the model, NegativeLevel for a
-    down-step from level 0, ForbiddenAdjacency for a banned step pair, and
-    IllegalCatastrophe for a catastrophe from a non-qualifying level.
+    IllegalStep for an entry that is not a step kind of the model,
+    ForbiddenAdjacency for a banned step pair, IllegalCatastrophe for a
+    catastrophe from a non-qualifying level, and NegativeLevel for a
+    down-step from level 0.
 
     Each step costs one lookup in the model's table of the steps that may
-    follow the previous one, plus identity tests.  At the first step that
-    fails them, :func:`_diagnose` walks the sequence again and names the
-    error.
+    follow the previous one, plus identity tests.  The first step that fails
+    them is then tested rule by rule, in the order above, to name the error.
     """
-    steps = tuple(steps)  # one pass here, and a second one if it fails
+    steps = tuple(steps)
     follows = config._follows
     allows = config.catastrophe.allows
     level = 0
@@ -440,36 +436,17 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
             return Path(config, steps, tuple(levels))
     except TypeError:  # an unhashable entry
         pass
-    return _diagnose(config, steps)
-
-
-def _diagnose(config: ModelConfig, steps: Sequence) -> Path:
-    """:func:`validate_path` one step at a time, testing each rule in turn."""
-    level = 0
-    levels = [0]
-    prev = None
-    for i, s in enumerate(steps):
-        if not isinstance(s, StepKind):
-            raise IllegalStep(f"not a step kind: {s!r}", i)
-        if s not in config.steps:
-            raise IllegalStep(f"{s.value} is not in this model", i)
-        if prev is not None and not config.allows_pair(prev, s):
-            raise ForbiddenAdjacency(f"{prev.value} may not be followed by {s.value}", i)
-        if s is StepKind.UP:
-            level += 1
-        elif s in (StepKind.DOWN_BLACK, StepKind.DOWN_RED):
-            if level == 0:
-                raise NegativeLevel(f"{s.value} from level 0", i)
-            level -= 1
-        else:  # catastrophe
-            if not config.catastrophe.allows(level):
-                raise IllegalCatastrophe(
-                    f"catastrophe from level {level} is not allowed here", i
-                )
-            level = 0
-        levels.append(level)
-        prev = s
-    return Path(config, tuple(steps), tuple(levels))
+    i = len(levels) - 1
+    s = steps[i]
+    if not isinstance(s, StepKind):
+        raise IllegalStep(f"not a step kind: {s!r}", i)
+    if s not in config.steps:
+        raise IllegalStep(f"{s.value} is not in this model", i)
+    if s not in allowed:
+        raise ForbiddenAdjacency(f"{steps[i - 1].value} may not be followed by {s.value}", i)
+    if s is StepKind.CATASTROPHE:
+        raise IllegalCatastrophe(f"catastrophe from level {level} is not allowed here", i)
+    raise NegativeLevel(f"{s.value} from level 0", i)
 
 
 def parse_steps(text: str) -> tuple:
@@ -480,10 +457,6 @@ def parse_steps(text: str) -> tuple:
             raise ValueError(f"character {i} ({ch!r}) is not one of U, D, R, C")
         out.append(_CHAR_STEP[ch])
     return tuple(out)
-
-
-def step_char(step: StepKind) -> str:
-    return _STEP_CHAR[step]
 
 
 FinalSpec = Union[None, int, str]

@@ -36,6 +36,13 @@ for name in ("series.mul", "series.sqrt", "series.div", "series.pow"):
     assert layers.get(name, {}).get("calls", 0) > 0, (name, sorted(layers))
 assert layers["series.sqrt"]["calls"] == 3, layers["series.sqrt"]
 
+# each fixed closed form takes exactly one square root; the expansion
+# workload's exact series.sqrt count rests on these
+for name in ("r2-skew", "f0-dyck-cat", "open-skew-cat", "fgh0-skew-cat"):
+    before = spans.summary()["layers"]["series.sqrt"]["calls"]
+    closedform.series_by_name(name, 20)
+    assert spans.summary()["layers"]["series.sqrt"]["calls"] - before == 1, name
+
 # the sampler's spans: one build, and each draw validated once through the
 # validate_path name the sampler imports
 from catwalk import cli

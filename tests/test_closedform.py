@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from catwalk import closedform as cf
@@ -80,6 +82,26 @@ def test_fgh0_expansion_and_sum():
     assert cf.fgh0(12).as_integers() == FGH0_SKEW_CAT
     n = 40
     assert cf.fgh0(n) == cf.f0("skew", n) + cf.g0(n) + cf.h0(n)
+
+
+# every (A + B sqrt(disc)) / D form, as a function of the order alone
+FORMS = {
+    **{
+        f"{form.__name__}-{model}": functools.partial(form, model)
+        for form in (cf.r2, cf.inv_r1, cf.f0, cf.open_total)
+        for model in cf.MODELS
+    },
+    "fgh0-skew": cf.fgh0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMS))
+def test_forms_truncate_consistently(name):
+    # below order 6 the expander cuts A, B and D short, and at order 0 it
+    # still cancels the z in the denominator of r2 and 1/r1
+    full = FORMS[name](40)
+    for k in range(9):
+        assert FORMS[name](k) == full.truncate(k), k
 
 
 def test_fj_family_low_levels():
@@ -201,7 +223,6 @@ def test_counting_series_are_integral():
 
 
 def test_unknown_model_rejected():
-    with pytest.raises(ValueError):
-        cf.disc("motzkin", 5)
-    with pytest.raises(ValueError):
-        cf.f0("motzkin", 5)
+    for form in (cf.disc, cf.sqrt_disc, cf.r2, cf.inv_r1, cf.f0, cf.open_total):
+        with pytest.raises(ValueError):
+            form("motzkin", 5)

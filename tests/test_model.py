@@ -21,7 +21,6 @@ from catwalk.model import (
     normalize_final,
     parse_steps,
     preset,
-    step_char,
     validate_path,
     with_rule,
 )
@@ -80,6 +79,9 @@ def test_allows_agrees_with_firing(rule):
     # brute force asks allows() level by level; the kernel reads firing()
     firing = set(rule.firing(40))
     assert [rule.allows(lv) for lv in range(41)] == [lv in firing for lv in range(41)]
+    # ascending, because the draws walk catastrophe sources from the lowest level up
+    for top in range(41):
+        assert list(rule.firing(top)) == [lv for lv in range(1, top + 1) if rule.allows(lv)]
 
 
 def test_rule_validation():
@@ -179,7 +181,7 @@ def test_parse_steps():
     assert parse_steps("") == ()
     with pytest.raises(ValueError):
         parse_steps("UXD")
-    assert "".join(step_char(s) for s in (U, D, R, C)) == "UDRC"
+    assert "".join(s.char for s in (U, D, R, C)) == "UDRC"
 
 
 def test_normalize_final():
