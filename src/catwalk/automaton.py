@@ -46,10 +46,6 @@ class Automaton:
     start: State
     transitions: dict = field(compare=False)
 
-    def successors(self, state: State) -> tuple:
-        """The (step, target) pairs leaving ``state``, in canonical step order."""
-        return self.transitions[state]
-
 
 def build(config: ModelConfig, max_level: int) -> Automaton:
     """Build the layered automaton of a model.

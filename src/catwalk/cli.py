@@ -149,12 +149,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
-    s = cf.series_by_name(args.gf, args.order)
+    entry = cf.lookup(args.gf)
+    if args.check_dp and entry.view is None:
+        raise ValueError(f"{args.gf} has no dynamic-programming counterpart to check")
+    s = cf.series_by_name(args.gf, args.order)  # by name: bench/tracer.py wraps it
     if args.check_dp:
-        entry = cf.lookup(args.gf)
-        if entry.view is None:
-            raise ValueError(f"{args.gf} has no dynamic-programming counterpart to check")
-        other = entry.view(dp.count_table(entry.model, args.order))
+        (other,) = dp.view_series(entry.model, args.order, [entry.view])
         n = s.first_difference(other)
         if n is not None:
             print(

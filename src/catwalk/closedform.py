@@ -4,8 +4,9 @@ Everything here is an algebraic function of z expanded exactly with
 :class:`series.Series`; the dynamic-programming route in :mod:`dp` computes
 the same coefficients without ever touching these formulas, which is what
 makes comparing the two routes a meaningful check.  This module never
-imports :mod:`dp`: its name registry only says, per series, which preset's
-count table counts the same paths and which table reader returns them.
+imports :mod:`dp`: its name registry only says, per series, which preset
+counts the same paths and in which (layer, level) end state of the DP's
+rows, None meaning any layer or any level.
 
 The kernel of a model is the quadratic K(u) = z u^2 - mid u + z r1 r2 that
 governs its level recursion (u marks the level, z the length): mid = 1 and
@@ -30,7 +31,6 @@ e.g. sum f_j = f_0 q^2 / (1 - q).
 
 from __future__ import annotations
 
-from operator import methodcaller
 from typing import Callable, NamedTuple
 
 from .model import DYCK_CAT, LAYER_ORDER, SKEW_CAT, LayerTag, ModelConfig
@@ -263,23 +263,17 @@ class Entry(NamedTuple):
     """A registry series: how to expand it, and where the DP counts it.
 
     ``build(order)`` expands the closed form.  ``model`` is the preset whose
-    count table holds the same numbers and ``view(table)`` reads them off a
-    ``dp.CountTable`` of that model; both are None for series that count no
-    paths (the discriminants and kernel roots).
+    paths it counts and ``view`` the (layer, level) end state they reach,
+    None meaning any layer or any level, so the closed paths are (None, 0)
+    and all paths (None, None); ``dp.view_series`` reads a view off the
+    model's rows.  Both are None for series that count no paths (the
+    discriminants and kernel roots).
     """
 
     name: str
     build: Callable
     model: ModelConfig | None = None
-    view: Callable | None = None
-
-
-_CLOSED = methodcaller("closed_series")
-_OPEN = methodcaller("open_series")
-
-
-def _layer(tag: LayerTag, level: int):
-    return methodcaller("layer_series", tag, level)
+    view: tuple | None = None
 
 
 # the fixed names; :func:`lookup` also builds the level entries fj:J, gj:J, hj:J
@@ -290,13 +284,13 @@ REGISTRY = {
         Entry("disc-skew", lambda n: disc("skew", n)),
         Entry("r2-dyck", lambda n: r2("dyck", n)),
         Entry("r2-skew", lambda n: r2("skew", n)),
-        Entry("f0-dyck-cat", lambda n: f0("dyck", n), DYCK_CAT, _CLOSED),
-        Entry("open-dyck-cat", lambda n: open_total("dyck", n), DYCK_CAT, _OPEN),
-        Entry("f0-skew-cat", lambda n: f0("skew", n), SKEW_CAT, _layer(LayerTag.F, 0)),
-        Entry("g0-skew-cat", g0, SKEW_CAT, _layer(LayerTag.G, 0)),
-        Entry("h0-skew-cat", h0, SKEW_CAT, _layer(LayerTag.H, 0)),
-        Entry("fgh0-skew-cat", fgh0, SKEW_CAT, _CLOSED),
-        Entry("open-skew-cat", lambda n: open_total("skew", n), SKEW_CAT, _OPEN),
+        Entry("f0-dyck-cat", lambda n: f0("dyck", n), DYCK_CAT, (None, 0)),
+        Entry("open-dyck-cat", lambda n: open_total("dyck", n), DYCK_CAT, (None, None)),
+        Entry("f0-skew-cat", lambda n: f0("skew", n), SKEW_CAT, (LayerTag.F, 0)),
+        Entry("g0-skew-cat", g0, SKEW_CAT, (LayerTag.G, 0)),
+        Entry("h0-skew-cat", h0, SKEW_CAT, (LayerTag.H, 0)),
+        Entry("fgh0-skew-cat", fgh0, SKEW_CAT, (None, 0)),
+        Entry("open-skew-cat", lambda n: open_total("skew", n), SKEW_CAT, (None, None)),
     )
 }
 
@@ -325,7 +319,7 @@ def lookup(name: str) -> Entry:
             raise UnknownSeriesName(f"negative level index in {name!r}")
         slot = _LEVEL_SERIES.index(head)
         return Entry(
-            f"{head}:{j}", lambda n: fj_family(j, n)[slot], SKEW_CAT, _layer(LAYER_ORDER[slot], j)
+            f"{head}:{j}", lambda n: fj_family(j, n)[slot], SKEW_CAT, (LAYER_ORDER[slot], j)
         )
     raise UnknownSeriesName(
         f"unknown generating function {name!r}; known: {', '.join(series_names())}"

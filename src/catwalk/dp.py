@@ -3,8 +3,11 @@
 A row counts the paths of one length by end state: a tuple (F, G, H) of int
 lists indexed by level, one per layer (after an up-step, the start or a
 catastrophe; after a black down-step; after a red down-step).
-:class:`Transfer` advances a row one step by list shifts and ``map(add)``;
-:func:`count` keeps one rolling row, :class:`CountTable` one row per length.
+:class:`Transfer` advances a row one step by list shifts and ``map(add)``.
+:func:`ending` reads one row at a (layer, level) view, None meaning any
+layer or any level.  :func:`count` keeps one rolling row, and so does
+:func:`view_series`, which collects the series of each view the closed-form
+registry names; :class:`CountTable` keeps one row per length.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, coefficient by coefficient, the step-inflow identities
@@ -120,11 +123,12 @@ class Transfer:
             yield row
 
 
-def ending(row: tuple, want: int | None) -> int:
-    """The paths of one row that end at level ``want``, or anywhere if None."""
-    if want is None:
-        return sum(map(sum, row))
-    return sum(vec[want] for vec in row) if 0 <= want < len(row[0]) else 0
+def ending(row: tuple, layer: LayerTag | None, level: int | None) -> int:
+    """The paths of one row that end in (layer, level), None meaning any."""
+    vecs = row if layer is None else (row[LAYER_ORDER.index(layer)],)
+    if level is None:
+        return sum(map(sum, vecs))
+    return sum(vec[level] for vec in vecs) if 0 <= level < len(row[0]) else 0
 
 
 def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
@@ -133,11 +137,21 @@ def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
     want = normalize_final(final)
     for row in Transfer(config).rows(n, want):
         pass
-    return ending(row, want)
+    return ending(row, None, want)
+
+
+def view_series(config: ModelConfig, order: int, views) -> list:
+    """One series per (layer, level) view, None meaning any: the counts of
+    lengths 0..order that end there, read off the rows while holding one."""
+    columns = [[] for _ in views]
+    for row in Transfer(config).rows(order):
+        for column, view in zip(columns, views):
+            column.append(ending(row, *view))
+    return [Series(column) for column in columns]
 
 
 class CountTable:
-    """Counts of paths by length and end state for one model."""
+    """Counts of paths by length and end state for one model, one row each."""
 
     def __init__(self, rows: list):
         self._rows = rows
@@ -151,14 +165,21 @@ class CountTable:
             raise ValueError(f"length {n} outside table range 0..{self.n_max}")
         return self._rows[n]
 
+    def _series(self, layer: LayerTag | None, level: int | None, order: int | None) -> Series:
+        """Counts ending in (layer, level) for lengths 0..order, all when None."""
+        top = self.n_max if order is None else order
+        if not 0 <= top <= self.n_max:
+            raise ValueError(f"order {order} outside table range 0..{self.n_max}")
+        return Series([ending(row, layer, level) for row in self._rows[: top + 1]])
+
     def level_count(self, n: int, level: int) -> int:
-        return ending(self._row(n), level)
+        return ending(self._row(n), None, level)
 
     def closed_count(self, n: int) -> int:
-        return self.level_count(n, 0)
+        return ending(self._row(n), None, 0)
 
     def open_count(self, n: int) -> int:
-        return ending(self._row(n), None)
+        return ending(self._row(n), None, None)
 
     def final_counts(self, n: int) -> dict:
         """All nonzero end-state counts at length n, keyed by State."""
@@ -169,30 +190,17 @@ class CountTable:
             if c
         }
 
-    def _upto(self, order: int | None) -> list:
-        """The rows for lengths 0..order; all of them when order is None."""
-        if order is None:
-            return self._rows
-        if not 0 <= order <= self.n_max:
-            raise ValueError(f"order {order} outside table range 0..{self.n_max}")
-        return self._rows[: order + 1]
-
     def layer_series(self, layer: LayerTag, level: int, order: int | None = None) -> Series:
-        """Counts ending in (layer, level) as a power series in the length."""
-        j = LAYER_ORDER.index(layer)
-        return Series(
-            [row[j][level] if 0 <= level < len(row[j]) else 0 for row in self._upto(order)]
-        )
+        return self._series(layer, level, order)
 
     def level_series(self, level: int, order: int | None = None) -> Series:
-        """Counts ending at ``level``, all layers merged, as a power series."""
-        return Series([ending(row, level) for row in self._upto(order)])
+        return self._series(None, level, order)
 
     def closed_series(self, order: int | None = None) -> Series:
-        return self.level_series(0, order)
+        return self._series(None, 0, order)
 
     def open_series(self, order: int | None = None) -> Series:
-        return Series([ending(row, None) for row in self._upto(order)])
+        return self._series(None, None, order)
 
 
 def count_table(config: ModelConfig, n_max: int) -> CountTable:

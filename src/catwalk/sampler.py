@@ -55,7 +55,7 @@ class Sampler:
         self.want = normalize_final(final)
         self._step = dp.Transfer(config)
         self._rows = list(self._step.rows(n))
-        self.total = dp.ending(self._rows[n], self.want)
+        self.total = dp.ending(self._rows[n], None, self.want)
         if self.total == 0:
             raise EmptyEnsemble(
                 f"no length-{n} path meets the end condition {final!r}"

@@ -133,10 +133,6 @@ class Series:
             raise ValueError("the monomial z needs order >= 1")
         return cls([0, 1], order=order)
 
-    @classmethod
-    def constant(cls, value: Rat, order: int) -> "Series":
-        return cls([value], order=order)
-
     # -- inspection --------------------------------------------------------
 
     @property

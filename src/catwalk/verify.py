@@ -1,7 +1,7 @@
 """Cross-route verification suites.
 
 Each suite bundles checks that pit independent computation routes against
-each other: closed forms against the dynamic programming table, both
+each other: closed forms against the dynamic programming counts, both
 against brute-force enumeration, the kernel roots against the kernel, and
 the low-order coefficients against externally published sequences.  A
 report is a flat list of named pass/fail checks plus timing, ready for
@@ -157,33 +157,35 @@ def _suite_theorem(order: int, max_n: int) -> list:
     ):
         checks.append(dp.compare(name, [(name, lhs, rhs)], f"{detail} through z^{n}"))
 
-    # every registry series with a DP view against one count table per model;
-    # the level-0 series expanded above are not expanded again
+    # every registry series with a DP view against its counts, read off one
+    # stream of the kernel's rows per model; the level-0 series expanded above
+    # are not expanded again
     known = {"f0-skew-cat": f0, "g0-skew-cat": gj[0], "h0-skew-cat": hj[0]}
-    tables: dict = {}
-    for entry in cf.REGISTRY.values():
-        if entry.view is None:
-            continue
-        if entry.model not in tables:
-            tables[entry.model] = dp.count_table(entry.model, n)
+    viewed = [e for e in cf.REGISTRY.values() if e.view is not None]
+    j_dp = min(j_top, 5)
+    family = [
+        (cf.lookup(f"{head}:{j}"), series)
+        for j in range(j_dp + 1)
+        for head, series in (("fj", fj[j]), ("gj", gj[j]), ("hj", hj[j]))
+    ]
+    entries = viewed + [e for e, _ in family]
+    counted: dict = {}  # model -> view -> its counts as a series
+    for model in dict.fromkeys(e.model for e in entries):
+        wanted = [e.view for e in entries if e.model == model]
+        counted[model] = dict(zip(wanted, dp.view_series(model, n, wanted)))
+    for entry in viewed:
         closed = known[entry.name] if entry.name in known else entry.build(n)
         checks.append(
             dp.compare(
                 f"dp-{entry.name}",
-                [(entry.name, closed, entry.view(tables[entry.model]))],
+                [(entry.name, closed, counted[entry.model][entry.view])],
                 f"closed form matches table through z^{n}",
             )
         )
-    j_dp = min(j_top, 5)
-    family = (
-        (cf.lookup(f"{head}:{j}"), series)
-        for j in range(j_dp + 1)
-        for head, series in (("fj", fj[j]), ("gj", gj[j]), ("hj", hj[j]))
-    )
     checks.append(
         dp.compare(
             "dp-level-family",
-            ((e.name, series, e.view(tables[e.model])) for e, series in family),
+            ((e.name, series, counted[e.model][e.view]) for e, series in family),
             f"level series match table for j <= {j_dp}",
         )
     )

@@ -17,7 +17,7 @@ U, D, R, C = StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED, StepKind.CATAS
 
 
 def succ(auto, layer, level):
-    return auto.successors(State(layer, level))
+    return auto.transitions[State(layer, level)]
 
 
 def test_start_state():

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import catwalk
-from catwalk import cli
+from catwalk import cli, closedform as cf, dp, verify
 from catwalk.model import SKEW_CAT, StepKind, preset, validate_path
 
 from conftest import load_schema
@@ -154,11 +154,40 @@ def test_series_check_dp_accepts_every_level_spelling(capsys, gf):
     assert json.loads(out)["dp_match"] is True
 
 
-def test_series_check_dp_without_counterpart(capsys):
+def test_series_check_dp_without_counterpart(capsys, monkeypatch):
+    def refuse(name, order):
+        raise AssertionError(f"{name} was expanded")
+
+    # the refusal comes before any expansion
+    monkeypatch.setattr(cf, "series_by_name", refuse)
     for gf in ("disc-dyck", "disc-skew", "r2-dyck", "r2-skew"):
         code, _, err = run(capsys, "series", "--gf", gf, "--order", "5", "--check-dp")
         assert code == 2
         assert "counterpart" in err
+
+
+def test_series_check_dp_names_the_first_mismatch(capsys, monkeypatch):
+    # f0 counts the axis paths of layer F only; (None, 0) counts all of them,
+    # first differing at UD, a path of length 2 that ends after a black step
+    wrong = cf.REGISTRY["f0-skew-cat"]._replace(view=(None, 0))
+    monkeypatch.setitem(cf.REGISTRY, "f0-skew-cat", wrong)
+    code, out, err = run(capsys, "series", "--gf", "f0-skew-cat", "--order", "9", "--check-dp")
+    assert code == 1
+    assert out == ""
+    assert err == "mismatch at z^2: closed form 0, table 1\n"
+
+
+def test_check_dp_and_theorem_suite_stream_rows(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a CountTable was built")
+
+    monkeypatch.setattr(dp.CountTable, "__init__", refuse)
+    code, out, _ = run(
+        capsys, "series", "--gf", "open-skew-cat", "--order", "40", "--check-dp", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["dp_match"] is True
+    assert verify.run_suite("theorem", 30).ok
 
 
 def test_series_unknown_name(capsys):

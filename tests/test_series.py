@@ -32,7 +32,7 @@ def test_constructors():
     assert Series.zero(3).coeffs() == (0, 0, 0, 0)
     assert Series.one(2).coeffs() == (1, 0, 0)
     assert Series.z(4).coeffs() == (0, 1, 0, 0, 0)
-    assert Series.constant(Fraction(1, 2), 1).coeff(0) == Fraction(1, 2)
+    assert Series([Fraction(1, 2)], order=1).coeff(0) == Fraction(1, 2)
     with pytest.raises(ValueError):
         Series.z(0)
 
