@@ -40,7 +40,8 @@ class Transfer:
 
     Forward, :meth:`__call__` advances a whole row by one step.  Back,
     :meth:`predecessor` finds the one state of the row before that holds a
-    given path into a given state, which is all the sampler needs.
+    given path into a given state, and the path's rank there, which is all
+    the sampler needs.
     """
 
     def __init__(self, config: ModelConfig):
@@ -77,34 +78,37 @@ class Transfer:
         return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
 
     def predecessor(self, prev: tuple, layer: int, level: int, x: int) -> tuple:
-        """The (step, layer, level) of the row ``prev`` one step shorter that
-        holds the x-th path into (layer, level), 0 <= x < its count.
+        """The (step, layer, level, x') of the x-th path into (layer, level),
+        0 <= x < its count: the state of the row ``prev`` one step shorter
+        that holds the path, and the path's rank x' among those of that state.
 
         The predecessors come in a fixed order, each holding as many paths
         as its count in ``prev``: into (F, 0), catastrophes from the lowest
         firing level up, each level in layer order; into any other state,
         its entering step from each layer in order, and last the up-step
-        out of (F, 0) into (F, 1) when only the start may take it.
+        out of (F, 0) into (F, 1) when only the start may take it.  x' is x
+        less the counts of the predecessors before the one it falls in, so
+        the map from x to (step, layer, level, x') is a bijection.
         """
         if layer == level == 0:
             cat = self.sources[CATASTROPHE]
             for i in self.firing(len(prev[0]) - 1):
                 for j in cat:
-                    x -= prev[j][i]
-                    if x < 0:
-                        return CATASTROPHE, j, i
+                    paths = prev[j][i]
+                    if x < paths:
+                        return CATASTROPHE, j, i, x
+                    x -= paths
         else:
             step, shift, sources = self._into[layer]
             i = level + shift
             if i < len(prev[0]):
                 for j in sources:
-                    x -= prev[j][i]
-                    if x < 0:
-                        return step, j, i
-            if self.lift_start and layer == 0 and level == 1:
-                x -= prev[0][0]
-                if x < 0:
-                    return UP, 0, 0
+                    paths = prev[j][i]
+                    if x < paths:
+                        return step, j, i, x
+                    x -= paths
+            if self.lift_start and layer == 0 and level == 1 and x < prev[0][0]:
+                return UP, 0, 0, x
         raise RuntimeError("sampler weights do not sum to the forward count")
 
     def rows(self, n: int, want: int | None = None):

@@ -413,6 +413,7 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
     steps = tuple(steps)
     follows = config._follows
     allows = config.catastrophe.allows
+    up, cat = StepKind.UP, StepKind.CATASTROPHE
     level = 0
     levels = [0]
     allowed = follows[None]
@@ -420,13 +421,13 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
         for s in steps:
             if s not in allowed:
                 break
-            if s is StepKind.UP:
+            if s is up:
                 level += 1
-            elif s is StepKind.CATASTROPHE:
+            elif s is cat:
                 if not allows(level):
                     break
                 level = 0
-            elif level and (s is StepKind.DOWN_BLACK or s is StepKind.DOWN_RED):
+            elif level:  # a down-step: whatever is allowed is a step kind
                 level -= 1
             else:
                 break

@@ -1,15 +1,13 @@
 """Exactly uniform random sampling of model paths by the recursive method
 (Nijenhuis and Wilf, 1978; Flajolet, Zimmermann and Van Cutsem, 1994).
 
-The sampler picks the end state weighted by its count in the forward rows
-of :class:`dp.Transfer`, then walks back, picking each predecessor weighted
-by its count one length earlier.  Each choice is one ``randrange`` over
-exact integer weights, so every admissible path of the ensemble has
-probability exactly 1/total; no floats are involved at any point.
-
-A backward step draws x below the count of the current state and hands it
-to :meth:`dp.Transfer.predecessor`, which subtracts the predecessors'
-counts from x in place until it goes negative: no list of moves is built.
+A draw takes one ``randrange(total)``, the rank x of its path, and unranks
+it through the forward rows of :class:`dp.Transfer`: the end states in a
+fixed order take x off their counts until it falls in one, and each
+backward step, :meth:`dp.Transfer.predecessor`, does the same over the
+predecessors one length earlier and hands the remainder on.  Unranking is
+a bijection from ``range(total)`` onto the ensemble, so every admissible
+path has probability exactly 1/total; no floats are involved at any point.
 """
 
 from __future__ import annotations
@@ -35,17 +33,6 @@ class SamplerSpec:
     seed: int = 0
 
 
-def _choose(rng: random.Random, total: int, options):
-    """The value of one ``(weight, value)`` option, drawn with probability
-    weight / total; the weights must sum to ``total``."""
-    x = rng.randrange(total)
-    for weight, value in options:
-        if x < weight:
-            return value
-        x -= weight
-    raise RuntimeError("sampler weights do not sum to the forward count")
-
-
 class Sampler:
     """Reusable sampler for one (model, length, end condition) ensemble."""
 
@@ -54,7 +41,7 @@ class Sampler:
         self.n = n
         self.want = normalize_final(final)
         self._step = dp.Transfer(config)
-        self._rows = list(self._step.rows(n))
+        self._rows = list(self._step.rows(n, self.want))
         self.total = dp.ending(self._rows[n], None, self.want)
         if self.total == 0:
             raise EmptyEnsemble(
@@ -62,15 +49,18 @@ class Sampler:
             )
 
     def draw(self, rng: random.Random) -> Path:
-        """One exactly uniform draw from the ensemble."""
-        rows, n, back, randrange = self._rows, self.n, self._step.predecessor, rng.randrange
+        """One exactly uniform draw from the ensemble: one ``randrange``."""
+        rows, n, back = self._rows, self.n, self._step.predecessor
+        x = rng.randrange(self.total)
         levels = range(n + 1) if self.want is None else (self.want,)
-        ends = ((rows[n][j][i], (j, i)) for j in range(3) for i in levels)
-        layer, level = _choose(rng, self.total, ends)
+        for layer, level in ((j, i) for j in range(3) for i in levels):
+            paths = rows[n][layer][level]
+            if x < paths:
+                break
+            x -= paths
         steps = [None] * n
-        for t in range(n, 0, -1):
-            x = randrange(rows[t][layer][level])
-            steps[t - 1], layer, level = back(rows[t - 1], layer, level, x)
+        for t in range(n - 1, -1, -1):
+            steps[t], layer, level, x = back(rows[t], layer, level, x)
         return validate_path(self.config, steps)
 
 

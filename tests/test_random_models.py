@@ -5,9 +5,11 @@ with a catastrophe) and catastrophe rules, plus two fixed corner cases: a
 catastrophe step without a rule that lets it fire, and a rule without the
 catastrophe step (which the model holds in its canonical form, rule "none").
 Each model also survives a JSON round trip, and a few are counted through
-``catwalk count --config``.  On these models and the presets, the sampler's
-backward step and ``validate_path`` are checked against references written
-out here from the model's rules.
+``catwalk count --config``.  Random catastrophe rules on the catastrophe
+presets keep the recurrences that ``dp.verify_recurrences`` checks, and a
+model outside the preset adjacency rules fails them.  On these models and
+the presets, the sampler's backward step and ``validate_path`` are checked
+against references written out here from the model's rules.
 """
 
 import json
@@ -19,10 +21,12 @@ import pytest
 from catwalk import brute, cli, dp
 from catwalk.automaton import State
 from catwalk.model import (
+    DYCK_CAT,
     ENTRY_LAYER,
     INCOMING,
     LAYER_ORDER,
     PRESETS,
+    SKEW_CAT,
     STEP_ORDER,
     CatastropheRule,
     ForbiddenAdjacency,
@@ -34,6 +38,7 @@ from catwalk.model import (
     PathError,
     StepKind,
     validate_path,
+    with_rule,
 )
 from catwalk.sampler import EmptyEnsemble, Sampler
 
@@ -105,6 +110,24 @@ def test_count_with_random_config_file(index, tmp_path, capsys):
         assert capsys.readouterr().out.strip() == str(dp.count(config, 12, final)), flags
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_recurrences_hold_under_random_rules(seed):
+    # any catastrophe rule inside the preset adjacency rules keeps the
+    # step-inflow identities that verify_recurrences writes out
+    rule = random_rule(random.Random(seed))
+    for base in (SKEW_CAT, DYCK_CAT):
+        report = dp.verify_recurrences(with_rule(base, rule), 40)
+        assert report.ok, (base, rule, [c.detail for c in report.failures()])
+
+
+def test_recurrences_fail_outside_the_preset_rules():
+    # model 41 forbids RU but not UR, so red steps follow up-steps
+    report = dp.verify_recurrences(MODELS[41], 40)
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("red-down-inflow", "fails at i=0, coefficient of z^2: 1 != 0")
+    ]
+
+
 EVERY_MODEL = [*PRESETS.values(), *MODELS]
 EVERY_ID = [*PRESETS, *(f"model{i}" for i in range(len(MODELS)))]
 
@@ -135,16 +158,24 @@ def moves_into(config: ModelConfig, prev: tuple) -> dict:
 
 @pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
 def test_backward_step_visits_each_predecessor_by_its_weight(config):
+    # x over range(count) must meet each predecessor (step, layer, level)
+    # that the rules allow, handing on every rank below its count once: in
+    # order, since the predecessors come in order
     step = dp.Transfer(config)
     rows = list(step.rows(12))
     for t in range(1, len(rows)):
         prev, moves = rows[t - 1], moves_into(config, rows[t - 1])
         for layer, vec in enumerate(rows[t]):
             for level, paths in enumerate(vec):
-                seen = Counter(
-                    step.predecessor(prev, layer, level, x) for x in range(paths)
-                )
-                assert seen == moves.get((layer, level), Counter()), (t, layer, level)
+                ranks: dict = {}
+                for x in range(paths):
+                    *move, rank = step.predecessor(prev, layer, level, x)
+                    ranks.setdefault(tuple(move), []).append(rank)
+                assert Counter({m: len(r) for m, r in ranks.items()}) == moves.get(
+                    (layer, level), Counter()
+                ), (t, layer, level)
+                for (_, j, i), r in ranks.items():
+                    assert r == list(range(prev[j][i])), (t, layer, level, j, i)
                 with pytest.raises(RuntimeError):
                     step.predecessor(prev, layer, level, paths)
 

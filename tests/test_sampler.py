@@ -9,31 +9,33 @@ from catwalk import brute, cli, dp, sampler
 from catwalk.model import DYCK, DYCK_CAT, PRESETS, SKEW, SKEW_CAT
 from catwalk.sampler import EmptyEnsemble, Sampler, SamplerSpec, sample
 
-from test_random_models import MODELS
+from test_random_models import EVERY_ID, EVERY_MODEL, MODELS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
-# Seeded draws, recorded once: a change to the sampler must keep the order in
-# which it consumes the RNG, not only the distribution.  Three draws each, at
-# n = 14 for the presets; (final, seed) is ("closed", 11), ("open", 12) or
-# (2, 13).  Random models 4 and 27 forbid UU, so every draw leaves the start
-# by the lone up-step out of (F, 0), and in model 27 also every catastrophe.
+# Seeded draws, recorded again when each draw came to take one rank: a draw
+# calls randrange(total) exactly once, the draws of a batch in draw order,
+# and unranks that number, so a change to the sampler must keep this order
+# of RNG calls, not only the distribution.  Three draws each, at n = 14 for
+# the presets; (final, seed) is ("closed", 11), ("open", 12) or (2, 13).
+# Random models 4 and 27 forbid UU, so every draw leaves the start by the
+# lone up-step out of (F, 0), and in model 27 also every catastrophe.
 PINNED_DRAWS = {
-    ("dyck", "closed"): ["UUUUDDUUUDDDDD", "UUUUUUDDDDDUDD", "UDUUDUUUDDDDUD"],
-    ("dyck", "open"): ["UUUDUDDUDUUDDD", "UUDDUUDDUUDUDD", "UUUDUUUUUDUUUD"],
-    ("dyck", 2): ["UDUDUUUDUDDUDU", "UUUDDUDDUUDUDU", "UUDUUDUUUDDDUD"],
-    ("dyck-cat", "closed"): ["UUUUDUUDDDUDDD", "UUUUUDDUUDUDUC", "UUDUDUUUUDDUUC"],
-    ("dyck-cat", "open"): ["UUUUDUCUUUDDUU", "UUUDUUDDUDCUUU", "UUUDUDUUUUUDDC"],
-    ("dyck-cat", 2): ["UUUUUUUDUUUCUU", "UUUUDUUCUDUUDU", "UUUDUUDUDUUDDD"],
-    ("skew", "closed"): ["UUUUUUUDRRRRRR", "UDUUDUUUDUDRRR", "UUUDUUUDUDDDRD"],
-    ("skew", "open"): ["UUDUUUUUDRDDUD", "UDUUDUDUUUUUUD", "UUUDUDUDDUDDUU"],
-    ("skew", 2): ["UUUUUUDUDDRDUD", "UUUDDDUDUUDUDU", "UUDUUUUUDDUDDD"],
-    ("skew-cat", "closed"): ["UUDUUUUUUDUDRC", "UUUUUUDDUDRDRD", "UDUUDUUDUDDDUD"],
-    ("skew-cat", "open"): ["UUDDUUUUDRRDUD", "UUUDUUDUUUDDRR", "UDUUDUUUCUDUUC"],
-    ("skew-cat", 2): ["UDUUUUDUDUUCUU", "UUUUDUUCUUUDUD", "UUUDUUUDUUDRRR"],
+    ("dyck", "closed"): ["UUDDUUUDUDDUDD", "UUDUDUDUDUUDDD", "UUUUDUUDDUDDDD"],
+    ("dyck", "open"): ["UUDUUDDUUDDUDD", "UDUUUDDUUUDUUU", "UUUDUUDUUUDDDD"],
+    ("dyck", 2): ["UUDDUDUDUUUDDU", "UDUUUDUDDUUDDU", "UDUUDUUUUDDDUD"],
+    ("dyck-cat", "closed"): ["UUUDUUUUDUDCUD", "UUUDDDUDUUUDDD", "UUCUUDUDUCUDUD"],
+    ("dyck-cat", "open"): ["UUDUCUUDUDUUDU", "UDUUDDUUUUUUCU", "UUCUUUCUUCUDUD"],
+    ("dyck-cat", 2): ["UDUUUUCUUCUUDU", "UUUUUUUUDCUUDU", "UDUUUUUDDCUDUU"],
+    ("skew", "closed"): ["UUUUUUUDDRRRDR", "UUDUUUDRDUUDRR", "UUUUUDUUDRRRDR"],
+    ("skew", "open"): ["UDUUDUDDUUDUUD", "UUUUDUUDUUUDDU", "UUUDDUUDUUUUUD"],
+    ("skew", 2): ["UUUDUDUDUDDUUD", "UDUUDUDUUDUDUD", "UDUUUUUUDDRDDU"],
+    ("skew-cat", "closed"): ["UUDUUDUUDUUUUC", "UUUDUDDDUUDUDR", "UUUCUDUUUUUCUD"],
+    ("skew-cat", "open"): ["UDUUDUUUUDRRRD", "UUUUUDDDDUUDDU", "UDUDUUUUUDDUDR"],
+    ("skew-cat", 2): ["UUDUUUUDUDDDDU", "UUDDUUUDUCUUUD", "UUUUDUUUDCUUDU"],
     # (model index, final): closed at n = 12, open at n = 11
-    (4, "closed"): ["UDURUDUDURUR", "URUDUDUDUDUR", "URURURUDURUD"],
-    (4, "open"): ["URURUDUDURU", "URUDUDUDURU", "URURURUDUDU"],
+    (4, "closed"): ["URUDUDURURUR", "URURUDURURUR", "URUDUDURURUR"],
+    (4, "open"): ["UDURURURURU", "URUDUDUDURU", "UDURURUDURU"],
     (27, "closed"): ["UCUCUCUCUCUC"] * 3,
     (27, "open"): ["UCUCUCUCUCU"] * 3,
 }
@@ -126,6 +128,40 @@ def test_every_ensemble_member_is_reachable():
             hits = Counter(str(p) for p in sample(spec, 40 * len(members)))
             assert set(hits) == members
             assert all(15 <= h <= 65 for h in hits.values()), (final, hits)
+
+
+class OneRank:
+    """Stands in for ``random.Random``: answers ``randrange(total)`` with a
+    chosen rank x and counts the calls."""
+
+    def __init__(self, total: int, x: int):
+        self.total, self.x, self.calls = total, x, 0
+
+    def randrange(self, total: int) -> int:
+        assert total == self.total
+        self.calls += 1
+        return self.x
+
+
+@pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
+def test_draws_unrank_each_ensemble_member_once(config):
+    # exact uniformity: one randrange(total) per draw, and the ranks
+    # 0..total-1 give every path of the ensemble exactly once
+    for n in range(9):
+        for final in ("closed", "open", 2):
+            members = sorted(str(p) for p in brute.enumerate_red(config, n, final))
+            if not members:
+                with pytest.raises(EmptyEnsemble):
+                    Sampler(config, n, final)
+                continue
+            s = Sampler(config, n, final)
+            assert s.total == len(members)
+            drawn = []
+            for x in range(s.total):
+                rng = OneRank(s.total, x)
+                drawn.append(str(s.draw(rng)))
+                assert rng.calls == 1
+            assert sorted(drawn) == members, (n, final)
 
 
 def test_reusable_sampler_object():
