@@ -70,6 +70,7 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
         for prev in (None, *steps)
     }
     allows = config.catastrophe.allows
+    up, cat = StepKind.UP, StepKind.CATASTROPHE
     out: list = []
     seq: list = []
     levels = [0]
@@ -80,9 +81,9 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
                 out.append(Path(config, tuple(seq), tuple(levels)))
             return
         for s in options:
-            if s is StepKind.UP:
+            if s is up:
                 nxt = level + 1
-            elif s is StepKind.CATASTROPHE:
+            elif s is cat:
                 if not allows(level):
                     continue
                 nxt = 0

@@ -54,20 +54,25 @@ def _emit(args, **forms) -> None:
     Each form is a zero-argument callable: ``json`` returns the payload,
     ``csv`` the rows with the header first, any other the text itself.
     """
-    value = forms[args.format]()
-    if args.format == "json":
-        text = json.dumps(value, indent=2)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf).writerows(value)
-        text = buf.getvalue().rstrip("\n")
-    else:
-        text = value
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
-    else:
-        print(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact counts run past the digit limit
+    try:
+        value = forms[args.format]()
+        if args.format == "json":
+            text = json.dumps(value, indent=2)
+        elif args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows(value)
+            text = buf.getvalue().rstrip("\n")
+        else:
+            text = value
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                print(text, file=fh)
+        else:
+            print(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _resolve_config(args):

@@ -178,21 +178,25 @@ def fgh0(order: int) -> Series:
 def fj_family(j: int, order: int) -> tuple:
     """The level-j layer series (f_j, g_j, h_j) of the red catastrophe model.
 
-    Uses the product forms f_j = f_0 q^j, g_j = (r2 - z) f_0 q^{j+1},
-    h_j = (r2 - 2z) f_0 q^{j+1} with q = 1/r1.
+    With q = 1/r1, f_j = f_0 q^j, g_j = (r2 - z) f_{j+1}, h_j = g_j - z f_{j+1}.
+    q is a kernel root, so f_{i+1} = (mid f_i - z f_{i-1}) / (z r1 r2) climbs
+    the ladder from f_0 and f_1 = f_0 q; each step's division by z costs one
+    order, so those two start j orders higher.
     """
     if j < 0:
         raise ValueError("level index must be >= 0")
     if j > order:
         # q has valuation 1, so every factor q^j vanishes through z^order
         return (Series.zero(order),) * 3
-    base = f0("skew", order)
-    q = inv_r1("skew", order)
+    k, n = _KERNELS["skew"], order + j
+    prev = f0("skew", n)
+    cur = prev * inv_r1("skew", n)
+    mid, zrp = _poly(k.mid, n), _poly((0, *k.root_product), n)
+    for _ in range(j):
+        prev, cur = cur, (mid * cur - prev.shift_up()) / zrp
     z = _poly((0, 1), order)  # zero at order 0, where Series.z has no room
-    rt = r2("skew", order)
-    fq = base * q.pow(j)
-    tail = base * q.pow(j + 1)
-    return (fq, (rt - z) * tail, (rt - 2 * z) * tail)
+    g = (r2("skew", order) - z) * cur
+    return (prev.truncate(order), g, g - cur.shift_up())
 
 
 def g0(order: int) -> Series:

@@ -14,9 +14,9 @@ extend a series silently.  The only ways to change the order of an existing
 series are the explicit ``truncate`` / ``shift_up`` methods.  Division is
 power-series division with valuation cancellation (so quotients such as
 ``(4z^2 + 2z^4) / (2z)`` are well defined), and ``sqrt`` expands the branch
-of the square root with constant term ``1``.  Both run their coefficient
-recurrences on the numerators with an exact ``divmod`` per step; the
-denominator grows only when a step does not divide.
+of the square root with constant term ``1`` by its D-finite recurrence.
+Both run their coefficient recurrences on the numerators with an exact
+``divmod`` per step; the denominator grows only when a step does not divide.
 """
 
 from __future__ import annotations
@@ -328,36 +328,36 @@ class Series:
     def sqrt(self) -> "Series":
         """The square root with constant term 1.
 
-        Uses the coefficient recurrence obtained from squaring
-        ``r = 1 + r_1 z + r_2 z^2 + ...``:
+        s = sqrt(p) is D-finite: 2 p s' = p' s.  Comparing coefficients of
+        z^(m-1) gives, over the nonzero terms p_j of the radicand,
 
-            r_n = (a_n - sum_{k=1}^{n-1} r_k r_{n-k}) / 2.
+            2 m p_0 s_m = sum_{j>=1} p_j (3j - 2m) s_{m-j},
 
-        It runs on numerators: with ``a = A / d`` and ``r = R / D``,
-        R_n = (A_n D^2 - d S_n) / (2 D d) with S_n = sum_k R_k R_{n-k}.  D
-        grows only when that division is not exact.
+        so each coefficient costs one term per nonzero p_j rather than a
+        convolution.  It runs on numerators: with ``p = A / d`` (A_0 = d)
+        and ``s = R / D``, R_m = (sum_j A_j (3j - 2m) R_{m-j}) / (2 m d).
+        D grows only when that division is not exact.
 
         Raises SqrtDomain unless the constant term is exactly 1.
         """
         if self._n[0] != self._d:
             raise SqrtDomain(f"sqrt needs constant term 1, got {self.coeff(0)}")
-        d = self._d
+        taps = [(j, a) for j, a in enumerate(self._n) if j and a]
         den = 1  # D
         r = [1]
         for m in range(1, len(self._n)):
-            # S_m by symmetry: twice the pairs k < m - k, plus the middle square
-            h = (m - 1) // 2
-            s = 2 * sum(map(mul, r[1 : h + 1], reversed(r[m - h : m])))
-            if not m & 1:
-                s += r[m // 2] ** 2
-            num = self._n[m] * den * den - d * s
-            div2 = 2 * den * d
-            q, rem = divmod(num, div2)
+            num = 0
+            for j, a in taps:
+                if j > m:
+                    break
+                num += a * (3 * j - 2 * m) * r[m - j]
+            div = 2 * m * self._d
+            q, rem = divmod(num, div)
             if rem:
-                g = div2 // gcd(num, div2)
+                g = div // gcd(num, div)
                 den *= g
                 r = [c * g for c in r]
-                q = num * g // div2
+                q = num * g // div
             r.append(q)
         return Series._of(r, den)
 

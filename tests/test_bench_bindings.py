@@ -28,13 +28,14 @@ dp.count_table(model.DYCK, 3)  # the table counter reads CountTable.final_counts
 assert spans.summary()["counters"]["dp.table_entries"] > 0
 
 # the series operators do their work under the names the tracer patches:
-# f0, r2 and 1/r1 each take one square root, and the powers q^2, q^3 run
-# through Series.pow
+# for fj:2 f0, r2 and 1/r1 each take one square root, and the level ladder
+# climbs without powers, so the tail sums' q^2 is what runs through Series.pow
 closedform.series_by_name("fj:2", 20)
+assert spans.summary()["layers"]["series.sqrt"]["calls"] == 3, spans.summary()["layers"]
+closedform.tail_sums(20)
 layers = spans.summary()["layers"]
 for name in ("series.mul", "series.sqrt", "series.div", "series.pow"):
     assert layers.get(name, {}).get("calls", 0) > 0, (name, sorted(layers))
-assert layers["series.sqrt"]["calls"] == 3, layers["series.sqrt"]
 
 # each fixed closed form takes exactly one square root; the expansion
 # workload's exact series.sqrt count rests on these

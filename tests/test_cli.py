@@ -127,6 +127,29 @@ def test_series_csv(capsys):
     assert rows[5] == ["4", "1"]
 
 
+def test_series_prints_counts_past_the_int_digit_limit(capsys):
+    # the largest coefficient through z^2500 has 886 digits, past a limit
+    # of 640 set here in place of the interpreter's default of 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        runs = {
+            fmt: run(capsys, "series", "--gf", "open-skew-cat", "--order", "2500", "--format", fmt)
+            for fmt in ("text", "json", "csv")
+        }
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    want = [str(c) for c in cf.open_total("skew", 2500).as_integers()]
+    assert max(map(len, want)) == 886
+    for fmt, (code, _, err) in runs.items():
+        assert code == 0, (fmt, err)
+    assert runs["text"][1].strip().split(",") == want
+    assert json.loads(runs["json"][1])["coeffs"] == want
+    rows = list(csv.reader(io.StringIO(runs["csv"][1])))
+    assert rows == [["n", "coeff"]] + [[str(n), c] for n, c in enumerate(want)]
+
+
 def test_series_check_dp(capsys):
     code, out, _ = run(
         capsys,

@@ -124,6 +124,18 @@ def test_fj_family_vanishes_beyond_order():
     assert long[0].coeff(7) == 1  # UUUUUUU: f_7 starts right past the cut
 
 
+@pytest.mark.parametrize("n", [*range(13), 60])
+def test_fj_family_matches_the_product_forms(n):
+    # the ladder climbs by the kernel recurrence; the product forms take
+    # powers of q = 1/r1 instead, and vanish for j > n
+    base, q, r2 = cf.f0("skew", n), cf.inv_r1("skew", n), cf.r2("skew", n)
+    z = Series([0, 1][: n + 1], order=n)
+    for j in range(10):
+        tail = base * q.pow(j + 1)
+        want = (base * q.pow(j), (r2 - z) * tail, (r2 - 2 * z) * tail)
+        assert cf.fj_family(j, n) == want, j
+
+
 def test_level_ladder():
     n = 40
     r2 = cf.r2("skew", n)

@@ -271,6 +271,26 @@ def test_engine_sqrt_matches_reference_on_fractional_series():
         assert r * r == Series(a)
 
 
+def test_sqrt_recurrence_runs_over_the_radicand_span():
+    rng = random.Random(6006)
+    # trailing zeros make the span shorter than the order; an odd numerator
+    # at z^1 puts 8 into the denominator of the root's z^2 term (-a_1^2 / 8
+    # plus a_2 / 2), so the root's denominators outgrow the radicand's
+    for den in (1, 2, 3, 5, 7):
+        for _ in range(8):
+            a = [Fraction(1)] + [Fraction(rng.randint(-9, 9), den) for _ in range(rng.randint(1, 6))]
+            if not a[1].numerator % 2:
+                a[1] += Fraction(1, den)
+            a += [Fraction(0)] * rng.randint(1, 12)
+            r = Series(a).sqrt()
+            assert r.coeffs() == tuple(ref_sqrt(a))
+            assert r * r == Series(a)
+            assert max(c.denominator for c in r.coeffs()) > den
+    # span 1, order 0 included: the square root of 1 is 1
+    for k in range(6):
+        assert Series([1], order=k).sqrt() == Series.one(k)
+
+
 def test_engine_pow_is_repeated_product():
     rng = random.Random(6005)
     for _ in range(6):
