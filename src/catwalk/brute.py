@@ -8,8 +8,9 @@ south-east and south-west unit steps that never cross themselves, the
 geometric picture behind the red-step relabelling.  :func:`models_agree`
 confirms the two pictures count (and mean) the same thing.
 
-Everything here is exponential on purpose; the size guards keep calls
-honest rather than fast.
+Every path is still listed explicitly, so the work grows exponentially
+in n and the size guards bound it; but ``enumerate_red`` costs about its
+output times n, not one call per prefix visited.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .model import (
 )
 
 RED_LIMIT = 20
+# steps at the end of each path that enumerate_red takes from its memo of tails
+TAIL = 4
 GEO_LIMIT = 16
 
 # geometric step vectors, in an order mirroring the step order of the
@@ -53,10 +56,14 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     The order of the step alphabet is U < D < R < C.  ``final`` restricts
     the final level (None or "all" for no restriction, "closed" or 0 for the
     axis, any int for that level).  Validation logic is deliberately local:
-    the walk tracks the level itself, and builds the steps that may follow
-    each step from the model's step set and forbidden pairs instead of
-    reading ``ModelConfig.next_steps``, so the result is independent of the
-    DP route.
+    the moves come from the model's step set, forbidden pairs and catastrophe
+    rule, not from ``ModelConfig.next_steps``, so the result is independent
+    of the DP route.
+
+    The last ``TAIL`` steps of every path come from a memo of tails that end
+    as ``final`` asks.  A depth-first walk covers the heads before them, and
+    only heads that some tail completes, so each path costs two tuple
+    concatenations and its ``Path``.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
@@ -64,40 +71,58 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
         raise SizeGuard(f"refusing brute-force enumeration past n={RED_LIMIT}")
     want = normalize_final(final)
     steps = [s for s in STEP_ORDER if s in config.steps]
-    # the steps that may follow each previous step (None: the start), in order
-    follows = {
-        prev: [s for s in steps if (prev, s) not in config.forbidden_pairs]
-        for prev in (None, *steps)
-    }
-    allows = config.catastrophe.allows
+    fires = [config.catastrophe.allows(level) for level in range(n)]
     up, cat = StepKind.UP, StepKind.CATASTROPHE
-    out: list = []
-    seq: list = []
-    levels = [0]
+    legal: dict = {}
+    memo: dict = {}
 
-    def walk(level: int, options: list) -> None:
-        if len(seq) == n:
-            if want is None or level == want:
-                out.append(Path(config, tuple(seq), tuple(levels)))
-            return
-        for s in options:
-            if s is up:
-                nxt = level + 1
-            elif s is cat:
-                if not allows(level):
-                    continue
-                nxt = 0
-            elif level:
-                nxt = level - 1
+    def moves(prev, level: int) -> list:
+        """The legal (step, next level) pairs after ``prev`` at ``level``, in order."""
+        key = (prev, level)
+        if key not in legal:
+            legal[key] = [
+                (s, level + 1 if s is up else 0 if s is cat else level - 1)
+                for s in steps
+                if (prev, s) not in config.forbidden_pairs
+                and (s is up or (fires[level] if s is cat else level > 0))
+            ]
+        return legal[key]
+
+    def tails(prev, level: int, k: int):
+        """The length-k (steps, levels) tails after ``prev`` at ``level``
+        that end as wanted; past ``TAIL`` steps, only whether one exists."""
+        key = (prev, level, k)
+        if key not in memo:
+            if k == 0:
+                memo[key] = [((), ())] if want is None or level == want else []
+            elif k > TAIL:
+                memo[key] = any(tails(s, nxt, k - 1) for s, nxt in moves(prev, level))
             else:
-                continue
-            seq.append(s)
-            levels.append(nxt)
-            walk(nxt, follows[s])
-            seq.pop()
-            levels.pop()
+                memo[key] = [
+                    ((s, *rest), (nxt, *trace))
+                    for s, nxt in moves(prev, level)
+                    for rest, trace in tails(s, nxt, k - 1)
+                ]
+        return memo[key]
 
-    walk(0, follows[None])
+    out: list = []
+    cut = max(n - TAIL, 0)
+
+    def walk(prev, level: int, head: tuple, trace: tuple) -> None:
+        if len(head) == cut:
+            out.extend([
+                Path(config, head + rest, trace + more)
+                for rest, more in tails(prev, level, n - cut)
+            ])
+            return
+        for s, nxt in moves(prev, level):
+            if tails(s, nxt, n - len(head) - 1):
+                walk(s, nxt, head + (s,), trace + (nxt,))
+
+    walk(None, 0, (), (0,))
+    # the nested functions reach each other through closure cells, a cycle
+    # that only the cyclic collector frees; empty the memo now instead
+    memo.clear()
     return out
 
 

@@ -361,7 +361,7 @@ class IllegalCatastrophe(PathError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A validated step sequence together with its level trace.
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from catwalk import brute
@@ -14,11 +16,30 @@ from catwalk.brute import (
 from catwalk.model import (
     DYCK,
     DYCK_CAT,
+    PRESETS,
     SKEW,
     SKEW_CAT,
+    STEP_ORDER,
+    CatastropheRule,
+    PathError,
     parse_steps,
     validate_path,
+    with_rule,
 )
+from test_random_models import MODELS
+
+DEFINITION_MODELS = [
+    *PRESETS.values(),
+    with_rule(DYCK_CAT, CatastropheRule.even_min(2)),
+    with_rule(SKEW_CAT, CatastropheRule.even_min(2)),
+    *MODELS,
+]
+DEFINITION_IDS = [
+    *PRESETS,
+    "dyck-cat-even",
+    "skew-cat-even",
+    *(f"model{i}" for i in range(len(MODELS))),
+]
 
 # the complete census of closed red-model paths of length 6, in the
 # lexicographic order (U < D < R) the enumerator promises
@@ -127,3 +148,50 @@ def test_geo_path_steps_property():
 def test_models_agree_small():
     for n in range(11):
         assert models_agree(n)
+
+
+def _valid_words(config, n: int) -> list:
+    """Every length-n word over the model's alphabet, in step order, that
+    ``validate_path`` accepts: the definition ``enumerate_red`` answers to."""
+    alphabet = [s for s in STEP_ORDER if s in config.steps]
+    out = []
+    for word in itertools.product(alphabet, repeat=n):
+        try:
+            out.append(validate_path(config, word))
+        except PathError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("config", DEFINITION_MODELS, ids=DEFINITION_IDS)
+def test_enumeration_is_the_definition(config):
+    for n in range(8):
+        words = _valid_words(config, n)
+        assert enumerate_red(config, n) == words, n
+        assert enumerate_red(config, n, "closed") == [p for p in words if p.is_closed], n
+        for level in range(n + 2):
+            got = enumerate_red(config, n, level)
+            assert got == [p for p in words if p.final_level == level], (n, level)
+
+
+def test_calls_share_no_memo():
+    fresh = {final: enumerate_red(SKEW_CAT, 9, final) for final in (None, "closed", 3)}
+    again = [enumerate_red(SKEW_CAT, 9, final) for final in ("closed", 3, None, "closed")]
+    assert again == [fresh["closed"], fresh[3], fresh[None], fresh["closed"]]
+
+
+def test_catastrophe_rule_is_read_once_per_level(monkeypatch):
+    # the walk tabulates the rule, so its checks do not grow with the
+    # number of prefixes (a walk that checks it per prefix makes 3,697)
+    n = 12
+    expected = enumerate_red(SKEW_CAT, n)
+    calls = []
+    allows = CatastropheRule.allows
+
+    def counted(self, level):
+        calls.append(level)
+        return allows(self, level)
+
+    monkeypatch.setattr(CatastropheRule, "allows", counted)
+    assert enumerate_red(SKEW_CAT, n) == expected
+    assert 0 < len(calls) <= 4 * (n + 1)

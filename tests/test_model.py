@@ -172,6 +172,18 @@ def test_path_properties():
     assert validate_path(DYCK, [U, D]).final_layer is LayerTag.G
 
 
+def test_path_has_slots_and_value_semantics():
+    p = validate_path(SKEW_CAT, parse_steps("UUUDRDUUC"))
+    q = validate_path(SKEW_CAT, list(p.steps))
+    assert not hasattr(p, "__dict__")
+    assert p == q and p is not q and hash(p) == hash(q)
+    assert len({p, q, validate_path(SKEW_CAT, parse_steps("UUUDRDUUD"))}) == 2
+    assert p != validate_path(DYCK_CAT, parse_steps("UUDDUUC"))
+    assert validate_path(DYCK, [U, D]) != validate_path(DYCK_CAT, [U, D])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.steps = ()
+
+
 def test_level_trace():
     assert validate_path(DYCK_CAT, parse_steps("UUCU")).levels == (0, 1, 2, 0, 1)
 
