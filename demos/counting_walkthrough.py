@@ -8,7 +8,7 @@ the catastrophe step changes.
 """
 
 from catwalk import preset
-from catwalk.dp import count_table
+from catwalk.dp import count, count_table, view_series
 
 N = 12
 
@@ -33,13 +33,15 @@ for n in range(N + 1):
     row = "".join(f"{tables[name].open_count(n):>10}" for name in names)
     print(f"{n:<5}{row}")
 
-# Where do paths of length 8 end?  level_count gives the census by level.
+# Where do paths of length 8 end?  count takes the level as its end condition.
 print()
 print("skew-cat, n=8, paths by final level:")
 for level in range(8 + 1):
-    print(f"  level {level}: {tables['skew-cat'].level_count(8, level)}")
+    print(f"  level {level}: {count(preset('skew-cat'), 8, level)}")
 
-# The same numbers as generating series, straight out of the table.
+# The same numbers as generating series: view_series reads one per
+# (layer, level) view, None meaning any, off the DP's rows.
+closed, total = view_series(preset("skew-cat"), N, [(None, 0), (None, None)])
 print()
-print("f0 for skew-cat   :", tables["skew-cat"].closed_series(N))
-print("open for skew-cat :", tables["skew-cat"].open_series(N))
+print("f0 for skew-cat   :", closed)
+print("open for skew-cat :", total)

@@ -6,12 +6,12 @@ The generating functions for these walks are algebraic: each one is a
 rational expression in z and the square root of a small discriminant
 polynomial.  This script expands the closed forms as exact power series
 and checks them coefficient-by-coefficient against counts produced by
-the transfer-matrix tables, which know nothing about kernels or roots.
+the transfer-matrix DP, which knows nothing about kernels or roots.
 """
 
 from catwalk import LayerTag, preset
 from catwalk import closedform as cf
-from catwalk.dp import count_table
+from catwalk.dp import view_series
 
 ORDER = 60
 
@@ -28,18 +28,22 @@ print("small kernel root, skew model:")
 print("  r2 =", cf.r2("skew", 13))
 
 # --- closed forms vs. brute-force-free counting ----------------------
-table_d = count_table(preset("dyck-cat"), ORDER)
-table_s = count_table(preset("skew-cat"), ORDER)
+# view_series reads the DP's counts at each (layer, level) view, None
+# meaning any: the axis is (None, 0), the open total (None, None).
+axis_d, open_d = view_series(preset("dyck-cat"), ORDER, [(None, 0), (None, None)])
+f0_s, axis_s, open_s = view_series(
+    preset("skew-cat"), ORDER, [(LayerTag.F, 0), (None, 0), (None, None)]
+)
 
 # For the skew model the axis census splits across three channels
 # (plain, after a black down step, after a red one); f0 is the first
 # channel alone and fgh0 is their sum.
 pairs = [
-    ("f0, dyck-cat", cf.f0("dyck", ORDER), table_d.closed_series()),
-    ("open, dyck-cat", cf.open_total("dyck", ORDER), table_d.open_series()),
-    ("f0, skew-cat", cf.f0("skew", ORDER), table_s.layer_series(LayerTag.F, 0)),
-    ("f0+g0+h0, skew-cat", cf.fgh0(ORDER), table_s.closed_series()),
-    ("open, skew-cat", cf.open_total("skew", ORDER), table_s.open_series()),
+    ("f0, dyck-cat", cf.f0("dyck", ORDER), axis_d),
+    ("open, dyck-cat", cf.open_total("dyck", ORDER), open_d),
+    ("f0, skew-cat", cf.f0("skew", ORDER), f0_s),
+    ("f0+g0+h0, skew-cat", cf.fgh0(ORDER), axis_s),
+    ("open, skew-cat", cf.open_total("skew", ORDER), open_s),
 ]
 print()
 for label, closed, dp_side in pairs:

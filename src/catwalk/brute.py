@@ -60,10 +60,11 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     rule, not from ``ModelConfig.next_steps``, so the result is independent
     of the DP route.
 
-    The last ``TAIL`` steps of every path come from a memo of tails that end
-    as ``final`` asks.  A depth-first walk covers the heads before them, and
-    only heads that some tail completes, so each path costs two tuple
-    concatenations and its ``Path``.
+    The last ``TAIL`` steps of every path come from a memo of tails, each
+    held as its steps and its end level, that end as ``final`` asks.  A
+    depth-first walk covers the heads before them, tracking only the level,
+    and steps only into heads that some tail completes, so each path costs
+    one tuple concatenation and its ``Path``.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
@@ -89,37 +90,36 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
         return legal[key]
 
     def tails(prev, level: int, k: int):
-        """The length-k (steps, levels) tails after ``prev`` at ``level``
+        """The length-k (steps, end level) tails after ``prev`` at ``level``
         that end as wanted; past ``TAIL`` steps, only whether one exists."""
         key = (prev, level, k)
         if key not in memo:
             if k == 0:
-                memo[key] = [((), ())] if want is None or level == want else []
+                memo[key] = [((), level)] if want is None or level == want else []
             elif k > TAIL:
                 memo[key] = any(tails(s, nxt, k - 1) for s, nxt in moves(prev, level))
             else:
                 memo[key] = [
-                    ((s, *rest), (nxt, *trace))
+                    ((s, *rest), end)
                     for s, nxt in moves(prev, level)
-                    for rest, trace in tails(s, nxt, k - 1)
+                    for rest, end in tails(s, nxt, k - 1)
                 ]
         return memo[key]
 
     out: list = []
     cut = max(n - TAIL, 0)
 
-    def walk(prev, level: int, head: tuple, trace: tuple) -> None:
+    def walk(prev, level: int, head: tuple) -> None:
         if len(head) == cut:
             out.extend([
-                Path(config, head + rest, trace + more)
-                for rest, more in tails(prev, level, n - cut)
+                Path(config, head + rest, end) for rest, end in tails(prev, level, n - cut)
             ])
             return
         for s, nxt in moves(prev, level):
             if tails(s, nxt, n - len(head) - 1):
-                walk(s, nxt, head + (s,), trace + (nxt,))
+                walk(s, nxt, head + (s,))
 
-    walk(None, 0, (), (0,))
+    walk(None, 0, ())
     # the nested functions reach each other through closure cells, a cycle
     # that only the cyclic collector frees; empty the memo now instead
     memo.clear()

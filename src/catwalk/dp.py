@@ -7,7 +7,10 @@ catastrophe; after a black down-step; after a red down-step).
 :func:`ending` reads one row at a (layer, level) view, None meaning any
 layer or any level.  :func:`count` keeps one rolling row, and so does
 :func:`view_series`, which collects the series of each view the closed-form
-registry names; :class:`CountTable` keeps one row per length.
+registry names.  :class:`CountTable` keeps one row per length and reads
+off it the closed and open counts, the nonzero end-state counts and the
+series of one (layer, level); any other view is :func:`count` or
+:func:`view_series`.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, coefficient by coefficient, the step-inflow identities
@@ -169,16 +172,6 @@ class CountTable:
             raise ValueError(f"length {n} outside table range 0..{self.n_max}")
         return self._rows[n]
 
-    def _series(self, layer: LayerTag | None, level: int | None, order: int | None) -> Series:
-        """Counts ending in (layer, level) for lengths 0..order, all when None."""
-        top = self.n_max if order is None else order
-        if not 0 <= top <= self.n_max:
-            raise ValueError(f"order {order} outside table range 0..{self.n_max}")
-        return Series([ending(row, layer, level) for row in self._rows[: top + 1]])
-
-    def level_count(self, n: int, level: int) -> int:
-        return ending(self._row(n), None, level)
-
     def closed_count(self, n: int) -> int:
         return ending(self._row(n), None, 0)
 
@@ -195,16 +188,11 @@ class CountTable:
         }
 
     def layer_series(self, layer: LayerTag, level: int, order: int | None = None) -> Series:
-        return self._series(layer, level, order)
-
-    def level_series(self, level: int, order: int | None = None) -> Series:
-        return self._series(None, level, order)
-
-    def closed_series(self, order: int | None = None) -> Series:
-        return self._series(None, 0, order)
-
-    def open_series(self, order: int | None = None) -> Series:
-        return self._series(None, None, order)
+        """Counts ending in (layer, level) for lengths 0..order, all when None."""
+        top = self.n_max if order is None else order
+        if not 0 <= top <= self.n_max:
+            raise ValueError(f"order {order} outside table range 0..{self.n_max}")
+        return Series([ending(row, layer, level) for row in self._rows[: top + 1]])
 
 
 def count_table(config: ModelConfig, n_max: int) -> CountTable:

@@ -25,6 +25,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 
@@ -363,26 +364,27 @@ class IllegalCatastrophe(PathError):
 
 @dataclass(frozen=True, slots=True)
 class Path:
-    """A validated step sequence together with its level trace.
+    """A validated step sequence and the level it ends at.
 
-    ``levels`` has one more entry than ``steps``: ``levels[i]`` is the level
-    before step i, and ``levels[-1]`` the final level.
+    The level trace follows from the steps alone, so it is not stored:
+    :attr:`levels` derives it on each access.
     """
 
     config: ModelConfig
     steps: tuple
-    levels: tuple
+    final_level: int
 
     def __len__(self):
         return len(self.steps)
 
     @property
-    def final_level(self) -> int:
-        return self.levels[-1]
-
-    @property
-    def is_closed(self) -> bool:
-        return self.final_level == 0
+    def levels(self) -> tuple:
+        """The level before each step, then the final level: up +1, down -1,
+        catastrophe to 0.  Costs O(n) per access."""
+        up, cat = StepKind.UP, StepKind.CATASTROPHE
+        return tuple(accumulate(
+            self.steps, lambda lv, s: lv + 1 if s is up else 0 if s is cat else lv - 1, initial=0
+        ))
 
     @property
     def final_layer(self) -> LayerTag:
@@ -406,19 +408,19 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
     catastrophe from a non-qualifying level, and NegativeLevel for a
     down-step from level 0.
 
-    Each step costs one lookup in the model's table of the steps that may
-    follow the previous one, plus identity tests.  The first step that fails
-    them is then tested rule by rule, in the order above, to name the error.
+    The walk keeps only the current level.  Each step costs one lookup in
+    the model's table of the steps that may follow the previous one, plus
+    identity tests.  The first step that fails them is then tested rule by
+    rule, in the order above, to name the error.
     """
     steps = tuple(steps)
     follows = config._follows
     allows = config.catastrophe.allows
     up, cat = StepKind.UP, StepKind.CATASTROPHE
     level = 0
-    levels = [0]
     allowed = follows[None]
     try:
-        for s in steps:
+        for i, s in enumerate(steps):
             if s not in allowed:
                 break
             if s is up:
@@ -431,14 +433,11 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
                 level -= 1
             else:
                 break
-            levels.append(level)
             allowed = follows[s]
         else:
-            return Path(config, steps, tuple(levels))
+            return Path(config, steps, level)
     except TypeError:  # an unhashable entry
         pass
-    i = len(levels) - 1
-    s = steps[i]
     if not isinstance(s, StepKind):
         raise IllegalStep(f"not a step kind: {s!r}", i)
     if s not in config.steps:

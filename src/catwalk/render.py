@@ -83,7 +83,8 @@ def to_ascii(path: Path) -> str:
     and a catastrophe as a column of '|'.  The last line is the axis.
     """
     n = len(path.steps)
-    top = max(path.levels)
+    levels = path.levels
+    top = max(levels)
     grid = [[" "] * n for _ in range(top)]  # row r holds band (top-r-1, top-r]
 
     def put(row_level, col, ch):
@@ -91,7 +92,7 @@ def to_ascii(path: Path) -> str:
         grid[top - row_level][col] = ch
 
     for i, s in enumerate(path.steps):
-        before = path.levels[i]
+        before = levels[i]
         if s is StepKind.UP:
             put(before + 1, i, "/")
         elif s is StepKind.DOWN_BLACK:

@@ -28,18 +28,13 @@ from catwalk.model import (
 )
 from test_random_models import MODELS
 
-DEFINITION_MODELS = [
-    *PRESETS.values(),
-    with_rule(DYCK_CAT, CatastropheRule.even_min(2)),
-    with_rule(SKEW_CAT, CatastropheRule.even_min(2)),
-    *MODELS,
-]
-DEFINITION_IDS = [
-    *PRESETS,
-    "dyck-cat-even",
-    "skew-cat-even",
-    *(f"model{i}" for i in range(len(MODELS))),
-]
+VARIANTS = {
+    **PRESETS,
+    "dyck-cat-even": with_rule(DYCK_CAT, CatastropheRule.even_min(2)),
+    "skew-cat-even": with_rule(SKEW_CAT, CatastropheRule.even_min(2)),
+}
+DEFINITION_MODELS = [*VARIANTS.values(), *MODELS]
+DEFINITION_IDS = [*VARIANTS, *(f"model{i}" for i in range(len(MODELS)))]
 
 # the complete census of closed red-model paths of length 6, in the
 # lexicographic order (U < D < R) the enumerator promises
@@ -90,7 +85,7 @@ def test_final_filters_partition():
     by_level = sum(len(enumerate_red(SKEW_CAT, n, k)) for k in range(n + 1))
     assert by_level == len(everything)
     closed = enumerate_red(SKEW_CAT, n, "closed")
-    assert all(p.is_closed for p in closed)
+    assert all(p.final_level == 0 for p in closed)
     assert {str(p) for p in closed} <= {str(p) for p in everything}
 
 
@@ -102,9 +97,11 @@ def test_red_counts_match_frozen_axis_series():
 
 
 def test_validation_agrees_with_enumeration():
-    for p in enumerate_red(SKEW_CAT, 5):
-        again = validate_path(SKEW_CAT, p.steps)
-        assert again.levels == p.levels
+    # == compares the end level the enumerator tracked with the validator's
+    for config in VARIANTS.values():
+        for n in range(9):
+            for p in enumerate_red(config, n):
+                assert validate_path(config, p.steps) == p, p
 
 
 def test_size_guards():
@@ -168,7 +165,7 @@ def test_enumeration_is_the_definition(config):
     for n in range(8):
         words = _valid_words(config, n)
         assert enumerate_red(config, n) == words, n
-        assert enumerate_red(config, n, "closed") == [p for p in words if p.is_closed], n
+        assert enumerate_red(config, n, "closed") == [p for p in words if p.final_level == 0], n
         for level in range(n + 2):
             got = enumerate_red(config, n, level)
             assert got == [p for p in words if p.final_level == level], (n, level)

@@ -79,7 +79,7 @@ def test_layer_resolved_axis_counts():
 def test_counts_partition_by_level_and_state():
     table = dp.count_table(SKEW_CAT, 9)
     n = 9
-    by_level = sum(table.level_count(n, k) for k in range(n + 1))
+    by_level = sum(dp.count(SKEW_CAT, n, k) for k in range(n + 1))
     assert by_level == table.open_count(n)
     by_state = sum(table.final_counts(n).values())
     assert by_state == table.open_count(n)
@@ -89,12 +89,14 @@ def test_counts_partition_by_level_and_state():
 
 def test_series_extraction_consistency():
     table = dp.count_table(SKEW_CAT, 10)
-    levels = [table.level_series(k, 10) for k in range(11)]
+    views = [(None, k) for k in range(11)] + [(None, None)]
+    *levels, total = dp.view_series(SKEW_CAT, 10, views)
     for k, series in enumerate(levels):
         f, g, h = (table.layer_series(layer, k, 10) for layer in (F, G, H))
         assert series == f + g + h
-    assert levels[0] == table.closed_series(10)
-    assert sum(levels, dp.Series.zero(10)) == table.open_series(10)
+    assert levels[0].as_integers() == [table.closed_count(n) for n in range(11)]
+    assert sum(levels, dp.Series.zero(10)) == total
+    assert total.as_integers() == [table.open_count(n) for n in range(11)]
 
 
 def test_table_bounds():

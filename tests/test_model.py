@@ -15,6 +15,7 @@ from catwalk.model import (
     ModelConfig,
     NegativeLevel,
     PRESETS,
+    Path,
     SKEW,
     SKEW_CAT,
     StepKind,
@@ -116,7 +117,7 @@ def test_validate_good_path():
 def test_validate_good_path_with_repeated_catastrophes():
     p = validate_path(DYCK_CAT, parse_steps("UUCUUC"))
     assert p.levels == (0, 1, 2, 0, 1, 2, 0)
-    assert p.is_closed
+    assert p.final_level == 0
 
 
 def test_validate_errors_carry_index():
@@ -160,7 +161,7 @@ def test_red_after_down_is_fine():
 
 def test_path_properties():
     empty = validate_path(DYCK, [])
-    assert empty.final_level == 0 and empty.is_closed
+    assert empty.final_level == 0 and empty.levels == (0,)
     assert empty.final_layer is LayerTag.F
     assert len(empty) == 0
 
@@ -186,6 +187,11 @@ def test_path_has_slots_and_value_semantics():
 
 def test_level_trace():
     assert validate_path(DYCK_CAT, parse_steps("UUCU")).levels == (0, 1, 2, 0, 1)
+
+
+def test_path_stores_steps_and_end_level_only():
+    # the level trace is derived from the steps, not held beside them
+    assert [f.name for f in dataclasses.fields(Path)] == ["config", "steps", "final_level"]
 
 
 def test_parse_steps():

@@ -80,7 +80,9 @@ def test_random_model_routes_agree(config):
         assert table.final_counts(n) == census, n
         words = {str(p) for p in paths}
         for final in (None, 0, rng.randint(1, n + 1)):
-            want = table.open_count(n) if final is None else table.level_count(n, final)
+            want = table.open_count(n) if final is None else sum(
+                c for st, c in table.final_counts(n).items() if st.level == final
+            )
             assert dp.count(config, n, final) == want, (n, final)
             if want == 0:
                 with pytest.raises(EmptyEnsemble):
@@ -180,8 +182,10 @@ def test_backward_step_visits_each_predecessor_by_its_weight(config):
                     step.predecessor(prev, layer, level, paths)
 
 
-def reference_validate(config: ModelConfig, steps) -> Path:
-    """``validate_path`` as a plain loop testing each rule in turn."""
+def reference_validate(config: ModelConfig, steps) -> tuple:
+    """``validate_path`` as a plain loop testing each rule in turn: the Path,
+    and the level trace the loop kept (the level before each step, then the
+    final level)."""
     level = 0
     levels = [0]
     prev = None
@@ -204,11 +208,12 @@ def reference_validate(config: ModelConfig, steps) -> Path:
             level = 0
         levels.append(level)
         prev = s
-    return Path(config, tuple(steps), tuple(levels))
+    return Path(config, tuple(steps), level), tuple(levels)
 
 
 def outcome(validate, config: ModelConfig, steps):
-    """The Path, or the class, index and message of the PathError raised."""
+    """What ``validate`` returns, or the class, index and message of the
+    PathError raised."""
     try:
         return validate(config, steps)
     except PathError as exc:
@@ -232,7 +237,7 @@ def step_sequences(config: ModelConfig, rng: random.Random, count: int):
         for _ in range(n):
             legal = [
                 s for s in STEP_ORDER
-                if isinstance(outcome(reference_validate, config, seq + [s]), Path)
+                if isinstance(outcome(reference_validate, config, seq + [s])[0], Path)
             ]
             if not legal:
                 break
@@ -249,6 +254,9 @@ def test_validate_path_matches_reference(config):
     results = Counter()
     for steps in step_sequences(config, rng, 300):
         want = outcome(reference_validate, config, steps)
-        assert outcome(validate_path, config, steps) == want, steps
-        results[want[0] if isinstance(want, tuple) else Path] += 1
+        got = outcome(validate_path, config, steps)
+        if isinstance(got, Path):
+            got = got, got.levels  # the derived trace against the one the loop kept
+        assert got == want, steps
+        results[Path if isinstance(want[0], Path) else want[0]] += 1
     assert results[Path] and results[IllegalStep], results

@@ -68,7 +68,7 @@ def test_total_counts_match_dp():
         table = dp.count_table(config, 9)
         assert Sampler(config, 9, "all").total == table.open_count(9)
         assert Sampler(config, 8, "closed").total == table.closed_count(8)
-        assert Sampler(config, 9, 3).total == table.level_count(9, 3)
+        assert Sampler(config, 9, 3).total == dp.count(config, 9, 3)
 
 
 def test_seeded_random_final_levels_match_brute():
