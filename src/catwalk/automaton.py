@@ -1,38 +1,28 @@
 """The layered state space of a model and its explicit automaton.
 
-A state is a pair (layer, level): the level is the current height, the layer
-remembers what kind of step got us here (:class:`model.LayerTag`).  Because
-the forbidden adjacencies of a model only ever constrain *consecutive* steps,
-this one-step memory is enough to decide which steps may come next, so paths
-of a model correspond exactly to walks of this automaton from the start
-state (F, 0).
+A state is a pair (layer, level), :class:`dp.State`: the level is the
+current height, the layer remembers what kind of step got us here
+(:class:`model.LayerTag`).  Because the forbidden adjacencies of a model only
+ever constrain *consecutive* steps, this one-step memory is enough to decide
+which steps may come next, so paths of a model correspond exactly to walks
+of this automaton from the start state (F, 0).
 
 ``ModelConfig.next_steps`` is that rule.  The level-vector transfer step of
 :mod:`catwalk.dp` reads it once per layer; :func:`build` spells it out as an
 explicit transition table, truncated at a maximum level.  Walks of length n
 never pass level n, so truncating at (or above) n loses no path.
 
-No counting route walks the explicit table; it stays because the tests read
-its transitions and the benchmark's tracer (``bench/tracer.py``) wraps
-:func:`build`, and :class:`State` stays as the key of
-``dp.CountTable.final_counts``.
+No command imports this module and no counting route walks the table; it
+stays because the tests read its transitions and the benchmark's tracer
+(``bench/tracer.py``) wraps :func:`build`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .dp import State
 from .model import ENTRY_LAYER, INCOMING, LAYER_ORDER, LayerTag, ModelConfig, StepKind
-
-
-@dataclass(frozen=True)
-class State:
-    layer: LayerTag
-    level: int
-
-    def __str__(self):
-        return f"{self.layer.value}{self.level}"
-
 
 START = State(LayerTag.F, 0)
 

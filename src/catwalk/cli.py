@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import brute, dp
@@ -337,13 +338,23 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SeriesError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except BrokenPipeError:
+        raise  # the reader went away: not bad input, see run()
+    except (SeriesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
-    sys.exit(main())
+    """:func:`main` as a process.  A closed stdout ends it silently with 141,
+    the status of a writer killed by SIGPIPE, as in ``yes | head``."""
+    try:
+        status = main()
+        sys.stdout.flush()  # a broken pipe surfaces here, not at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet the exit flush
+        sys.exit(141)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ catastrophe; after a black down-step; after a red down-step).
 layer or any level.  :func:`count` keeps one rolling row, and so does
 :func:`view_series`, which collects the series of each view the closed-form
 registry names.  :class:`CountTable` keeps one row per length and reads
-off it the closed and open counts, the nonzero end-state counts and the
-series of one (layer, level); any other view is :func:`count` or
-:func:`view_series`.
+off it the closed and open counts, the nonzero end-state counts keyed by
+:class:`State` and the series of one (layer, level); any other view is
+:func:`count` or :func:`view_series`.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, coefficient by coefficient, the step-inflow identities
@@ -24,13 +24,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
-from .automaton import State
 from .model import INCOMING, LAYER_ORDER, STEP_ORDER, FinalSpec, LayerTag, ModelConfig
 from .model import normalize_final
 from .series import Series
 
 UP, DOWN_BLACK, DOWN_RED, CATASTROPHE = STEP_ORDER
+
+
+class State(NamedTuple):
+    """An end state, the index of the paper's series f_j, g_j and h_j."""
+
+    layer: LayerTag
+    level: int
 
 
 class Transfer:

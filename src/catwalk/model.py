@@ -56,7 +56,7 @@ _CHAR_STEP = {s.char: s for s in STEP_ORDER}
 
 
 class LayerTag(Enum):
-    """Memory of the last step kind, as used by the layered automaton.
+    """Memory of the last step kind: the layer of a DP end state (``dp.State``).
 
     F: at the start, after an up-step, or after a catastrophe.
     G: after a black down-step.

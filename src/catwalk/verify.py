@@ -11,6 +11,7 @@ text or JSON output.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from . import brute, closedform as cf, dp
 from .dp import Check, Report
@@ -63,14 +64,6 @@ def _suite_recurrences(order: int, max_n: int) -> list:
     return checks
 
 
-def _state_census(paths) -> dict:
-    out: dict = {}
-    for p in paths:
-        key = (p.final_layer, p.final_level)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 def _suite_oracle(order: int, max_n: int) -> list:
     checks = []
     variants = dict(sorted(PRESETS.items()))
@@ -80,11 +73,8 @@ def _suite_oracle(order: int, max_n: int) -> list:
         table = dp.count_table(config, max_n)
         bad = None
         for n in range(max_n + 1):
-            census = _state_census(brute.enumerate_red(config, n))
-            from_dp = {
-                (st.layer, st.level): c for st, c in table.final_counts(n).items()
-            }
-            if census != from_dp:
+            paths = brute.enumerate_red(config, n)
+            if Counter((p.final_layer, p.final_level) for p in paths) != table.final_counts(n):
                 bad = n
                 break
         checks.append(

@@ -517,3 +517,22 @@ def test_module_entry_points(module):
         timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "2\n")
+
+
+def test_closed_stdout_ends_silently_with_sigpipe_status():
+    # about 1.6 MB of text: far more than a pipe buffers, so the writer is
+    # still writing when the reader closes its end after the first line
+    src = pathlib.Path(catwalk.__file__).parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-m", "catwalk", "series", "--gf", "open-skew-cat", "--order", "3000",
+         "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src)},
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"n,coeff\r\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+        finally:
+            proc.kill()

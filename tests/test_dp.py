@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 
-from catwalk import dp
-from catwalk.automaton import State
+from catwalk import brute, dp
+from catwalk.dp import State
 from catwalk.model import (
     CatastropheRule,
     DYCK,
@@ -85,6 +86,15 @@ def test_counts_partition_by_level_and_state():
     assert by_state == table.open_count(n)
     axis = [table.final_counts(n).get(State(layer, 0), 0) for layer in (F, G, H)]
     assert sum(axis) == table.closed_count(n)
+
+
+def test_end_state_is_a_plain_layer_level_tuple():
+    assert State._fields == ("layer", "level")
+    assert State(H, 3) == (H, 3) and hash(State(H, 3)) == hash((H, 3))
+    table = dp.count_table(SKEW_CAT, 8)
+    for n in range(9):
+        census = Counter((p.final_layer, p.final_level) for p in brute.enumerate_red(SKEW_CAT, n))
+        assert table.final_counts(n) == dict(census), n
 
 
 def test_series_extraction_consistency():

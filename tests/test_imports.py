@@ -7,6 +7,7 @@ up here even on a code path no other test runs.
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import catwalk
@@ -54,3 +55,21 @@ def test_routes_import_only_what_they_promise():
     for module, allowed in ALLOWED.items():
         package = {name for name in _imports(module) if name.partition(".")[0] == "catwalk"}
         assert package <= {f"catwalk.{m}" for m in allowed}, (module, package)
+
+
+def test_only_the_automaton_imports_the_automaton():
+    # the explicit table is a leaf for its tests and the benchmark tracer
+    for module in MODULES:
+        if module != "automaton":
+            assert "catwalk.automaton" not in _imports(module), module
+
+
+def test_cli_import_leaves_the_automaton_unloaded():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, catwalk.cli; print('catwalk.automaton' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

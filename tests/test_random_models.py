@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 
 from catwalk import brute, cli, dp
-from catwalk.automaton import State
+from catwalk.dp import State
 from catwalk.model import (
     DYCK_CAT,
     ENTRY_LAYER,
