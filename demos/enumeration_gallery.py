@@ -26,7 +26,7 @@ print()
 
 for path in red:
     word = str(path)
-    vertices = red_to_geometric(path).vertices
+    vertices = red_to_geometric(path)
     print(f"{word}   {vertices}")
     art = to_ascii(path)
     for line in art.splitlines():

@@ -5,8 +5,9 @@ sequences of a :class:`model.ModelConfig` directly, using only the model's
 own validation rules.  :func:`enumerate_geometric` knows nothing about
 models: it enumerates genuinely two-dimensional paths built from north-east,
 south-east and south-west unit steps that never cross themselves, the
-geometric picture behind the red-step relabelling.  :func:`models_agree`
-confirms the two pictures count (and mean) the same thing.
+geometric picture behind the red-step relabelling, each as its tuple of
+(x, y) vertices from (0, 0).  :func:`models_agree` confirms the two
+pictures count (and mean) the same thing.
 
 Every path is still listed explicitly, so the work grows exponentially
 in n and the size guards bound it; but ``enumerate_red`` costs about its
@@ -15,7 +16,7 @@ output times n, not one call per prefix visited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 
 from .model import (
     STEP_ORDER,
@@ -126,34 +127,13 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class GeoPath:
-    """A two-dimensional path as its vertex list, starting at (0, 0)."""
-
-    vertices: tuple
-
-    @property
-    def final_height(self) -> int:
-        return self.vertices[-1][1]
-
-    @property
-    def steps(self) -> tuple:
-        vs = self.vertices
-        return tuple(
-            (vs[i + 1][0] - vs[i][0], vs[i + 1][1] - vs[i][1])
-            for i in range(len(vs) - 1)
-        )
-
-    def __len__(self):
-        return len(self.vertices) - 1
-
-
 def enumerate_geometric(n: int, final: FinalSpec = None) -> list:
     """All length-n non-self-crossing paths from (0,0) over {NE, SE, SW}.
 
-    Paths stay at height >= 0 and may not traverse the same ground twice:
-    no two steps may cover the same segment of the plane, in either
-    direction.  Sharing vertices is fine (SE then SW makes a perfectly
+    Each path is its tuple of n + 1 (x, y) vertices; the last one's y is its
+    final height.  Paths stay at height >= 0 and may not traverse the same
+    ground twice: no two steps may cover the same segment of the plane, in
+    either direction.  Sharing vertices is fine (SE then SW makes a perfectly
     legal spike).  Overlap is detected by segment midpoints: in doubled
     coordinates every unit segment has an integer midpoint that identifies
     it regardless of direction.
@@ -170,7 +150,7 @@ def enumerate_geometric(n: int, final: FinalSpec = None) -> list:
     def walk(x: int, y: int) -> None:
         if len(verts) == n + 1:
             if want is None or y == want:
-                out.append(GeoPath(tuple(verts)))
+                out.append(tuple(verts))
             return
         for dx, dy in GEO_STEPS:
             ny = y + dy
@@ -189,8 +169,8 @@ def enumerate_geometric(n: int, final: FinalSpec = None) -> list:
     return out
 
 
-def red_to_geometric(path: Path) -> GeoPath:
-    """Relabel a red-model path (no catastrophes) into its geometric form."""
+def red_to_geometric(path: Path) -> tuple:
+    """Relabel a red-model path (no catastrophes) into its tuple of vertices."""
     x, y = 0, 0
     verts = [(0, 0)]
     for s in path.steps:
@@ -199,27 +179,21 @@ def red_to_geometric(path: Path) -> GeoPath:
         dx, dy = _RED_TO_GEO[s]
         x, y = x + dx, y + dy
         verts.append((x, y))
-    return GeoPath(tuple(verts))
+    return tuple(verts)
 
 
-def models_agree(n: int, final: FinalSpec = None) -> bool:
+def models_agree(n: int) -> bool:
     """Do the red and geometric enumerations of length n match exactly?
 
-    Checks that relabelling the red paths yields precisely the set of
-    geometric paths, with no collisions, and that the per-final-level
-    census is identical.
+    Relabelling the red paths must yield the geometric paths with no
+    collisions, and the red end levels the same census as the last
+    vertices' heights.
     """
-    red = enumerate_red(SKEW, n, final)
-    geo = enumerate_geometric(n, final)
-    mapped = [red_to_geometric(p) for p in red]
-    if len(set(mapped)) != len(mapped):
-        return False
-    if set(mapped) != set(geo):
-        return False
-    by_level_red: dict = {}
-    for p in red:
-        by_level_red[p.final_level] = by_level_red.get(p.final_level, 0) + 1
-    by_level_geo: dict = {}
-    for p in geo:
-        by_level_geo[p.final_height] = by_level_geo.get(p.final_height, 0) + 1
-    return by_level_red == by_level_geo
+    red = enumerate_red(SKEW, n)
+    geo = enumerate_geometric(n)
+    mapped = {red_to_geometric(p) for p in red}
+    return (
+        len(mapped) == len(red)
+        and mapped == set(geo)
+        and Counter(p.final_level for p in red) == Counter(g[-1][1] for g in geo)
+    )

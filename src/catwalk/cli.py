@@ -171,9 +171,9 @@ def cmd_series(args) -> int:
     match = {"dp_match": True} if args.check_dp else {}
     _emit(
         args,
-        text=lambda: ",".join(str(c) for c in s.coeffs()),
+        text=lambda: ",".join(s.to_json()),
         json=lambda: {"gf": args.gf, "order": args.order, "coeffs": s.to_json(), **match},
-        csv=lambda: [["n", "coeff"], *([n, str(c)] for n, c in enumerate(s.coeffs()))],
+        csv=lambda: [["n", "coeff"], *enumerate(s.to_json())],
     )
     return 0
 

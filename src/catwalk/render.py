@@ -27,7 +27,7 @@ def path_vertices(path: Path, geometry: str = "red") -> list:
         return list(enumerate(path.levels))
     if StepKind.CATASTROPHE in path.steps:
         raise ValueError("catastrophe steps cannot be drawn in sw geometry")
-    return list(brute.red_to_geometric(path).vertices)
+    return list(brute.red_to_geometric(path))
 
 
 _SVG_STROKE = {

@@ -5,7 +5,6 @@ import pytest
 from catwalk import brute
 from catwalk.brute import (
     GEO_LIMIT,
-    GeoPath,
     RED_LIMIT,
     SizeGuard,
     enumerate_geometric,
@@ -60,8 +59,16 @@ def test_closed_skew_length_6_census():
 def test_geometric_length_6_census():
     paths = enumerate_geometric(6, "closed")
     assert len(paths) == 10
-    assert all(p.vertices[0] == (0, 0) for p in paths)
-    assert all(p.final_height == 0 for p in paths)
+    assert all(p[0] == (0, 0) and p[-1][1] == 0 for p in paths)
+
+
+def test_geometric_paths_are_vertex_tuples():
+    red = enumerate_red(SKEW, 6)
+    geo = enumerate_geometric(6)
+    for g in [*geo, *map(red_to_geometric, red)]:
+        assert type(g) is tuple and len(g) == 7
+        assert all(type(v) is tuple and len(v) == 2 for v in g)
+        assert all(type(c) is int for v in g for c in v)
 
 
 def test_lex_order_includes_catastrophes_last():
@@ -114,37 +121,56 @@ def test_size_guards():
 
 
 def test_geometric_blocks_immediate_backtrack():
-    # NE followed by SW would retrace the same segment; the enumerator
-    # must never produce it
-    for p in enumerate_geometric(2):
-        assert p.steps != (brute.NE, brute.SW)
+    # NE followed by SW would retrace the same segment back to (0, 0); of
+    # the three two-step words from the origin only NE NE and NE SE remain
+    assert enumerate_geometric(2) == [
+        ((0, 0), (1, 1), (2, 2)),
+        ((0, 0), (1, 1), (2, 0)),
+    ]
 
 
 def test_geometric_allows_vertex_sharing_spike():
     # NE NE SE SW: the SE and SW steps share their meeting vertex but no
     # ground, so the path is legal
-    spike = GeoPath(((0, 0), (1, 1), (2, 2), (3, 1), (2, 0)))
+    spike = ((0, 0), (1, 1), (2, 2), (3, 1), (2, 0))
     assert spike in enumerate_geometric(4, "closed")
 
 
 def test_red_to_geometric():
     p = validate_path(SKEW, parse_steps("UUDR"))
     g = red_to_geometric(p)
-    assert g.vertices == ((0, 0), (1, 1), (2, 2), (3, 1), (2, 0))
-    assert g.final_height == p.final_level
+    assert g == ((0, 0), (1, 1), (2, 2), (3, 1), (2, 0))
+    assert g[-1][1] == p.final_level
     with pytest.raises(ValueError):
         red_to_geometric(validate_path(SKEW_CAT, parse_steps("UUC")))
-
-
-def test_geo_path_steps_property():
-    g = GeoPath(((0, 0), (1, 1), (2, 0)))
-    assert g.steps == (brute.NE, brute.SE)
-    assert len(g) == 2
 
 
 def test_models_agree_small():
     for n in range(11):
         assert models_agree(n)
+
+
+def test_models_agree_catches_a_collision(monkeypatch):
+    # the relabelling sends the second red path onto the first
+    red = enumerate_red(SKEW, 4)
+    relabel = brute.red_to_geometric
+    monkeypatch.setattr(
+        brute, "red_to_geometric", lambda p: relabel(red[0] if p == red[1] else p)
+    )
+    assert not models_agree(4)
+
+
+def test_models_agree_catches_a_moved_vertex(monkeypatch):
+    # the relabelling lifts the last vertex of one red path by two
+    red = enumerate_red(SKEW, 4)
+    relabel = brute.red_to_geometric
+
+    def shifted(p):
+        g = relabel(p)
+        return g[:-1] + ((g[-1][0], g[-1][1] + 2),) if p == red[0] else g
+
+    monkeypatch.setattr(brute, "red_to_geometric", shifted)
+    assert not models_agree(4)
 
 
 def _valid_words(config, n: int) -> list:

@@ -32,6 +32,21 @@ def test_report_json_matches_schema():
     assert all(c["status"] == "pass" for c in data["checks"])
 
 
+def test_kernel_failure_names_first_coefficient(monkeypatch):
+    def planted(model, order):
+        return Series([0, 0, 0, 5], order=order)
+
+    monkeypatch.setattr(cf, "kernel_residual", planted)
+    report = verify.run_suite("kernel", order=20, max_n=4)
+    roots = [c for c in report.checks if c.name.startswith("kernel-root-")]
+    assert len(roots) == len(cf.MODELS)
+    for c in roots:
+        assert not c.ok
+        assert "coefficient of z^3" in c.detail
+        assert c.detail == "fails at K(r2), coefficient of z^3: 5 != 0"
+    assert all(c.ok for c in report.checks if c.name.startswith("reciprocal-root-"))
+
+
 def test_suite_arguments():
     with pytest.raises(ValueError):
         verify.run_suite("everything")
