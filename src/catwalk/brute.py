@@ -33,6 +33,10 @@ RED_LIMIT = 20
 TAIL = 4
 GEO_LIMIT = 16
 
+# render.py's pictures: "red", a step right per letter, and "sw", red_to_geometric's;
+# named here so that the CLI parser offers them without importing render
+GEOMETRIES = ("red", "sw")
+
 # geometric step vectors, in an order mirroring the step order of the
 # red model: north-east ~ up, south-east ~ down black, south-west ~ down red
 NE = (1, 1)
@@ -182,14 +186,16 @@ def red_to_geometric(path: Path) -> tuple:
     return tuple(verts)
 
 
-def models_agree(n: int) -> bool:
+def models_agree(n: int, red: list | None = None) -> bool:
     """Do the red and geometric enumerations of length n match exactly?
 
     Relabelling the red paths must yield the geometric paths with no
     collisions, and the red end levels the same census as the last
-    vertices' heights.
+    vertices' heights.  ``red`` is ``enumerate_red(SKEW, n)`` if the caller
+    already holds it.
     """
-    red = enumerate_red(SKEW, n)
+    if red is None:
+        red = enumerate_red(SKEW, n)
     geo = enumerate_geometric(n)
     mapped = {red_to_geometric(p) for p in red}
     return (

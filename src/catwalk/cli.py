@@ -13,7 +13,6 @@ built, and ``--out FILE`` receives exactly the bytes stdout would print.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -21,7 +20,6 @@ import sys
 
 from . import brute, dp
 from . import closedform as cf
-from . import render as render_mod
 from . import sampler as sampler_mod
 from . import verify as verify_mod
 from .model import (
@@ -62,6 +60,8 @@ def _emit(args, **forms) -> None:
         if args.format == "json":
             text = json.dumps(value, indent=2)
         elif args.format == "csv":
+            import csv
+
             buf = io.StringIO()
             csv.writer(buf).writerows(value)
             text = buf.getvalue().rstrip("\n")
@@ -217,6 +217,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render
+
     _, config = _resolve_config(args)
     path = validate_path(config, parse_steps(args.path))
     if args.format == "text" and args.geometry != "red":
@@ -224,14 +226,14 @@ def cmd_render(args) -> int:
 
     _emit(
         args,
-        svg=lambda: render_mod.to_svg(path, args.geometry),
-        text=lambda: render_mod.to_ascii(path),
+        svg=lambda: render.to_svg(path, args.geometry),
+        text=lambda: render.to_ascii(path),
         json=lambda: {
             "path": str(path),
             "geometry": args.geometry,
-            "vertices": render_mod.path_vertices(path, args.geometry),
+            "vertices": render.path_vertices(path, args.geometry),
         },
-        csv=lambda: [["x", "y"], *render_mod.path_vertices(path, args.geometry)],
+        csv=lambda: [["x", "y"], *render.path_vertices(path, args.geometry)],
     )
     return 0
 
@@ -313,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--path", required=True, metavar="STEPS", help="compact path, e.g. UUUUDRC")
     pr.add_argument(
         "--geometry",
-        choices=render_mod.GEOMETRIES,
+        choices=brute.GEOMETRIES,
         default="red",
         help="red: one step right per letter; sw: red steps travel south-west",
     )

@@ -22,7 +22,6 @@ the per-(layer, level) generating functions must satisfy.  Its
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
@@ -210,8 +209,7 @@ def count_table(config: ModelConfig, n_max: int) -> CountTable:
 # -- checks, reports and recurrence verification ---------------------------
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One named pass/fail result; ``detail`` says what held or what broke."""
 
     name: str
@@ -219,8 +217,7 @@ class Check:
     detail: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """The checks of one verify suite or of one recurrence system."""
 
     name: str

@@ -20,10 +20,9 @@ the red model a faithful relabelling of non-crossing geometric paths
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
@@ -86,13 +85,17 @@ class ConfigError(ValueError):
     """A model configuration that the package cannot represent."""
 
 
+# A namedtuple's _make, and with it _replace, skips a subclass's __new__ and
+# checks the field count with len(); the value types below build through the class.
+_make_by_new = classmethod(lambda cls, fields: cls(*fields))
+
+
 def _is_level(value) -> bool:
     """An integer level >= 1; JSON booleans and floats such as 2.5 are not."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-@dataclass(frozen=True)
-class CatastropheRule:
+class CatastropheRule(namedtuple("CatastropheRule", "kind k levels")):
     """Which levels are allowed to fire a catastrophe.
 
     ``kind`` is one of "none", "min_level" (every level >= k), "even_min"
@@ -100,26 +103,23 @@ class CatastropheRule:
     can never fire one: a catastrophe must actually fall.
     """
 
-    kind: str
-    k: int = 0
-    levels: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.kind == "none":
-            pass
-        elif self.kind in ("min_level", "even_min"):
-            if not _is_level(self.k):
-                raise ConfigError(
-                    f"{self.kind} rule needs an integer threshold k >= 1, got {self.k!r}"
-                )
-        elif self.kind == "levels":
-            object.__setattr__(self, "levels", frozenset(self.levels))
-            if not all(_is_level(lv) for lv in self.levels):
+    def __new__(cls, kind: str, k: int = 0, levels: frozenset = frozenset()):
+        if kind in ("min_level", "even_min"):
+            if not _is_level(k):
+                raise ConfigError(f"{kind} rule needs an integer threshold k >= 1, got {k!r}")
+        elif kind == "levels":
+            levels = frozenset(levels)
+            if not all(_is_level(lv) for lv in levels):
                 raise ConfigError("explicit catastrophe levels must all be integers >= 1")
+        elif kind != "none":
+            raise ConfigError(f"unknown catastrophe rule kind {kind!r}")
+        self = super().__new__(cls, kind, k, levels)
+        if kind == "levels":
             # sorted once for firing(); not a field, so ==, hash and repr ignore it
-            object.__setattr__(self, "_ascending", sorted(self.levels))
-        else:
-            raise ConfigError(f"unknown catastrophe rule kind {self.kind!r}")
+            self._ascending = sorted(levels)
+        return self
+
+    _make = _make_by_new
 
     @classmethod
     def none(cls) -> "CatastropheRule":
@@ -188,26 +188,19 @@ def _distinct(items: list, where: str) -> None:
         raise ConfigError(f"{where} must be an array without repeats, got {items!r}")
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")):
     """An immutable path model: step set, forbidden adjacencies, catastrophe rule."""
 
-    steps: frozenset
-    forbidden_pairs: frozenset
-    catastrophe: CatastropheRule = CatastropheRule.none()
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", frozenset(self.steps))
-        object.__setattr__(
-            self, "forbidden_pairs", frozenset(tuple(p) for p in self.forbidden_pairs)
-        )
-        if StepKind.CATASTROPHE not in self.steps:
+    def __new__(cls, steps, forbidden_pairs, catastrophe=CatastropheRule.none()):
+        steps = frozenset(steps)
+        forbidden_pairs = frozenset(tuple(p) for p in forbidden_pairs)
+        if StepKind.CATASTROPHE not in steps:
             # a rule for a step the model lacks fires nothing: one canonical form
-            object.__setattr__(self, "catastrophe", CatastropheRule.none())
-        for s in self.steps:
+            catastrophe = CatastropheRule.none()
+        for s in steps:
             if not isinstance(s, StepKind):
                 raise ConfigError(f"not a step kind: {s!r}")
-        for pair in self.forbidden_pairs:
+        for pair in forbidden_pairs:
             if len(pair) != 2 or not all(isinstance(s, StepKind) for s in pair):
                 raise ConfigError(f"forbidden pair must be two step kinds, got {pair!r}")
             if pair[0] is StepKind.CATASTROPHE:
@@ -217,18 +210,18 @@ class ModelConfig:
                 raise ConfigError(
                     "forbidden pairs starting with a catastrophe are not supported"
                 )
+        self = super().__new__(cls, steps, forbidden_pairs, catastrophe)
         # For each previous step (None at the start), the steps that may come
         # next; read by validate_path.  It is not a field, so ==, hash and
         # to_json do not see it, and it is built from the model's own sets
         # rather than from next_steps, the rule the DP reads.
-        object.__setattr__(
-            self,
-            "_follows",
-            {
-                prev: frozenset(s for s in self.steps if (prev, s) not in self.forbidden_pairs)
-                for prev in (None, *self.steps)
-            },
-        )
+        self._follows = {
+            prev: frozenset(s for s in steps if (prev, s) not in forbidden_pairs)
+            for prev in (None, *steps)
+        }
+        return self
+
+    _make = _make_by_new
 
     def next_steps(self, came_by) -> tuple:
         """The steps that may follow a ``came_by`` step (None: any), in canonical order."""
@@ -275,7 +268,7 @@ class ModelConfig:
 
 def with_rule(config: ModelConfig, rule: CatastropheRule) -> ModelConfig:
     """A copy of ``config`` with a different catastrophe rule."""
-    return dataclasses.replace(config, catastrophe=rule)
+    return ModelConfig(config.steps, config.forbidden_pairs, rule)
 
 
 # -- presets ---------------------------------------------------------------
@@ -362,17 +355,15 @@ class IllegalCatastrophe(PathError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(namedtuple("Path", "config steps final_level")):
     """A validated step sequence and the level it ends at.
 
     The level trace follows from the steps alone, so it is not stored:
-    :attr:`levels` derives it on each access.
+    :attr:`levels` derives it on each access.  ``len`` is the number of steps.
     """
 
-    config: ModelConfig
-    steps: tuple
-    final_level: int
+    __slots__ = ()
+    _make = _make_by_new
 
     def __len__(self):
         return len(self.steps)

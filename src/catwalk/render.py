@@ -10,9 +10,8 @@ paths without catastrophes.
 from __future__ import annotations
 
 from . import brute
+from .brute import GEOMETRIES
 from .model import Path, StepKind
-
-GEOMETRIES = ("red", "sw")
 
 
 def path_vertices(path: Path, geometry: str = "red") -> list:

@@ -13,7 +13,7 @@ path has probability exactly 1/total; no floats are involved at any point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dp
 from .model import FinalSpec, ModelConfig, Path, normalize_final, validate_path
@@ -23,8 +23,7 @@ class EmptyEnsemble(ValueError):
     """No path satisfies the requested length and end condition."""
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
+class SamplerSpec(NamedTuple):
     """What to sample: model, path length, end condition, and seed."""
 
     config: ModelConfig

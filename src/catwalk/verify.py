@@ -65,11 +65,15 @@ def _suite_oracle(order: int, max_n: int) -> list:
     variants = dict(sorted(PRESETS.items()))
     variants["dyck-cat-even"] = with_rule(DYCK_CAT, CatastropheRule.even_min(2))
     variants["skew-cat-even"] = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
+    geo_cap = min(max_n, 12)
+    skew = {}  # n -> the red paths of SKEW, for the geometric comparison below
     for name, config in variants.items():
         table = dp.count_table(config, max_n)
         bad = None
         for n in range(max_n + 1):
             paths = brute.enumerate_red(config, n)
+            if name == "skew" and n <= geo_cap:
+                skew[n] = paths
             if Counter((p.final_layer, p.final_level) for p in paths) != table.final_counts(n):
                 bad = n
                 break
@@ -82,10 +86,9 @@ def _suite_oracle(order: int, max_n: int) -> list:
                 else f"census mismatch at n={bad}",
             )
         )
-    geo_cap = min(max_n, 12)
     bad = None
     for n in range(geo_cap + 1):
-        if not brute.models_agree(n):
+        if not brute.models_agree(n, skew.get(n)):
             bad = n
             break
     checks.append(

@@ -150,6 +150,13 @@ def test_models_agree_small():
         assert models_agree(n)
 
 
+def test_models_agree_reads_the_red_paths_it_is_given():
+    red = enumerate_red(SKEW, 5)
+    assert models_agree(5, red)
+    assert not models_agree(5, red[1:])
+    assert not models_agree(5, enumerate_red(SKEW, 4))
+
+
 def test_models_agree_catches_a_collision(monkeypatch):
     # the relabelling sends the second red path onto the first
     red = enumerate_red(SKEW, 4)

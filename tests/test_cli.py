@@ -536,3 +536,28 @@ def test_closed_stdout_ends_silently_with_sigpipe_status():
             assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
         finally:
             proc.kill()
+
+
+def test_cli_import_loads_no_module_a_command_may_not_run():
+    # dataclasses costs its import of inspect and ast; render and csv load on first use
+    src = pathlib.Path(catwalk.__file__).parents[1]
+    lazy = ("dataclasses", "csv", "catwalk.render", "catwalk.automaton")
+    probe = f"import sys, catwalk.cli; print([m for m in {lazy} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_render_help_offers_the_geometries_render_draws(capsys):
+    from catwalk import render
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["render", "--help"])
+    assert exc.value.code == 0
+    assert f"--geometry {{{','.join(render.GEOMETRIES)}}}" in capsys.readouterr().out
+    assert render.GEOMETRIES == ("red", "sw")

@@ -1,7 +1,10 @@
-import dataclasses
+
+import itertools
 
 import jsonschema
 import pytest
+
+from catwalk.dp import Check
 
 from catwalk.model import (
     CatastropheRule,
@@ -16,6 +19,7 @@ from catwalk.model import (
     NegativeLevel,
     PRESETS,
     Path,
+    PathError,
     SKEW,
     SKEW_CAT,
     StepKind,
@@ -25,6 +29,8 @@ from catwalk.model import (
     validate_path,
     with_rule,
 )
+
+from catwalk.sampler import SamplerSpec
 
 from conftest import load_schema
 
@@ -145,11 +151,7 @@ def test_validate_reads_an_iterator_once():
 
 def test_validation_table_is_not_a_config_field():
     # ==, hash, repr and to_json read the fields alone
-    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-        "steps",
-        "forbidden_pairs",
-        "catastrophe",
-    ]
+    assert ModelConfig._fields == ("steps", "forbidden_pairs", "catastrophe")
 
 
 def test_red_after_down_is_fine():
@@ -181,8 +183,10 @@ def test_path_has_slots_and_value_semantics():
     assert len({p, q, validate_path(SKEW_CAT, parse_steps("UUUDRDUUD"))}) == 2
     assert p != validate_path(DYCK_CAT, parse_steps("UUDDUUC"))
     assert validate_path(DYCK, [U, D]) != validate_path(DYCK_CAT, [U, D])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         p.steps = ()
+    # _replace builds through the class, whose len() counts steps, not fields
+    assert p._replace(final_level=0) == Path(p.config, p.steps, 0) and len(p) == 9
 
 
 def test_level_trace():
@@ -191,7 +195,7 @@ def test_level_trace():
 
 def test_path_stores_steps_and_end_level_only():
     # the level trace is derived from the steps, not held beside them
-    assert [f.name for f in dataclasses.fields(Path)] == ["config", "steps", "final_level"]
+    assert Path._fields == ("config", "steps", "final_level")
 
 
 def test_parse_steps():
@@ -276,6 +280,74 @@ def test_with_rule_replaces_only_rule():
     assert even.forbidden_pairs == SKEW_CAT.forbidden_pairs
     assert even.catastrophe.kind == "even_min"
     assert SKEW_CAT.catastrophe.kind == "min_level"
+
+
+def _outcome(config, steps):
+    try:
+        return validate_path(config, steps)
+    except PathError as exc:
+        return type(exc), exc.index
+
+
+def test_every_route_to_a_config_validates():
+    # a namedtuple's _make and _replace skip __new__ unless the class routes them
+    with pytest.raises(ConfigError):
+        CatastropheRule._make(["bogus", 0, frozenset()])
+    for bad in ({"kind": "min_level", "k": 0}, {"kind": "bogus"}, {"kind": "levels", "levels": [0]}):
+        with pytest.raises(ConfigError):
+            CatastropheRule(**bad)
+        with pytest.raises(ConfigError):
+            CatastropheRule.min_level(2)._replace(**bad)
+        with pytest.raises(ConfigError):
+            ModelConfig.from_json({**SKEW_CAT.to_json(), "catastrophe": bad})
+    cat_first = {(C, U)}
+    with pytest.raises(ConfigError):
+        ModelConfig(SKEW_CAT.steps, cat_first)
+    with pytest.raises(ConfigError):
+        SKEW_CAT._replace(forbidden_pairs=cat_first)
+    with pytest.raises(ConfigError):
+        ModelConfig._make([SKEW_CAT.steps, cat_first, SKEW_CAT.catastrophe])
+
+    rule = CatastropheRule.none()._replace(kind="levels", levels=[4, 2])
+    assert rule == CatastropheRule.explicit({2, 4}) and list(rule.firing(3)) == [2]
+    routes = [
+        ModelConfig(SKEW_CAT.steps, SKEW_CAT.forbidden_pairs, rule),
+        with_rule(SKEW_CAT, rule),
+        ModelConfig.from_json({**SKEW_CAT.to_json(), "catastrophe": rule.to_json()}),
+        SKEW_CAT._replace(catastrophe=rule),
+        ModelConfig._make([SKEW_CAT.steps, SKEW_CAT.forbidden_pairs, rule]),
+    ]
+    words = [w for n in range(6) for w in itertools.product((U, D, R, C), repeat=n)]
+    first = routes[0]
+    assert all(config == first and config._follows == first._follows for config in routes)
+    outcomes = [_outcome(first, w) for w in words]
+    assert sum(isinstance(o, Path) for o in outcomes) > 30
+    for config in routes[1:]:
+        assert [_outcome(config, w) for w in words] == outcomes
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        CatastropheRule.explicit({3, 5}),
+        SKEW_CAT,
+        validate_path(SKEW, parse_steps("UUDR")),
+        SamplerSpec(DYCK_CAT, 6, "closed", 7),
+        Check("oracle-skew", True, "enumeration matches table for n <= 4"),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_value_types_are_their_field_tuples(value):
+    fields = tuple(getattr(value, name) for name in value._fields)
+    assert value == fields and hash(value) == hash(fields)
+    assert value == type(value)(*fields)
+    shown = ", ".join(f"{name}={v!r}" for name, v in zip(value._fields, fields))
+    assert repr(value) == f"{type(value).__name__}({shown})"
+
+
+def test_rule_repr_is_the_field_repr():
+    shown = "CatastropheRule(kind='min_level', k=2, levels=frozenset())"
+    assert repr(CatastropheRule.min_level(2)) == shown
 
 
 def test_rule_without_catastrophe_step_is_canonical():

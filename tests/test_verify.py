@@ -1,7 +1,8 @@
 import jsonschema
 import pytest
 
-from catwalk import closedform as cf, dp, verify
+from catwalk import brute, closedform as cf, dp, verify
+from catwalk.model import SKEW
 from catwalk.series import Series
 
 from conftest import load_schema
@@ -91,3 +92,18 @@ def test_theorem_suite_checks_every_registry_view():
     report = verify.run_suite("theorem", order=20, max_n=0)
     checked = {c.name[len("dp-"):] for c in report.checks if c.name.startswith("dp-")}
     assert checked - {"level-family"} == set(DP_VIEWED)
+
+
+def test_oracle_suite_enumerates_skew_once_per_length(monkeypatch):
+    # the geometric comparison reads the red paths the oracle-skew check built
+    calls = []
+    enumerate_red = brute.enumerate_red
+
+    def counted(config, n, final=None):
+        calls.append((config == SKEW, n))
+        return enumerate_red(config, n, final)
+
+    monkeypatch.setattr(brute, "enumerate_red", counted)
+    report = verify.run_suite("oracle", max_n=7)
+    assert report.ok
+    assert sorted(n for skew, n in calls if skew) == list(range(8))
