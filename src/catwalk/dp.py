@@ -13,8 +13,8 @@ off it the closed and open counts, the nonzero end-state counts keyed by
 :func:`count` or :func:`view_series`.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
-time and confirms, coefficient by coefficient, the step-inflow identities
-the per-(layer, level) generating functions must satisfy.  Its
+time and confirms, by whole-row comparisons, the step-inflow identities the
+per-(layer, level) generating functions must satisfy.  Its
 :class:`Check` and :class:`Report` are the result types of every suite in
 :mod:`verify` too.
 """
@@ -281,10 +281,13 @@ def verify_recurrences(config: ModelConfig, order: int) -> Report:
     lacks the catastrophe step.  The identities are written out here, not
     derived from :class:`Transfer`, so they check the kernel rather than
     restate it; they encode the preset adjacency rules, so a model outside
-    them fails.  Coefficient by coefficient, the z^t identity ties the row
-    of length t to the row of length t - 1 (all zero for t = 0), so the
-    rows stream past two at a time.  A failed check names its first failing
-    instance and the first coefficient where it fails.
+    them fails.  The z^t identity ties the row of length t to the row of
+    length t - 1 (all zero for t = 0), so the rows stream past two at a
+    time, each padded to levels 0..order.  The checks are whole-row
+    comparisons; the first bad instance is searched only after a mismatch.
+    Every instance i < order is compared on every row, above level t too.
+    A failed check names its first failing instance and the first
+    coefficient where it fails.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -301,36 +304,45 @@ def verify_recurrences(config: ModelConfig, order: int) -> Report:
             "axis-boundary": ["f0"],
         }
 
-        def sides(t, row, prev):  # the (lhs, rhs) coefficient pairs of each check
+        def view(row):  # the three layers as they are
+            return row
+
+        def sides(t, row, prev):  # the (lhs, rhs) lists of each check, one entry per instance
             (f, g, h), (pf, pg, ph) = row, prev
+            down = list(map(add, pg, ph))  # the layers a red step may leave: G and H
+            total = list(map(add, pf, down))  # a black step may leave any layer
             return (
-                [(f[i + 1], pf[i] + pg[i]) for i in range(n)],
-                [(g[i], pf[i + 1] + pg[i + 1] + ph[i + 1]) for i in range(n)],
-                [(h[i], pg[i + 1] + ph[i + 1]) for i in range(n)],
-                [(f[0], (t == 0) + sum(pf[i] + pg[i] + ph[i] for i in cat))],
+                (f[1:], list(map(add, pf[:n], pg[:n]))),
+                (g[:n], total[1:]),
+                (h[:n], down[1:]),
+                ([f[0]], [(t == 0) + sum(map(total.__getitem__, cat))]),
             )
 
     else:
         system = "dyck"
         labels = {"interior": inflow[1:], "axis-boundary": ["t0"]}
 
-        def sides(t, row, prev):
-            s, ps = (list(map(sum, zip(*r))) for r in (row, prev))
+        def view(row):  # the merged t_i
+            f, g, h = row
+            return list(map(add, f, map(add, g, h)))
+
+        def sides(t, s, ps):
             return (
-                [(s[i], ps[i - 1] + ps[i + 1]) for i in range(1, n)],
-                [(s[0], (t == 0) + ps[1] + sum(ps[i] for i in cat))],
+                (s[1:n], list(map(add, ps[: n - 1], ps[2:]))),
+                ([s[0]], [(t == 0) + ps[1] + sum(map(ps.__getitem__, cat))]),
             )
 
     first: dict = {}  # check name -> (instance, t, lhs, rhs) of its first failure
-    prev = ([0] * (n + 1),) * 3
+    prev = view(([0] * (n + 1),) * 3)
     for t, row in enumerate(Transfer(config).rows(n)):
-        row = tuple(vec + [0] * (n + 1 - len(vec)) for vec in row)
-        for name, pairs in zip(labels, sides(t, row, prev)):
-            # only an earlier instance than the one already failing can take its place
-            below = first.get(name, (len(pairs),))[0]
-            k = next((k for k in range(below) if pairs[k][0] != pairs[k][1]), None)
-            if k is not None:
-                first[name] = (k, t, *pairs[k])
+        row = view(tuple(vec + [0] * (n + 1 - len(vec)) for vec in row))
+        for name, (lhs, rhs) in zip(labels, sides(t, row, prev)):
+            if lhs != rhs:
+                # only an earlier instance than the one already failing can take its place
+                below = first.get(name, (len(lhs),))[0]
+                k = next((k for k in range(below) if lhs[k] != rhs[k]), None)
+                if k is not None:
+                    first[name] = (k, t, lhs[k], rhs[k])
         prev = row
 
     checks = []

@@ -90,6 +90,13 @@ class ConfigError(ValueError):
 _make_by_new = classmethod(lambda cls, fields: cls(*fields))
 
 
+def _frozen(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a value type whose ``__dict__``
+    holds what ``__new__`` derives from the fields: every instance is immutable."""
+    verb = "set" if value else "delete"
+    raise AttributeError(f"cannot {verb} {name!r}: {type(self).__name__} is immutable")
+
+
 def _is_level(value) -> bool:
     """An integer level >= 1; JSON booleans and floats such as 2.5 are not."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
@@ -116,10 +123,11 @@ class CatastropheRule(namedtuple("CatastropheRule", "kind k levels")):
         self = super().__new__(cls, kind, k, levels)
         if kind == "levels":
             # sorted once for firing(); not a field, so ==, hash and repr ignore it
-            self._ascending = sorted(levels)
+            object.__setattr__(self, "_ascending", sorted(levels))
         return self
 
     _make = _make_by_new
+    __setattr__ = __delattr__ = _frozen
 
     @classmethod
     def none(cls) -> "CatastropheRule":
@@ -215,13 +223,15 @@ class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")
         # next; read by validate_path.  It is not a field, so ==, hash and
         # to_json do not see it, and it is built from the model's own sets
         # rather than from next_steps, the rule the DP reads.
-        self._follows = {
+        follows = {
             prev: frozenset(s for s in steps if (prev, s) not in forbidden_pairs)
             for prev in (None, *steps)
         }
+        object.__setattr__(self, "_follows", follows)
         return self
 
     _make = _make_by_new
+    __setattr__ = __delattr__ = _frozen
 
     def next_steps(self, came_by) -> tuple:
         """The steps that may follow a ``came_by`` step (None: any), in canonical order."""

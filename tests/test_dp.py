@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from catwalk.model import (
     StepKind,
     with_rule,
 )
+from test_random_models import MODELS, random_rule
 
 F, G, H = LayerTag.F, LayerTag.G, LayerTag.H
 U, D, R = StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED
@@ -162,22 +164,28 @@ def failing(report) -> set:
     return {check.name for check in report.failures()}
 
 
+# two models outside the preset adjacency rules
+RED_FREE = ModelConfig(frozenset({U, D, R}), frozenset(), CatastropheRule.none())
+NO_DU = ModelConfig(frozenset({U, D}), frozenset({(D, U)}), CatastropheRule.none())
+
+
+class Skipping(dp.Transfer):
+    """A kernel that loses the lowest firing level of each catastrophe."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        firing = self.firing
+        self.firing = lambda top: list(firing(top))[1:]
+
+
 def test_recurrences_negative_controls(monkeypatch):
     # the identities encode the preset adjacency rules: red steps free to
     # follow and precede up-steps break the up and red-down inflows, and a
     # plain model that forbids an up-step after a down-step breaks the interior
-    red_free = ModelConfig(frozenset({U, D, R}), frozenset(), CatastropheRule.none())
-    assert failing(dp.verify_recurrences(red_free, 15)) == {"up-inflow", "red-down-inflow"}
-    no_du = ModelConfig(frozenset({U, D}), frozenset({(D, U)}), CatastropheRule.none())
-    assert "interior" in failing(dp.verify_recurrences(no_du, 15))
+    assert failing(dp.verify_recurrences(RED_FREE, 15)) == {"up-inflow", "red-down-inflow"}
+    assert "interior" in failing(dp.verify_recurrences(NO_DU, 15))
 
     # a kernel that loses the lowest firing level breaks the boundary identity
-    class Skipping(dp.Transfer):
-        def __init__(self, config):
-            super().__init__(config)
-            firing = self.firing
-            self.firing = lambda top: list(firing(top))[1:]
-
     monkeypatch.setattr(dp, "Transfer", Skipping)
     for config in (SKEW_CAT, DYCK_CAT):
         assert failing(dp.verify_recurrences(config, 15)) == {"axis-boundary"}
@@ -186,3 +194,149 @@ def test_recurrences_negative_controls(monkeypatch):
 def test_recurrences_bad_arguments():
     with pytest.raises(ValueError):
         dp.verify_recurrences(DYCK, 0)
+
+
+def reference_recurrences(config: ModelConfig, order: int) -> tuple:
+    """The (system, checks) of ``dp.verify_recurrences``, by a second route:
+    for each row, every instance of every identity as its own coefficient
+    pair, compared one by one below the instance already failing.  It reads
+    the rows of ``dp.Transfer``, so a patched kernel reaches both routes."""
+    n = order
+    cat = config.catastrophe.firing(n)
+    inflow = [f"i={i}" for i in range(n)]
+    if R in config.steps:
+        system = "skew"
+        labels = {
+            "up-inflow": inflow,
+            "black-down-inflow": inflow,
+            "red-down-inflow": inflow,
+            "axis-boundary": ["f0"],
+        }
+
+        def sides(t, row, prev):
+            (f, g, h), (pf, pg, ph) = row, prev
+            return (
+                [(f[i + 1], pf[i] + pg[i]) for i in range(n)],
+                [(g[i], pf[i + 1] + pg[i + 1] + ph[i + 1]) for i in range(n)],
+                [(h[i], pg[i + 1] + ph[i + 1]) for i in range(n)],
+                [(f[0], (t == 0) + sum(pf[i] + pg[i] + ph[i] for i in cat))],
+            )
+
+    else:
+        system = "dyck"
+        labels = {"interior": inflow[1:], "axis-boundary": ["t0"]}
+
+        def sides(t, row, prev):
+            s, ps = (list(map(sum, zip(*r))) for r in (row, prev))
+            return (
+                [(s[i], ps[i - 1] + ps[i + 1]) for i in range(1, n)],
+                [(s[0], (t == 0) + ps[1] + sum(ps[i] for i in cat))],
+            )
+
+    first: dict = {}  # check name -> (instance, t, lhs, rhs) of its first failure
+    prev = ([0] * (n + 1),) * 3
+    for t, row in enumerate(dp.Transfer(config).rows(n)):
+        row = tuple(vec + [0] * (n + 1 - len(vec)) for vec in row)
+        for name, pairs in zip(labels, sides(t, row, prev)):
+            below = first.get(name, (len(pairs),))[0]
+            k = next((k for k in range(below) if pairs[k][0] != pairs[k][1]), None)
+            if k is not None:
+                first[name] = (k, t, *pairs[k])
+        prev = row
+    checks = []
+    for name, instances in labels.items():
+        if name in first:
+            k, t, lhs, rhs = first[name]
+            detail = f"fails at {instances[k]}, coefficient of z^{t}: {lhs} != {rhs}"
+            checks.append(dp.Check(name, False, detail))
+        else:
+            checks.append(dp.Check(name, True, f"{len(instances)} instances checked"))
+    return system, checks
+
+
+PARITY_CONFIGS = {
+    **PRESETS,
+    **{f"model{i}": config for i, config in enumerate(MODELS)},
+    **{
+        f"{base}-rule{seed}": with_rule(PRESETS[base], random_rule(random.Random(seed)))
+        for seed in range(20)
+        for base in ("skew-cat", "dyck-cat")
+    },
+    "red-free": RED_FREE,
+    "no-du": NO_DU,
+}
+
+
+@pytest.mark.parametrize("kernel", [dp.Transfer, Skipping], ids=["transfer", "skipping"])
+@pytest.mark.parametrize("config", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS.keys())
+def test_recurrences_match_the_reference(config, kernel, monkeypatch):
+    monkeypatch.setattr(dp, "Transfer", kernel)
+    for order in (1, 2, 3, 7, 15, 40):
+        report = dp.verify_recurrences(config, order)
+        assert (report.name, report.checks) == reference_recurrences(config, order), order
+
+
+def test_recurrences_report_the_lowest_failing_instance(monkeypatch):
+    # planted counts: one extra path in row T1 at level L1 of a layer, and in
+    # the later row T2 at the lower level L2.  Each copy feeds its own row's
+    # identities and, as the row before, those of the next one; the kernel
+    # itself runs on the true rows
+    order, (t1, l1), (t2, l2) = 12, (7, 5), (10, 2)
+    true = {config: list(dp.Transfer(config).rows(order)) for config in (SKEW_CAT, DYCK_CAT)}
+
+    class Planted(dp.Transfer):
+        def rows(self, n, want=None):
+            for t, row in enumerate(super().rows(n, want)):
+                row = tuple(list(vec) for vec in row)
+                if t in (t1, t2):
+                    row[0][l1 if t == t1 else l2] += 1
+                yield row
+
+    monkeypatch.setattr(dp, "Transfer", Planted)
+
+    f, g_next = true[SKEW_CAT][t2][0], true[SKEW_CAT][t2 + 1][1]
+    f_axis = true[SKEW_CAT][t1 + 1][0][0]
+    checks = {c.name: c for c in dp.verify_recurrences(SKEW_CAT, order).checks}
+    # f_{L2} at z^T2 is one too many; the row after sees it as f_{L2} of its
+    # previous row, in black-down at i = L2 - 1; the axis sees level L1 fire first
+    assert checks["up-inflow"].detail == (
+        f"fails at i={l2 - 1}, coefficient of z^{t2}: {f[l2] + 1} != {f[l2]}"
+    )
+    assert checks["black-down-inflow"].detail == (
+        f"fails at i={l2 - 1}, coefficient of z^{t2 + 1}: {g_next[l2 - 1]} != {g_next[l2 - 1] + 1}"
+    )
+    assert checks["axis-boundary"].detail == (
+        f"fails at f0, coefficient of z^{t1 + 1}: {f_axis} != {f_axis + 1}"
+    )
+    assert checks["red-down-inflow"].ok
+
+    merged = [list(map(sum, zip(*row))) for row in true[DYCK_CAT]]
+    s_next, s_axis = merged[t2 + 1][l2 - 1], merged[t1 + 1][0]
+    checks = {c.name: c for c in dp.verify_recurrences(DYCK_CAT, order).checks}
+    # t_{L2} at z^T2 fails at i = L2, and as the row before at i = L2 - 1
+    assert checks["interior"].detail == (
+        f"fails at i={l2 - 1}, coefficient of z^{t2 + 1}: {s_next} != {s_next + 1}"
+    )
+    assert checks["axis-boundary"].detail == (
+        f"fails at t0, coefficient of z^{t1 + 1}: {s_axis} != {s_axis + 1}"
+    )
+
+
+def test_recurrences_check_levels_above_the_row_length(monkeypatch):
+    # row t holds levels 0..t; a kernel that writes a count above them is
+    # still caught, because every row is checked at every level below the order
+    class Overreaching(dp.Transfer):
+        def rows(self, n, want=None):
+            for t, row in enumerate(super().rows(n, want)):
+                if t == 3:
+                    row = (row[0] + [0, 1], row[1], row[2])
+                yield row
+
+    monkeypatch.setattr(dp, "Transfer", Overreaching)
+    checks = {c.name: c for c in dp.verify_recurrences(SKEW_CAT, 8).checks}
+    assert checks["up-inflow"].detail == "fails at i=4, coefficient of z^3: 1 != 0"
+    assert checks["black-down-inflow"].detail == "fails at i=4, coefficient of z^4: 0 != 1"
+    checks = {c.name: c for c in dp.verify_recurrences(DYCK_CAT, 8).checks}
+    # t_5 at z^3 fails first at i=5, then as the row before at i=4 (UUUU is t_4 at z^4)
+    assert checks["interior"].detail == "fails at i=4, coefficient of z^4: 1 != 2"
+    assert checks["axis-boundary"].detail.startswith("fails at t0, coefficient of z^4: ")

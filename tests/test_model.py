@@ -1,5 +1,7 @@
 
+import copy
 import itertools
+import pickle
 
 import jsonschema
 import pytest
@@ -343,6 +345,48 @@ def test_value_types_are_their_field_tuples(value):
     assert value == type(value)(*fields)
     shown = ", ".join(f"{name}={v!r}" for name, v in zip(value._fields, fields))
     assert repr(value) == f"{type(value).__name__}({shown})"
+
+
+IMMUTABLE = {
+    "preset": SKEW_CAT,
+    "built-config": ModelConfig({U, D, R, C}, {(R, U)}, CatastropheRule.explicit({4, 2})),
+    "replaced-config": DYCK_CAT._replace(catastrophe=CatastropheRule.even_min(1)),
+    "preset-rule": SKEW_CAT.catastrophe,
+    "built-rule": CatastropheRule.explicit({4, 2}),
+    "none-rule": CatastropheRule.none(),
+}
+
+
+@pytest.mark.parametrize("value", IMMUTABLE.values(), ids=IMMUTABLE.keys())
+def test_rules_and_configs_refuse_every_attribute_change(value):
+    # a preset is shared by every caller in the process, so nothing may be
+    # added to one, and neither a field nor the table __new__ derives changes
+    before = (repr(value), hash(value), dict(vars(value)))
+    for name in ("foo", "_follows", "_ascending", *value._fields):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(value, "foo")
+    assert (repr(value), hash(value), dict(vars(value))) == before
+
+
+@pytest.mark.parametrize("value", IMMUTABLE.values(), ids=IMMUTABLE.keys())
+def test_rules_and_configs_survive_copy_pickle_and_replace(value):
+    fields = tuple(value)
+    copies = [copy.copy(value), copy.deepcopy(value), value._replace()]
+    copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(6)]
+    for other in copies:
+        assert type(other) is type(value) and other == value == fields
+        assert hash(other) == hash(value) == hash(fields) and vars(other) == vars(value)
+        # a frozenset's repr follows its insertion history, so the copy's own fields
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(other._fields, other))
+        assert repr(other) == f"{type(value).__name__}({shown})"
+    if isinstance(value, ModelConfig):
+        path = parse_steps("UUDRUC")
+        assert all(_outcome(other, path) == _outcome(value, path) for other in copies)
+    else:
+        assert all(list(other.firing(6)) == list(value.firing(6)) for other in copies)
 
 
 def test_rule_repr_is_the_field_repr():
