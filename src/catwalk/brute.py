@@ -189,17 +189,15 @@ def red_to_geometric(path: Path) -> tuple:
 def models_agree(n: int, red: list | None = None) -> bool:
     """Do the red and geometric enumerations of length n match exactly?
 
-    Relabelling the red paths must yield the geometric paths with no
-    collisions, and the red end levels the same census as the last
-    vertices' heights.  ``red`` is ``enumerate_red(SKEW, n)`` if the caller
-    already holds it.
+    Relabelling the red paths must yield the geometric paths, and the red
+    end levels the same census as the last vertices' heights.  The
+    geometric paths are distinct and the census counts both lists, so
+    together the two also rule out collisions in the relabelling.
+    ``red`` is ``enumerate_red(SKEW, n)`` if the caller already holds it.
     """
     if red is None:
         red = enumerate_red(SKEW, n)
     geo = enumerate_geometric(n)
     mapped = {red_to_geometric(p) for p in red}
-    return (
-        len(mapped) == len(red)
-        and mapped == set(geo)
-        and Counter(p.final_level for p in red) == Counter(g[-1][1] for g in geo)
-    )
+    census = Counter(p.final_level for p in red)
+    return mapped == set(geo) and census == Counter(g[-1][1] for g in geo)

@@ -175,28 +175,42 @@ def fgh0(order: int) -> Series:
     return _expand("fgh0", "skew", order)
 
 
+def level_ladder(top: int, order: int) -> list:
+    """The level series f_0 .. f_top of the red catastrophe model through z^order.
+
+    With q = 1/r1, f_j = f_0 q^j.  q is a kernel root, so
+    f_{i+1} = (mid f_i - z f_{i-1}) / (z r1 r2) climbs the ladder from f_0
+    and f_1 = f_0 q; each step's division by z costs one order, so those
+    two start top - 1 orders higher.
+    """
+    if top < 0:
+        raise ValueError("level index must be >= 0")
+    if top == 0:
+        return [f0("skew", order)]
+    k, n = _KERNELS["skew"], order + top - 1
+    base = f0("skew", n)
+    ladder = [base, base * inv_r1("skew", n)]
+    mid, zrp = _poly(k.mid, n), _poly((0, *k.root_product), n)
+    for _ in range(top - 1):
+        ladder.append((mid * ladder[-1] - ladder[-2].shift_up()) / zrp)
+    return [f.truncate(order) for f in ladder]
+
+
 def fj_family(j: int, order: int) -> tuple:
     """The level-j layer series (f_j, g_j, h_j) of the red catastrophe model.
 
-    With q = 1/r1, f_j = f_0 q^j, g_j = (r2 - z) f_{j+1}, h_j = g_j - z f_{j+1}.
-    q is a kernel root, so f_{i+1} = (mid f_i - z f_{i-1}) / (z r1 r2) climbs
-    the ladder from f_0 and f_1 = f_0 q; each step's division by z costs one
-    order, so those two start j orders higher.
+    f_j and f_{j+1} come off :func:`level_ladder`, then
+    g_j = (r2 - z) f_{j+1} and h_j = g_j - z f_{j+1}.
     """
     if j < 0:
         raise ValueError("level index must be >= 0")
     if j > order:
         # q has valuation 1, so every factor q^j vanishes through z^order
         return (Series.zero(order),) * 3
-    k, n = _KERNELS["skew"], order + j
-    prev = f0("skew", n)
-    cur = prev * inv_r1("skew", n)
-    mid, zrp = _poly(k.mid, n), _poly((0, *k.root_product), n)
-    for _ in range(j):
-        prev, cur = cur, (mid * cur - prev.shift_up()) / zrp
+    f, f_next = level_ladder(j + 1, order)[j:]
     z = _poly((0, 1), order)  # zero at order 0, where Series.z has no room
-    g = (r2("skew", order) - z) * cur
-    return (prev.truncate(order), g, g - cur.shift_up())
+    g = (r2("skew", order) - z) * f_next
+    return (f, g, g - f_next.shift_up())
 
 
 def g0(order: int) -> Series:

@@ -111,14 +111,20 @@ class CatastropheRule(namedtuple("CatastropheRule", "kind k levels")):
     """
 
     def __new__(cls, kind: str, k: int = 0, levels: frozenset = frozenset()):
+        # a field the kind does not read is reset, so rules that fire the
+        # same levels are equal and hash alike
         if kind in ("min_level", "even_min"):
             if not _is_level(k):
                 raise ConfigError(f"{kind} rule needs an integer threshold k >= 1, got {k!r}")
+            levels = frozenset()
         elif kind == "levels":
             levels = frozenset(levels)
             if not all(_is_level(lv) for lv in levels):
                 raise ConfigError("explicit catastrophe levels must all be integers >= 1")
-        elif kind != "none":
+            k = 0
+        elif kind == "none":
+            k, levels = 0, frozenset()
+        else:
             raise ConfigError(f"unknown catastrophe rule kind {kind!r}")
         self = super().__new__(cls, kind, k, levels)
         if kind == "levels":

@@ -1,13 +1,14 @@
 """Truncated formal power series over exact rationals.
 
 A :class:`Series` holds coefficients ``c[0] .. c[order]`` of a power series
-in one variable ``z``, truncated at a fixed order.  They are stored as Python
-int numerators over one common positive denominator, and every operator
-works on those ints; the series of the path models all have integer
-coefficients, so their denominator is 1.  The public view is exact
-rationals: ``coeff``, ``coeffs``, ``to_json`` and ``str`` give
-`fractions.Fraction` values, ``as_integers`` gives ints.  Nothing in this
-module ever touches a float.
+in one variable ``z``, truncated at a fixed order, as one tuple of Python
+rationals, each an ``int`` or a `fractions.Fraction`.  Python's own ``+``,
+``*`` and ``==`` do the arithmetic, and every quotient is exact: an int
+when the division comes out even, a Fraction otherwise.  So a Fraction
+enters only with a fractional input or an inexact quotient.  The series of
+the path models all have integer coefficients: they run on plain int
+arithmetic and never import ``fractions``.  Nothing in this module ever
+touches a float.
 
 Binary operations truncate to the smaller of the two operand orders and never
 extend a series silently.  The only ways to change the order of an existing
@@ -15,19 +16,13 @@ series are the explicit ``truncate`` / ``shift_up`` methods.  Division is
 power-series division with valuation cancellation (so quotients such as
 ``(4z^2 + 2z^4) / (2z)`` are well defined), and ``sqrt`` expands the branch
 of the square root with constant term ``1`` by its D-finite recurrence.
-Both run their coefficient recurrences on the numerators with an exact
-``divmod`` per step; the denominator grows only when a step does not divide.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
-from operator import add, mul, sub
-from typing import Iterable, Union
-
-Rat = Union[int, Fraction]
+from operator import add, mul, neg, sub
+from typing import Iterable
 
 
 class SeriesError(Exception):
@@ -54,13 +49,28 @@ class SqrtDomain(SeriesError):
     """Square root of a series whose constant term is not 1."""
 
 
-def _ratio(x: Rat) -> tuple:
-    """A scalar as (numerator, positive denominator) in lowest terms."""
+def _coefficient(x):
+    """``x`` as a coefficient: a plain int, or a Fraction if it is not integral.
+
+    Anything else, a float included, is a TypeError.
+    """
     if isinstance(x, int):
-        return x, 1
+        return int(x)  # bool and other int subclasses become plain ints
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
-        return x.numerator, x.denominator
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _quotient(p, q):
+    """``p / q`` exactly: an int when q divides p, a Fraction otherwise."""
+    whole, rest = divmod(p, q)
+    if not rest:
+        return whole
+    from fractions import Fraction
+
+    return Fraction(p, q)
 
 
 def _span(c) -> int:
@@ -78,16 +88,17 @@ class Series:
     coefficients are zero-filled up to the requested order.  Without an
     explicit order the length of the coefficient list decides it.
 
-    The coefficients are held as int numerators ``_n`` over one positive
-    common denominator ``_d``, in lowest terms (the gcd of ``_d`` and every
-    numerator is 1), so equal series have equal pairs.  Every series of the
-    path models has integer coefficients and ``_d == 1``.
+    The coefficients are the tuple ``_c``, each an int or a Fraction; an
+    integral input is stored as an int, and bool as int.  Fraction
+    arithmetic may leave an integral Fraction, but it equals the int of
+    the same value and hashes like it, so ``==`` and ``hash`` do not depend
+    on which spelling holds a value.
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Iterable[Rat], order: int | None = None):
-        cs = [_ratio(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable, order: int | None = None):
+        cs = [_coefficient(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -95,25 +106,16 @@ class Series:
                 raise ValueError(
                     f"{len(cs)} coefficients do not fit in order {order}; truncate explicitly"
                 )
-            cs.extend([(0, 1)] * (order + 1 - len(cs)))
+            cs.extend(repeat(0, order + 1 - len(cs)))
         elif not cs:
             raise ValueError("empty coefficient list needs an explicit order")
-        # each ratio is in lowest terms, so over their lcm the pair is too
-        d = lcm(*(q for _, q in cs))
-        self._n = tuple(p * (d // q) for p, q in cs)
-        self._d = d
+        self._c = tuple(cs)
 
     @classmethod
-    def _of(cls, nums, d: int = 1) -> "Series":
-        """The series with coefficients ``nums[i] / d`` (d > 0), reduced."""
-        if d != 1:
-            g = gcd(d, *nums)
-            if g != 1:
-                d //= g
-                nums = [c // g for c in nums]
+    def _of(cls, coeffs) -> "Series":
+        """The series with exactly these coefficients, unchecked."""
         s = object.__new__(cls)
-        s._n = tuple(nums)
-        s._d = d
+        s._c = tuple(coeffs)
         return s
 
     # -- constructors ------------------------------------------------------
@@ -137,26 +139,26 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self._n) - 1
+        return len(self._c) - 1
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int):
         """Coefficient of ``z^n``; raises OrderExceeded past the truncation."""
         if n < 0:
             raise ValueError("coefficient index must be >= 0")
-        if n >= len(self._n):
+        if n >= len(self._c):
             raise OrderExceeded(f"coefficient {n} beyond truncation order {self.order}")
-        return Fraction(self._n[n], self._d)
+        return self._c[n]
 
     def coeffs(self) -> tuple:
-        """Every coefficient, as a tuple of Fractions."""
-        return tuple(Fraction(c, self._d) for c in self._n)
+        """Every coefficient, each an int or a Fraction."""
+        return self._c
 
     def is_zero(self) -> bool:
-        return not any(self._n)
+        return not any(self._c)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self._n):
+        for i, c in enumerate(self._c):
             if c:
                 return i
         return None
@@ -164,11 +166,7 @@ class Series:
     def first_difference(self, other: "Series") -> int | None:
         """The lowest power of z whose coefficients differ over the common
         order, or None if they all agree."""
-        a, b = self._n, other._n
-        if self._d != other._d:
-            a = [c * other._d for c in a]
-            b = [c * self._d for c in b]
-        return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), None)
+        return next((n for n, (x, y) in enumerate(zip(self._c, other._c)) if x != y), None)
 
     def as_integers(self) -> list:
         """The coefficients as Python ints.
@@ -176,64 +174,40 @@ class Series:
         Raises NonIntegerCoefficient if any coefficient has a denominator,
         naming the offending index.
         """
-        if self._d != 1:
-            i = next(i for i, c in enumerate(self._n) if c % self._d)
-            raise NonIntegerCoefficient(
-                f"coefficient of z^{i} is {self.coeff(i)}, not an integer"
-            )
-        return list(self._n)
+        for i, c in enumerate(self._c):
+            if c.denominator != 1:
+                raise NonIntegerCoefficient(f"coefficient of z^{i} is {c}, not an integer")
+        return list(map(int, self._c))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p, q = _ratio(other)
-            d = lcm(self._d, q)
-            c = [x * (d // self._d) for x in self._n]
-            c[0] += p * (d // q)
-            return Series._of(c, d)
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self._termwise(other, add)
+        if isinstance(other, Series):
+            # map stops at the shorter tuple: the common order
+            return Series._of(map(add, self._c, other._c))
+        return Series._of((self._c[0] + _coefficient(other), *self._c[1:]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series._of([-c for c in self._n], self._d)
+        return Series._of(map(neg, self._c))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self._termwise(other, sub)
-
-    def _termwise(self, other: "Series", op) -> "Series":
-        """``op`` on the coefficients of two series, over the common order."""
-        n = min(self.order, other.order) + 1
-        a, b, d = self._n[:n], other._n[:n], self._d
-        if d != other._d:
-            d = lcm(d, other._d)
-            a = [x * (d // self._d) for x in a]
-            b = [x * (d // other._d) for x in b]
-        return Series._of(list(map(op, a, b)), d)
+        if isinstance(other, Series):
+            return Series._of(map(sub, self._c, other._c))
+        return self + (-_coefficient(other))
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self) + other
-        return NotImplemented
+        return (-self) + other
 
-    def scale(self, factor: Rat) -> "Series":
-        p, q = _ratio(factor)
-        return Series._of([c * p for c in self._n], self._d * q)
+    def scale(self, factor) -> "Series":
+        return Series._of(map(mul, self._c, repeat(_coefficient(factor))))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Series):
-            return NotImplemented
+            return self.scale(other)
         n = min(self.order, other.order) + 1
-        a, b = self._n[:n], other._n[:n]
+        a, b = self._c[:n], other._c[:n]
         # the sparser factor drives the outer loop, the other one is added
         # in shifted whole (C-level map) for each of its nonzero terms
         if len(b) - b.count(0) < len(a) - a.count(0):
@@ -244,21 +218,18 @@ class Series:
             if ai:
                 top = min(n, i + len(b))
                 out[i:top] = map(add, out[i:top], map(mul, b, repeat(ai, top - i)))
-        return Series._of(out, self._d * other._d)
+        return Series._of(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self.scale(1 / Fraction(other))
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.div(other)
+        if isinstance(other, Series):
+            return self.div(other)
+        d = _coefficient(other)
+        if not d:
+            raise ZeroDivisionError("division by zero scalar")
+        return Series._of(_quotient(c, d) for c in self._c)
 
     def div(self, other: "Series") -> "Series":
         """Power-series quotient ``self / other``.
@@ -266,11 +237,8 @@ class Series:
         The divisor may vanish at 0: if ``other`` has valuation ``v`` then
         ``self`` must vanish at least to order ``v`` as well, the common
         factor ``z^v`` is cancelled, and the result is truncated at
-        ``min(orders) - v``.
-
-        The recurrence q_k = (a_k - sum_j b_j q_{k-j}) / b_0 runs on the
-        numerators, with the quotient's numerators kept over a common
-        denominator that grows only when a step does not divide exactly.
+        ``min(orders) - v``.  Each coefficient takes one exact quotient,
+        q_k = (a_k - sum_j b_j q_{k-j}) / b_0, over the divisor's span.
         """
         if not isinstance(other, Series):
             raise TypeError("div expects a Series")
@@ -288,26 +256,15 @@ class Series:
                 raise ValuationError(
                     f"divisor valuation {v} exceeds working order {n}"
                 )
-        a = self._n[v : n + 1]
-        b = other._n[v : n + 1]
+        a = self._c[v : n + 1]
+        b = other._c[v : n + 1]
         b = b[: _span(b)]
         b0, tail = b[0], b[1:]
         out: list = []
-        den = 1  # out[k] / den is q_k times self._d / other._d
         for k, ak in enumerate(a):
             j = min(k, len(tail))
-            acc = ak * den - sum(map(mul, tail[:j], reversed(out[k - j : k])))
-            q, r = divmod(acc, b0)
-            if r:
-                g = abs(b0) // gcd(acc, b0)
-                den *= g
-                out = [c * g for c in out]
-                q = acc * g // b0
-            out.append(q)
-        # self / other = (out / den) * (other._d / self._d)
-        if other._d != 1:
-            out = [c * other._d for c in out]
-        return Series._of(out, den * self._d)
+            out.append(_quotient(ak - sum(map(mul, tail[:j], reversed(out[k - j : k]))), b0))
+        return Series._of(out)
 
     def pow(self, k: int) -> "Series":
         """``self`` to the power k >= 0, by repeated squaring."""
@@ -329,37 +286,27 @@ class Series:
         """The square root with constant term 1.
 
         s = sqrt(p) is D-finite: 2 p s' = p' s.  Comparing coefficients of
-        z^(m-1) gives, over the nonzero terms p_j of the radicand,
+        z^(m-1) gives, with p_0 = 1 and over the nonzero terms p_j,
 
-            2 m p_0 s_m = sum_{j>=1} p_j (3j - 2m) s_{m-j},
+            2 m s_m = sum_{j>=1} p_j (3j - 2m) s_{m-j},
 
         so each coefficient costs one term per nonzero p_j rather than a
-        convolution.  It runs on numerators: with ``p = A / d`` (A_0 = d)
-        and ``s = R / D``, R_m = (sum_j A_j (3j - 2m) R_{m-j}) / (2 m d).
-        D grows only when that division is not exact.
+        convolution, and one exact quotient.
 
         Raises SqrtDomain unless the constant term is exactly 1.
         """
-        if self._n[0] != self._d:
-            raise SqrtDomain(f"sqrt needs constant term 1, got {self.coeff(0)}")
-        taps = [(j, a) for j, a in enumerate(self._n) if j and a]
-        den = 1  # D
+        if self._c[0] != 1:
+            raise SqrtDomain(f"sqrt needs constant term 1, got {self._c[0]}")
+        taps = [(j, a) for j, a in enumerate(self._c) if j and a]
         r = [1]
-        for m in range(1, len(self._n)):
+        for m in range(1, len(self._c)):
             num = 0
             for j, a in taps:
                 if j > m:
                     break
                 num += a * (3 * j - 2 * m) * r[m - j]
-            div = 2 * m * self._d
-            q, rem = divmod(num, div)
-            if rem:
-                g = div // gcd(num, div)
-                den *= g
-                r = [c * g for c in r]
-                q = num * g // div
-            r.append(q)
-        return Series._of(r, den)
+            r.append(_quotient(num, 2 * m))
+        return Series._of(r)
 
     # -- order management --------------------------------------------------
 
@@ -371,13 +318,13 @@ class Series:
             raise OrderExceeded(
                 f"cannot truncate order-{self.order} series to larger order {order}"
             )
-        return Series._of(self._n[: order + 1], self._d)
+        return Series._of(self._c[: order + 1])
 
     def shift_up(self, k: int = 1) -> "Series":
         """Multiply by ``z^k``, extending the order by k."""
         if k < 0:
             raise ValueError("shift amount must be >= 0")
-        return Series._of((0,) * k + self._n, self._d)
+        return Series._of((0,) * k + self._c)
 
     def shift_down(self, k: int = 1) -> "Series":
         """Divide by ``z^k``; the first k coefficients must vanish."""
@@ -385,27 +332,27 @@ class Series:
             raise ValueError("shift amount must be >= 0")
         if k > self.order:
             raise ValuationError(f"cannot shift order-{self.order} series down by {k}")
-        if any(self._n[:k]):
+        if any(self._c[:k]):
             v = self.valuation()
             raise ValuationError(f"series has valuation {v}, cannot divide by z^{k}")
-        return Series._of(self._n[k:], self._d)
+        return Series._of(self._c[k:])
 
     # -- equality and display ----------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self._d == other._d and self._n == other._n
+        return self._c == other._c
 
     def __hash__(self):
-        return hash((self._n, self._d))
+        return hash(self._c)
 
     def __repr__(self):
         return f"Series({self.to_json()})"
 
     def __str__(self):
         terms = []
-        for n, c in enumerate(self.coeffs()):
+        for n, c in enumerate(self._c):
             if not c:
                 continue
             mag = abs(c)
@@ -422,8 +369,10 @@ class Series:
 
     def to_json(self) -> list:
         """Coefficients as strings ("5", "-3/2") so JSON stays exact."""
-        return [str(c) for c in self.coeffs()]
+        return list(map(str, self._c))
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "Series":
+        from fractions import Fraction
+
         return cls([Fraction(s) for s in data])

@@ -109,13 +109,10 @@ def _suite_theorem(order: int, max_n: int) -> list:
     z = Series.z(n)
     two_m_z2 = Series([2, 0, -1], order=n)
     r2 = cf.r2("skew", n)
-    q = cf.inv_r1("skew", n)
-    f0 = cf.f0("skew", n)
     j_top = 10
-
-    fj = [f0]
-    for _ in range(j_top + 1):
-        fj.append(fj[-1] * q)
+    # the ladder `series --gf fj:J` prints, checked here against r2 and the DP
+    fj = cf.level_ladder(j_top + 1, n)
+    f0 = fj[0]
     levels = range(j_top + 1)
     rz, r2z = r2 - z, r2 - 2 * z
     gj = [rz * fj[j + 1] for j in levels]

@@ -553,6 +553,48 @@ def test_cli_import_loads_no_module_a_command_may_not_run():
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+# small runs of every subcommand, format and series family the benchmark's
+# workloads run, and the whole theorem suite at its default order
+WORKLOAD_ARGVS = [
+    ["series", "--gf", "f0-dyck-cat", "--order", "40"],
+    ["verify", "--suite", "theorem"],
+    ["series", "--gf", "fj:3", "--order", "30"],
+    ["series", "--gf", "hj:2", "--order", "30"],
+    ["series", "--gf", "open-dyck-cat", "--order", "30", "--check-dp"],
+    ["series", "--gf", "f0-dyck-cat", "--order", "30", "--format", "json"],
+    ["count", "--model", "skew-cat", "--n", "30", "--open"],
+    ["count", "--model", "dyck", "--n", "30", "--level", "4"],
+    ["sample", "--model", "dyck-cat", "--n", "20", "--open", "--count", "5", "--seed", "3"],
+    ["sample", "--model", "skew", "--n", "20", "--closed", "--count", "5", "--seed", "3"],
+    ["enumerate", "--model", "skew-cat", "--n", "8", "--open", "--format", "csv"],
+    ["enumerate", "--model", "dyck-cat", "--n", "8", "--closed"],
+    ["verify", "--suite", "recurrences", "--order", "30"],
+    ["verify", "--suite", "oracle", "--max-n", "8"],
+]
+
+
+def test_workload_commands_never_load_fractions():
+    # every series these commands expand has integer coefficients, so the
+    # series engine never meets a Fraction, and fractions, with the decimal
+    # module it imports, stays unloaded
+    src = pathlib.Path(catwalk.__file__).parents[1]
+    probe = (
+        "import sys, catwalk.cli\n"
+        f"for argv in {WORKLOAD_ARGVS!r}:\n"
+        "    assert catwalk.cli.main(argv) == 0, argv\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules], file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "[]\n")
+
+
 def test_render_help_offers_the_geometries_render_draws(capsys):
     from catwalk import render
 

@@ -134,6 +134,8 @@ def test_fj_family_matches_the_product_forms(n):
         tail = base * q.pow(j + 1)
         want = (base * q.pow(j), (r2 - z) * tail, (r2 - 2 * z) * tail)
         assert cf.fj_family(j, n) == want, j
+    assert cf.level_ladder(9, n) == [base * q.pow(j) for j in range(10)]
+    assert cf.level_ladder(0, n) == [base]
 
 
 def test_level_ladder():

@@ -394,6 +394,22 @@ def test_rule_repr_is_the_field_repr():
     assert repr(CatastropheRule.min_level(2)) == shown
 
 
+def test_rules_that_fire_the_same_levels_are_equal():
+    # a field the rule's kind does not read cannot tell two rules apart
+    for spelled, canonical in (
+        (CatastropheRule("min_level", 2, frozenset({5})), CatastropheRule.min_level(2)),
+        (CatastropheRule("even_min", 3, {4}), CatastropheRule.even_min(3)),
+        (CatastropheRule("none", 3), CatastropheRule.none()),
+        (CatastropheRule("none", 0, {1, 2}), CatastropheRule.none()),
+        (CatastropheRule("levels", 7, {3, 5}), CatastropheRule.explicit({3, 5})),
+    ):
+        assert spelled == canonical and hash(spelled) == hash(canonical)
+        assert spelled.to_json() == canonical.to_json()
+        assert list(spelled.firing(9)) == list(canonical.firing(9))
+        ruled, preset_ruled = with_rule(SKEW_CAT, spelled), with_rule(SKEW_CAT, canonical)
+        assert ruled == preset_ruled and hash(ruled) == hash(preset_ruled)
+
+
 def test_rule_without_catastrophe_step_is_canonical():
     # a model without the catastrophe step holds rule "none", however built
     for config in (DYCK, SKEW):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from catwalk import closedform as cf
 from catwalk.series import (
     DivisionByZeroSeries,
     NonIntegerCoefficient,
@@ -181,9 +182,10 @@ def test_equality_requires_same_order():
 
 # -- the engine against a plain-Fraction reference -------------------------
 #
-# The engine keeps int numerators over one common denominator; these
-# schoolbook routines work coefficient by coefficient on Fractions, so a
-# slip in the engine's denominator bookkeeping shows as a differing list.
+# The engine mixes ints and Fractions in one tuple and takes each quotient
+# through one exact-division helper; these schoolbook routines stay on
+# Fractions throughout, so a quotient that comes back rounded, or an int
+# that should have become a Fraction, shows as a differing list.
 
 
 def ref_mul(a: list, b: list) -> list:
@@ -301,11 +303,11 @@ def test_engine_pow_is_repeated_product():
             product = product * s
 
 
-def test_coefficients_are_fractions_and_spellings_agree():
+def test_integral_coefficients_are_ints_and_spellings_agree():
     s = Series([1, Fraction(1, 2), Fraction(4, 2), 0])
-    assert all(type(c) is Fraction for c in s.coeffs())
-    assert type(s.coeff(0)) is Fraction and type(s.coeff(1)) is Fraction
-    assert all(type(c) is Fraction for c in Series([1, 2]).coeffs())
+    assert [type(c) for c in s.coeffs()] == [int, Fraction, int, int]
+    assert type(s.coeff(0)) is int and type(s.coeff(1)) is Fraction
+    assert all(type(c) is int for c in Series([1, 2]).coeffs())
     half = Series([Fraction(1, 2), 1])
     same = Series([Fraction(2, 4), Fraction(3, 3)])
     assert half == same and hash(half) == hash(same)
@@ -313,3 +315,44 @@ def test_coefficients_are_fractions_and_spellings_agree():
     assert half * 2 == Series([1, 2]) and hash(half * 2) == hash(Series([1, 2]))
     assert Series([Fraction(1, 3), Fraction(2, 3)]) + Series([Fraction(2, 3), Fraction(1, 3)]) == Series([1, 1])
     assert Series([1, Fraction(1, 2)]).truncate(0) == Series([1])
+
+
+def _all_ints(s: Series) -> bool:
+    return all(type(c) is int for c in s.coeffs())
+
+
+@pytest.mark.parametrize("name", cf.series_names())
+def test_registry_series_hold_only_ints(name):
+    s = cf.series_by_name(name.replace(":J", ":3"), 60)
+    assert _all_ints(s)
+    assert s.as_integers() == list(s.coeffs())
+
+
+def test_integer_quotients_stay_ints():
+    for model in cf.MODELS:
+        assert _all_ints(cf.disc(model, 60).sqrt())
+    # (4 + 8z - 4z^2)(1 + z + 3z^3) over a divisor whose lead 4 divides every step
+    divisor = Series([4, 8, -4], order=12)
+    q = (divisor * Series([1, 1, 0, 3], order=12)).div(divisor)
+    assert q == Series([1, 1, 0, 3], order=12) and _all_ints(q)
+    assert _all_ints(Series([2, 4, -6]) / 2)
+
+
+def test_inexact_quotients_are_fractions():
+    halved = Series([1, 1]) / 2
+    assert halved.coeffs() == (Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in halved.coeffs())
+    root = Series([1, 1]).sqrt()
+    assert root.coeffs() == (1, Fraction(1, 2)) and type(root.coeff(1)) is Fraction
+
+
+def test_floats_are_refused_and_bools_stored_as_ints():
+    with pytest.raises(TypeError):
+        Series([1.5])
+    with pytest.raises(TypeError):
+        Series([1]) * 0.5
+    with pytest.raises(TypeError):
+        Series([1]) / 2.0
+    assert Series([True]).to_json() == ["1"]
+    assert type(Series([True, False]).coeff(0)) is int
+    assert type((Series([1]) * True).coeff(0)) is int
