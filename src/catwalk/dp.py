@@ -3,7 +3,7 @@
 A row counts the paths of one length by end state: a tuple (F, G, H) of int
 lists indexed by level, one per layer (after an up-step, the start or a
 catastrophe; after a black down-step; after a red down-step).
-:class:`Transfer` advances a row one step by list shifts and ``map(add)``.
+:class:`Transfer` steps a row by shifts and ``map(add)``, and unranks paths.
 :func:`ending` reads one row at a (layer, level) view, None meaning any
 layer or any level.  :func:`count` keeps one rolling row, and so does
 :func:`view_series`, which collects the series of each view the closed-form
@@ -22,6 +22,7 @@ per-(layer, level) generating functions must satisfy.  Its
 from __future__ import annotations
 
 import time
+from itertools import product
 from operator import add
 from typing import NamedTuple
 
@@ -47,10 +48,8 @@ class Transfer:
     catastrophe target carry no adjacency constraint, so it may take any
     step of the model, and only an up-step leaves level 0.
 
-    Forward, :meth:`__call__` advances a whole row by one step.  Back,
-    :meth:`predecessor` finds the one state of the row before that holds a
-    given path into a given state, and the path's rank there, which is all
-    the sampler needs.
+    Forward, :meth:`__call__` advances a row by one step; back, :meth:`unrank`
+    walks the rows from a path's rank to its steps.
     """
 
     def __init__(self, config: ModelConfig):
@@ -61,11 +60,9 @@ class Transfer:
         self.lift_start = UP in config.steps and 0 not in self.sources[UP]
         self.firing = config.catastrophe.firing
         # per layer: the step entering it above level 0, the level that step
-        # starts from relative to where it ends, and the layers that take it
-        self._into = [
-            (step, -1 if step is UP else 1, self.sources[step])
-            for step in (INCOMING[tag] for tag in LAYER_ORDER)
-        ]
+        # leaves less the level it enters, and the layers that may take it
+        into = map(INCOMING.get, LAYER_ORDER)
+        self._into = [(s, -1 if s is UP else 1, self.sources[s]) for s in into]
 
     def __call__(self, row: tuple, size: int) -> tuple:
         """The row one step longer, cut to levels 0..size-1 (size <= len + 1)."""
@@ -86,39 +83,42 @@ class Transfer:
         g, h = (inflow(step)[1 : size + 1] for step in (DOWN_BLACK, DOWN_RED))
         return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
 
-    def predecessor(self, prev: tuple, layer: int, level: int, x: int) -> tuple:
-        """The (step, layer, level, x') of the x-th path into (layer, level),
-        0 <= x < its count: the state of the row ``prev`` one step shorter
-        that holds the path, and the path's rank x' among those of that state.
-
-        The predecessors come in a fixed order, each holding as many paths
-        as its count in ``prev``: into (F, 0), catastrophes from the lowest
-        firing level up, each level in layer order; into any other state,
-        its entering step from each layer in order, and last the up-step
-        out of (F, 0) into (F, 1) when only the start may take it.  x' is x
-        less the counts of the predecessors before the one it falls in, so
-        the map from x to (step, layer, level, x') is a bijection.
-        """
-        if layer == level == 0:
-            cat = self.sources[CATASTROPHE]
-            for i in self.firing(len(prev[0]) - 1):
-                for j in cat:
-                    paths = prev[j][i]
-                    if x < paths:
-                        return CATASTROPHE, j, i, x
-                    x -= paths
-        else:
-            step, shift, sources = self._into[layer]
-            i = level + shift
-            if i < len(prev[0]):
-                for j in sources:
-                    paths = prev[j][i]
-                    if x < paths:
-                        return step, j, i, x
-                    x -= paths
-            if self.lift_start and layer == 0 and level == 1 and x < prev[0][0]:
-                return UP, 0, 0, x
-        raise RuntimeError("sampler weights do not sum to the forward count")
+    def unrank(self, rows: list, layer: int, level: int, x: int) -> list:
+        """The steps of the x-th path into (layer, level), 0 <= x < its count
+        in the last of ``rows`` (lengths 0..n), in one loop back.  The states
+        one step shorter hold the paths into a state in a fixed order: into
+        (F, 0), catastrophes from the lowest firing level up, each level in
+        layer order; into any other, its entering step from each layer in
+        order, then the up-step out of (F, 0) when only the start may take
+        it.  x less the paths before the one it falls in is its rank there."""
+        into, cat = self._into, self.sources[CATASTROPHE]
+        lifted = (UP, -1, into[0][2] + (0,) * self.lift_start)  # into (F, 1)
+        fire = tuple(self.firing(len(rows) - 2))  # row t holds those up to t
+        steps = [CATASTROPHE] * (len(rows) - 1)  # the steps into (F, 0)
+        try:
+            for t in range(len(rows) - 2, -1, -1):
+                prev = rows[t]
+                if layer or level:
+                    steps[t], shift, sources = into[layer] if layer or level > 1 else lifted
+                    level += shift
+                    for layer in sources:
+                        paths = prev[layer][level]
+                        if x < paths:
+                            break
+                        x -= paths
+                    else:
+                        raise IndexError  # x is past their paths
+                else:
+                    for level, layer in product(fire, cat):
+                        paths = prev[layer][level]
+                        if x < paths:
+                            break
+                        x -= paths
+                    else:
+                        raise IndexError
+        except IndexError:  # x ran past the paths or the levels of a row
+            raise RuntimeError("sampler weights do not sum to the forward count") from None
+        return steps
 
     def rows(self, n: int, want: int | None = None):
         """The rows of lengths 0..n in turn; the row of length t has levels 0..t.

@@ -224,6 +224,11 @@ class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")
                 raise ConfigError(
                     "forbidden pairs starting with a catastrophe are not supported"
                 )
+        # a frozenset prints in the order its items went in: one order, so
+        # equal configs print alike however they were built or copied
+        rank = STEP_ORDER.index
+        steps = frozenset(sorted(steps, key=rank))
+        forbidden_pairs = frozenset(sorted(forbidden_pairs, key=lambda p: tuple(map(rank, p))))
         self = super().__new__(cls, steps, forbidden_pairs, catastrophe)
         # For each previous step (None at the start), the steps that may come
         # next; read by validate_path.  It is not a field, so ==, hash and

@@ -2,17 +2,19 @@
 (Nijenhuis and Wilf, 1978; Flajolet, Zimmermann and Van Cutsem, 1994).
 
 A draw takes one ``randrange(total)``, the rank x of its path, and unranks
-it through the forward rows of :class:`dp.Transfer`: the end states in a
-fixed order take x off their counts until it falls in one, and each
-backward step, :meth:`dp.Transfer.predecessor`, does the same over the
-predecessors one length earlier and hands the remainder on.  Unranking is
-a bijection from ``range(total)`` onto the ensemble, so every admissible
-path has probability exactly 1/total; no floats are involved at any point.
+it through the forward rows of :class:`dp.Transfer`: one bisection in the
+running totals of the end states, in a fixed order, finds the state x falls
+in, and :meth:`dp.Transfer.unrank` walks back from there in one loop over
+the rows, doing the same over the states one length earlier at each step.
+Unranking is a bijection from ``range(total)`` onto the ensemble, so every
+admissible path has probability exactly 1/total; no floats are involved.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import dp
@@ -46,20 +48,17 @@ class Sampler:
             raise EmptyEnsemble(
                 f"no length-{n} path meets the end condition {final!r}"
             )
+        # the end states in a fixed order, and the paths of those before each
+        levels = range(n + 1) if self.want is None else (self.want,)
+        self._ends = [(j, i) for j in range(3) for i in levels]
+        self._before = [0, *accumulate(self._rows[n][j][i] for j, i in self._ends[:-1])]
 
     def draw(self, rng: random.Random) -> Path:
         """One exactly uniform draw from the ensemble: one ``randrange``."""
-        rows, n, back = self._rows, self.n, self._step.predecessor
         x = rng.randrange(self.total)
-        levels = range(n + 1) if self.want is None else (self.want,)
-        for layer, level in ((j, i) for j in range(3) for i in levels):
-            paths = rows[n][layer][level]
-            if x < paths:
-                break
-            x -= paths
-        steps = [None] * n
-        for t in range(n - 1, -1, -1):
-            steps[t], layer, level, x = back(rows[t], layer, level, x)
+        k = bisect_right(self._before, x) - 1
+        layer, level = self._ends[k]
+        steps = self._step.unrank(self._rows, layer, level, x - self._before[k])
         return validate_path(self.config, steps)
 
 

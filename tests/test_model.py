@@ -1,7 +1,10 @@
 
 import copy
 import itertools
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -387,6 +390,27 @@ def test_rules_and_configs_survive_copy_pickle_and_replace(value):
         assert all(_outcome(other, path) == _outcome(value, path) for other in copies)
     else:
         assert all(list(other.firing(6)) == list(value.firing(6)) for other in copies)
+
+
+REPR_OF_COPIES = """
+import copy, pickle
+from catwalk.model import PRESETS
+for name, config in PRESETS.items():
+    copies = (copy.copy(config), copy.deepcopy(config), config._replace())
+    for other in (*copies, pickle.loads(pickle.dumps(config))):
+        assert repr(other) == repr(config), name
+"""
+
+
+@pytest.mark.parametrize("hash_seed", range(8))
+def test_equal_configs_print_alike(hash_seed):
+    # which copies of a preset printed differently varied with the hash seed
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed)}
+    done = subprocess.run(
+        [sys.executable, "-c", REPR_OF_COPIES], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_rule_repr_is_the_field_repr():

@@ -8,8 +8,10 @@ Each model also survives a JSON round trip, and a few are counted through
 ``catwalk count --config``.  Random catastrophe rules on the catastrophe
 presets keep the recurrences that ``dp.verify_recurrences`` checks, and a
 model outside the preset adjacency rules fails them.  On these models and
-the presets, the sampler's backward step and ``validate_path`` are checked
-against references written out here from the model's rules.
+the presets, the backward step and ``validate_path`` are checked against
+references written out here from the model's rules, and ``predecessor``,
+one backward step per call, is the reference walk that the sampler's
+one-loop walk, ``dp.Transfer.unrank``, must follow rank for rank.
 """
 
 import json
@@ -158,6 +160,58 @@ def moves_into(config: ModelConfig, prev: tuple) -> dict:
     return moves
 
 
+def predecessor(step: dp.Transfer, prev: tuple, layer: int, level: int, x: int) -> tuple:
+    """The (step, layer, level, x') of the x-th path into (layer, level),
+    0 <= x < its count: the state of the row ``prev`` one step shorter
+    that holds the path, and the path's rank x' among those of that state.
+
+    The predecessors come in a fixed order, each holding as many paths as
+    its count in ``prev``: into (F, 0), catastrophes from the lowest firing
+    level up, each level in layer order; into any other state, its entering
+    step from each layer in order, and last the up-step out of (F, 0) into
+    (F, 1) when only the start may take it.  x' is x less the counts of the
+    predecessors before the one it falls in.  ``dp.Transfer.unrank`` walks
+    the same order in one loop; this is the reference it is checked against.
+    """
+    if layer == level == 0:
+        for i in step.firing(len(prev[0]) - 1):
+            for j in step.sources[C]:
+                paths = prev[j][i]
+                if x < paths:
+                    return C, j, i, x
+                x -= paths
+    else:
+        into = INCOMING[LAYER_ORDER[layer]]
+        i = level - 1 if into is U else level + 1
+        if i < len(prev[0]):
+            for j in step.sources[into]:
+                paths = prev[j][i]
+                if x < paths:
+                    return into, j, i, x
+                x -= paths
+        if step.lift_start and layer == 0 and level == 1 and x < prev[0][0]:
+            return U, 0, 0, x
+    raise RuntimeError("sampler weights do not sum to the forward count")
+
+
+def reference_walk(step: dp.Transfer, rows: list, want, x: int) -> list:
+    """The steps of the x-th path of the last of ``rows`` that ends at
+    level ``want`` (None: any): the end states, layer by layer and each
+    layer by level, take x off their counts until it falls in one, and one
+    :func:`predecessor` per step walks back from there."""
+    n = len(rows) - 1
+    levels = range(n + 1) if want is None else (want,)
+    for layer, level in ((j, i) for j in range(3) for i in levels):
+        paths = rows[n][layer][level]
+        if x < paths:
+            break
+        x -= paths
+    steps = [None] * n
+    for t in range(n - 1, -1, -1):
+        steps[t], layer, level, x = predecessor(step, rows[t], layer, level, x)
+    return steps
+
+
 @pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
 def test_backward_step_visits_each_predecessor_by_its_weight(config):
     # x over range(count) must meet each predecessor (step, layer, level)
@@ -171,7 +225,7 @@ def test_backward_step_visits_each_predecessor_by_its_weight(config):
             for level, paths in enumerate(vec):
                 ranks: dict = {}
                 for x in range(paths):
-                    *move, rank = step.predecessor(prev, layer, level, x)
+                    *move, rank = predecessor(step, prev, layer, level, x)
                     ranks.setdefault(tuple(move), []).append(rank)
                 assert Counter({m: len(r) for m, r in ranks.items()}) == moves.get(
                     (layer, level), Counter()
@@ -179,7 +233,18 @@ def test_backward_step_visits_each_predecessor_by_its_weight(config):
                 for (_, j, i), r in ranks.items():
                     assert r == list(range(prev[j][i])), (t, layer, level, j, i)
                 with pytest.raises(RuntimeError):
-                    step.predecessor(prev, layer, level, paths)
+                    predecessor(step, prev, layer, level, paths)
+
+
+@pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
+def test_walk_back_refuses_a_rank_past_the_count(config):
+    step = dp.Transfer(config)
+    rows = list(step.rows(12))
+    for t in range(1, len(rows)):
+        for layer, vec in enumerate(rows[t]):
+            for level, paths in enumerate(vec):
+                with pytest.raises(RuntimeError):
+                    step.unrank(rows[: t + 1], layer, level, paths)
 
 
 def reference_validate(config: ModelConfig, steps) -> tuple:

@@ -1,6 +1,7 @@
 import pathlib
 import random
 import shlex
+import sys
 from collections import Counter
 
 import pytest
@@ -9,7 +10,7 @@ from catwalk import brute, cli, dp, sampler
 from catwalk.model import DYCK, DYCK_CAT, PRESETS, SKEW, SKEW_CAT
 from catwalk.sampler import EmptyEnsemble, Sampler, SamplerSpec, sample
 
-from test_random_models import EVERY_ID, EVERY_MODEL, MODELS
+from test_random_models import EVERY_ID, EVERY_MODEL, MODELS, reference_walk
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,6 +41,38 @@ PINNED_DRAWS = {
     (27, "open"): ["UCUCUCUCUCU"] * 3,
 }
 SEEDS = {"closed": 11, "open": 12, 2: 13}
+
+# Seeded draws at the sizes of the benchmark's sample commands, keyed by
+# (model, n, final, seed): their walks back pass through deep levels and,
+# more often than at n = 14, through catastrophes.
+PINNED_LONG_DRAWS = {
+    ("dyck-cat", 100, "open", 12): [
+        "UUUDUUUDUUUDUUDUUDUDCUUUDUUUDUCUUDUUDUDDDUUDDUDUUUDUDUDDUUUUCUUUUDUDDCUUDUUDCUUD"
+        "UDUCUUDUCUUUDUUUUUUU",
+        "UUUUUCUUDUDUCUUUUDUUUDUUUDDDUUDUUUUCUUCUUCUDUUUUUDUDDUDCUUDUUUDUDUDUDDCUUUUUUDUD"
+        "UDDUDUUDDUDDUDUDCUUU",
+        "UUDUUCUUUUUDUUUDCUUCUUUUDUDDUDUDUUUDUUDUUUDDUUUCUUCUUUUDUDDCUUUDDUUUDUUDDUUCUUCU"
+        "UDUUDDUDDUUUUUUDDDUU",
+        "UUUDUUUUDUDDCUDUUUCUUUUDUUDUUUUDDDUUDUUDCUUUDCUUDUDDUUUUUDDDCUUUDDDUUUUUUUUUUDDC"
+        "UUCUUUDUDCUUUUDUDUDU",
+        "UUUUDDUUUDUDUDCUUUDUDDDUUDDUUCUUUUDUUUUUDCUUDUUUDUUCUDUUUUUUUDDDUDUUUUUUCUUDUUUU"
+        "UDUUDCUUUDDUUUUUDDCU",
+    ],
+    ("skew-cat", 320, "closed", 11): [
+        "UUDUUDUUDDCUUDUDDUUUUDDDUUDRDUUUCUDUDUUUUUDUCUUUCUUUUUDUUUUUDDUDUUDDDRDUCUUUUDDU"
+        "CUUCUUUUDDUDUCUUUUDUDRDDUUUUDDUUUUUUUUDUUUDDUUUDUDRDRDCUDUUUUUUUDUCUUCUUCUUDUUUU"
+        "DRDUUUCUUDUUUUUDDUUUDUDRRRCUDUUDUCUUUUUCUUUCUUDUCUUUDUUDDUUUUUUUDDUUUUUUDUDRRDDD"
+        "UUDRRRDRRDUUUDDUUUUUUUDUDDUUCUUUUDDDUDUUUDUUDUUDRCUUUUDUUUDUDUDRDUUUUDRDDRDDUUUC",
+        "UDUUUCUUUUDUUUUDUDDDDUDUUUDUDDUDUDRRCUUUUUUUUUUUDRDDUUUDUUUDUDUUUUUDUCUUUDUUCUDU"
+        "UDDUDUUDUUDCUUDDUUDDUUUUUDUUDDUDUUUUUCUUUUDDUDDUDUUUUCUDUUUDUDDUUUUUDRDDDUUUDUUD"
+        "DRDUUDUUDUUUUUDDDDDDUDUUUUDDDCUUUUDCUUCUUUCUDUUUUUUUUUUDUDRRDDDRCUUUUUUDUUUDUDRR"
+        "RRDDUUUUUUDUUDDUDUDDDUUDUUDDRDDUDUUDUDUUUDRRCUUUUUUUDUDUDDRDUUUDUUUDRRRDUUUDRRDC",
+        "UUUDDUUUDUDUUUDCUUCUUCUUUUDDDDUUCUUDUUDUUUUUUUDUDDRDDDUUUUUDRRDDUDDUDCUDUUUCUDUU"
+        "UDUUUUUUUUUDUUDDUDUUUUDRRRRRDUUDDDRDUUCUUDUUUUDUUUDUDUDUUDRDRDUDDUDRDUUUUUDRDUUU"
+        "DRCUUUUUUUUDRDUUDRDUDUUDDRRDDUUDDUDUUDUUUUDUUUUUUUDRDRDUUDRRCUUCUUUUUUDRDDDUDDUU"
+        "CUUUDUCUUDUUUUUDDUDUDDRCUUUUCUDUUDUUDUCUUUUDUUUDDUUUUDDDDDRDUUUUUUUDUUDUUDUDRDUC",
+    ],
+}
 
 
 def test_determinism():
@@ -146,7 +179,10 @@ class OneRank:
 @pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
 def test_draws_unrank_each_ensemble_member_once(config):
     # exact uniformity: one randrange(total) per draw, and the ranks
-    # 0..total-1 give every path of the ensemble exactly once
+    # 0..total-1 give every path of the ensemble exactly once; and each
+    # rank gives the path the reference walk gives it, the order that
+    # seeded draws rest on
+    step = dp.Transfer(config)
     for n in range(9):
         for final in ("closed", "open", 2):
             members = sorted(str(p) for p in brute.enumerate_red(config, n, final))
@@ -156,12 +192,37 @@ def test_draws_unrank_each_ensemble_member_once(config):
                 continue
             s = Sampler(config, n, final)
             assert s.total == len(members)
+            rows = list(step.rows(n, s.want))
             drawn = []
             for x in range(s.total):
                 rng = OneRank(s.total, x)
                 drawn.append(str(s.draw(rng)))
                 assert rng.calls == 1
+                assert drawn[-1] == "".join(t.char for t in reference_walk(step, rows, s.want, x))
             assert sorted(drawn) == members, (n, final)
+
+
+def calls_in_one_draw(config, n: int) -> list:
+    """The Python functions one open draw at length n enters, in order."""
+    s, rng, calls = Sampler(config, n, "open"), random.Random(n), []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        s.draw(rng)
+    finally:
+        sys.setprofile(before)
+    return calls
+
+
+@pytest.mark.parametrize("config", [DYCK, SKEW], ids=["dyck", "skew"])
+def test_a_draw_makes_no_call_per_step(config):
+    # the walk back runs inline: as many calls at n = 400 as at n = 50
+    assert calls_in_one_draw(config, 400) == calls_in_one_draw(config, 50)
 
 
 def test_reusable_sampler_object():
@@ -189,6 +250,14 @@ def test_seeded_draws_are_pinned(key):
         assert dp.Transfer(config).lift_start
     drawn = sample(SamplerSpec(config, n, final, seed=SEEDS[final]), 3)
     assert [str(p) for p in drawn] == PINNED_DRAWS[key]
+
+
+@pytest.mark.parametrize("key", list(PINNED_LONG_DRAWS), ids=lambda k: "-".join(map(str, k)))
+def test_seeded_draws_at_benchmark_size_are_pinned(key):
+    name, n, final, seed = key
+    words = PINNED_LONG_DRAWS[key]
+    drawn = sample(SamplerSpec(PRESETS[name], n, final, seed=seed), len(words))
+    assert [str(p) for p in drawn] == words
 
 
 def test_pinned_draws_pass_through_catastrophes():
