@@ -5,7 +5,7 @@ Every closed skew path of length six
 There are exactly ten of them.  This script lists them twice -- once as
 red-step words, once as self-avoiding polygonal lines in the plane --
 confirms the two enumerations describe the same objects, and draws the
-gallery, ASCII art to the terminal and SVG to disk.
+gallery, ASCII art to the terminal and SVG files to the working directory.
 """
 
 import os
@@ -33,11 +33,11 @@ for path in red:
         print("   " + line)
     print()
 
-# One of the ten as a standalone SVG file, in both geometries.
+# One of the ten as a standalone SVG file, in both geometries, written to
+# the working directory.
 pick = red[1]  # UUUDDR, ends with a red step
-out_dir = os.path.dirname(os.path.abspath(__file__))
 for geometry in ("red", "sw"):
-    target = os.path.join(out_dir, f"gallery_{geometry}.svg")
+    target = f"gallery_{geometry}.svg"
     with open(target, "w") as fh:
         fh.write(to_svg(pick, geometry=geometry))
-    print(f"wrote {target}")
+    print(f"wrote {os.path.abspath(target)}")

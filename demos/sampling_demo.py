@@ -3,10 +3,12 @@ Drawing paths uniformly at random
 =================================
 
 The recursive method: tabulate, for every length and end state, how many
-paths reach it, pick the end state in proportion to its count, then walk
-back choosing each previous state in proportion to its count one step
-earlier.  Every path of the target length comes out with equal probability,
-and a fixed seed gives a reproducible draw.
+paths reach it, so that the ensemble's paths can be numbered 0..total-1.
+A draw takes one random rank, ``randrange(total)``, and unranks it: the
+running totals of the end states say which state the rank falls in, and a
+walk back through the tables turns the rest of the rank into the path.
+Unranking is a bijection, so every path of the target length comes out
+with probability exactly 1/total, and a fixed seed gives a reproducible draw.
 """
 
 from collections import Counter

@@ -59,8 +59,8 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     """All length-n paths of the model, in lexicographic step order.
 
     The order of the step alphabet is U < D < R < C.  ``final`` restricts
-    the final level (None or "all" for no restriction, "closed" or 0 for the
-    axis, any int for that level).  Validation logic is deliberately local:
+    the final level (None or "open" for no restriction, "closed" or 0 for the
+    axis, any int k >= 0 for level k).  Validation logic is deliberately local:
     the moves come from the model's step set, forbidden pairs and catastrophe
     rule, not from ``ModelConfig.next_steps``, so the result is independent
     of the DP route.
@@ -117,7 +117,7 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     def walk(prev, level: int, head: tuple) -> None:
         if len(head) == cut:
             out.extend([
-                Path(config, head + rest, end) for rest, end in tails(prev, level, n - cut)
+                Path(head + rest, end) for rest, end in tails(prev, level, n - cut)
             ])
             return
         for s, nxt in moves(prev, level):

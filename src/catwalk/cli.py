@@ -121,7 +121,7 @@ def _add_final_group(p):
         "--open",
         dest="final",
         action="store_const",
-        const="all",
+        const="open",
         help="paths ending anywhere",
     )
     g.add_argument(

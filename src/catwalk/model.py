@@ -376,11 +376,10 @@ class IllegalCatastrophe(PathError):
     pass
 
 
-class Path(namedtuple("Path", "config steps final_level")):
-    """A validated step sequence and the level it ends at.
-
-    The level trace follows from the steps alone, so it is not stored:
-    :attr:`levels` derives it on each access.  ``len`` is the number of steps.
+class Path(namedtuple("Path", "steps final_level")):
+    """A validated step sequence and the level it ends at; equal steps are
+    an equal path, whatever model validated them.  :attr:`levels` derives
+    the level trace on each access.  ``len`` is the number of steps.
     """
 
     __slots__ = ()
@@ -447,7 +446,7 @@ def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
                 break
             allowed = follows[s]
         else:
-            return Path(config, steps, level)
+            return Path(steps, level)
     except TypeError:  # an unhashable entry
         pass
     if not isinstance(s, StepKind):
@@ -475,21 +474,15 @@ FinalSpec = Union[None, int, str]
 
 
 def normalize_final(final: FinalSpec):
-    """Normalize an end-condition spec to None (any end), or an int level.
+    """The level an end condition asks for, or None for any level.
 
-    Accepts None, "all"/"open"/"any", "closed", or a level number.
+    None or "open" is any level, "closed" is level 0, and an int k >= 0
+    (not a bool) is level k.  Anything else raises ValueError.
     """
-    if final is None:
+    if final is None or final == "open":
         return None
-    if isinstance(final, int):
-        if final < 0:
-            raise ValueError("final level must be >= 0")
-        return final
-    key = final.strip().lower()
-    if key in ("all", "open", "any", "*"):
-        return None
-    if key == "closed":
+    if final == "closed":
         return 0
-    if key.isdigit():
-        return int(key)
+    if isinstance(final, int) and not isinstance(final, bool) and final >= 0:
+        return final
     raise ValueError(f"cannot interpret end condition {final!r}")

@@ -39,7 +39,6 @@ class Sampler:
 
     def __init__(self, config: ModelConfig, n: int, final: FinalSpec = "closed"):
         self.config = config
-        self.n = n
         self.want = normalize_final(final)
         self._step = dp.Transfer(config)
         self._rows = list(self._step.rows(n, self.want))

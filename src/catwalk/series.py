@@ -370,9 +370,3 @@ class Series:
     def to_json(self) -> list:
         """Coefficients as strings ("5", "-3/2") so JSON stays exact."""
         return list(map(str, self._c))
-
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "Series":
-        from fractions import Fraction
-
-        return cls([Fraction(s) for s in data])

@@ -298,6 +298,16 @@ def test_sample_empty_ensemble(capsys):
     assert "no length-3 path" in err
 
 
+def test_sample_empty_open_ensemble_names_open(tmp_path, capsys):
+    # a model with only down-steps has no path of length 3, whatever its end
+    cfg = tmp_path / "down_only.json"
+    down_only = {"steps": ["down_black"], "forbidden_pairs": [], "catastrophe": {"kind": "none"}}
+    cfg.write_text(json.dumps(down_only), encoding="utf-8")
+    code, out, err = run(capsys, "sample", "--config", str(cfg), "--n", "3", "--open")
+    assert (code, out) == (2, "")
+    assert "no length-3 path meets the end condition 'open'" in err
+
+
 def test_render_svg_default(capsys):
     code, out, _ = run(capsys, "render", "--path", "UUUUDRC")
     assert code == 0

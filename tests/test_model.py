@@ -187,11 +187,12 @@ def test_path_has_slots_and_value_semantics():
     assert p == q and p is not q and hash(p) == hash(q)
     assert len({p, q, validate_path(SKEW_CAT, parse_steps("UUUDRDUUD"))}) == 2
     assert p != validate_path(DYCK_CAT, parse_steps("UUDDUUC"))
-    assert validate_path(DYCK, [U, D]) != validate_path(DYCK_CAT, [U, D])
+    # the model is not part of the path: equal steps are equal paths
+    assert validate_path(DYCK, [U, D]) == validate_path(DYCK_CAT, [U, D])
     with pytest.raises(AttributeError):
         p.steps = ()
     # _replace builds through the class, whose len() counts steps, not fields
-    assert p._replace(final_level=0) == Path(p.config, p.steps, 0) and len(p) == 9
+    assert p._replace(final_level=0) == Path(p.steps, 0) and len(p) == 9
 
 
 def test_level_trace():
@@ -200,7 +201,7 @@ def test_level_trace():
 
 def test_path_stores_steps_and_end_level_only():
     # the level trace is derived from the steps, not held beside them
-    assert Path._fields == ("config", "steps", "final_level")
+    assert Path._fields == ("steps", "final_level")
 
 
 def test_parse_steps():
@@ -213,15 +214,24 @@ def test_parse_steps():
 
 def test_normalize_final():
     assert normalize_final(None) is None
-    assert normalize_final("all") is None
     assert normalize_final("open") is None
     assert normalize_final("closed") == 0
+    assert normalize_final(0) == 0
     assert normalize_final(3) == 3
-    assert normalize_final("4") == 4
+    assert normalize_final(7) == 7
     with pytest.raises(ValueError):
         normalize_final(-1)
     with pytest.raises(ValueError):
         normalize_final("sideways")
+
+
+@pytest.mark.parametrize(
+    "final", [True, False, 2.5, "all", "any", "*", "4", "\u0663", " closed", "Open", [0]]
+)
+def test_normalize_final_takes_one_spelling_per_end_condition(final):
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, which str.isdigit accepts
+    with pytest.raises(ValueError, match="cannot interpret end condition"):
+        normalize_final(final)
 
 
 def test_json_round_trip_all_presets():

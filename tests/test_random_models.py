@@ -273,7 +273,7 @@ def reference_validate(config: ModelConfig, steps) -> tuple:
             level = 0
         levels.append(level)
         prev = s
-    return Path(config, tuple(steps), level), tuple(levels)
+    return Path(tuple(steps), level), tuple(levels)
 
 
 def outcome(validate, config: ModelConfig, steps):
