@@ -25,7 +25,7 @@ from . import verify as verify_mod
 from .model import (
     ModelConfig,
     PRESETS,
-    normalize_final,
+    final_label,
     parse_steps,
     preset,
     validate_path,
@@ -83,15 +83,6 @@ def _resolve_config(args):
     return args.model, preset(args.model)
 
 
-def _final_label(final) -> str:
-    want = normalize_final(final)
-    if want is None:
-        return "open"
-    if want == 0:
-        return "closed"
-    return f"level:{want}"
-
-
 def _add_model_group(p, required: bool, default: str | None = None):
     g = p.add_mutually_exclusive_group(required=required)
     g.add_argument(
@@ -144,7 +135,7 @@ def _add_output_group(p, formats, default: str):
 def cmd_count(args) -> int:
     label, config = _resolve_config(args)
     value = dp.count(config, args.n, args.final)
-    sel = _final_label(args.final)
+    sel = final_label(args.final)
     _emit(
         args,
         text=lambda: str(value),
@@ -200,7 +191,7 @@ def cmd_enumerate(args) -> int:
         lambda: {
             "model": label,
             "n": args.n,
-            "final": _final_label(args.final),
+            "final": final_label(args.final),
             "count": len(paths),
             "paths": [p.to_json() for p in paths],
         },

@@ -196,11 +196,19 @@ def level_ladder(top: int, order: int) -> list:
     return [f.truncate(order) for f in ladder]
 
 
+def channels(rt: Series, f_next: Series) -> tuple:
+    """(g_j, h_j) of the red catastrophe model from r2 and f_{j+1}:
+    g_j = (r2 - z) f_{j+1} and h_j = g_j - z f_{j+1}, at their common order."""
+    zf = f_next.shift_up()
+    g = rt * f_next - zf
+    return g, g - zf
+
+
 def fj_family(j: int, order: int) -> tuple:
     """The level-j layer series (f_j, g_j, h_j) of the red catastrophe model.
 
-    f_j and f_{j+1} come off :func:`level_ladder`, then
-    g_j = (r2 - z) f_{j+1} and h_j = g_j - z f_{j+1}.
+    f_j and f_{j+1} come off :func:`level_ladder`, and g_j and h_j are
+    :func:`channels` of r2 and f_{j+1}, the code the theorem suite checks.
     """
     if j < 0:
         raise ValueError("level index must be >= 0")
@@ -208,9 +216,7 @@ def fj_family(j: int, order: int) -> tuple:
         # q has valuation 1, so every factor q^j vanishes through z^order
         return (Series.zero(order),) * 3
     f, f_next = level_ladder(j + 1, order)[j:]
-    z = _poly((0, 1), order)  # zero at order 0, where Series.z has no room
-    g = (r2("skew", order) - z) * f_next
-    return (f, g, g - f_next.shift_up())
+    return (f, *channels(r2("skew", order), f_next))
 
 
 def g0(order: int) -> Series:

@@ -486,3 +486,9 @@ def normalize_final(final: FinalSpec):
     if isinstance(final, int) and not isinstance(final, bool) and final >= 0:
         return final
     raise ValueError(f"cannot interpret end condition {final!r}")
+
+
+def final_label(final: FinalSpec) -> str:
+    """An end condition as the outputs name it: "open", "closed" or "level:K"."""
+    want = normalize_final(final)
+    return "open" if want is None else "closed" if want == 0 else f"level:{want}"

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from . import dp
-from .model import FinalSpec, ModelConfig, Path, normalize_final, validate_path
+from .model import FinalSpec, ModelConfig, Path, final_label, normalize_final, validate_path
 
 
 class EmptyEnsemble(ValueError):
@@ -45,7 +45,7 @@ class Sampler:
         self.total = dp.ending(self._rows[n], None, self.want)
         if self.total == 0:
             raise EmptyEnsemble(
-                f"no length-{n} path meets the end condition {final!r}"
+                f"no length-{n} path meets the end condition {final_label(final)!r}"
             )
         # the end states in a fixed order, and the paths of those before each
         levels = range(n + 1) if self.want is None else (self.want,)

@@ -5,7 +5,9 @@ each other: closed forms against the dynamic programming counts, both
 against brute-force enumeration, the kernel roots against the kernel, and
 the low-order coefficients against externally published sequences.  A
 report is a flat list of named pass/fail checks plus timing, ready for
-text or JSON output.
+text or JSON output.  tests/test_fault_matrix.py pins the checks each of a
+table of planted faults fails: every check is the only one to catch some
+fault, or follows from checks named there.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter
 from . import brute, closedform as cf, dp
 from .dp import Check, Report
 from .model import CatastropheRule, DYCK_CAT, PRESETS, SKEW_CAT, with_rule
-from .series import Series
+from .series import Series, SeriesError
 
 
 def _suite_kernel(order: int, max_n: int) -> list:
@@ -113,44 +115,37 @@ def _suite_theorem(order: int, max_n: int) -> list:
     # the ladder `series --gf fj:J` prints, checked here against r2 and the DP
     fj = cf.level_ladder(j_top + 1, n)
     f0 = fj[0]
-    levels = range(j_top + 1)
-    rz, r2z = r2 - z, r2 - 2 * z
-    gj = [rz * fj[j + 1] for j in levels]
-    hj = [r2z * fj[j + 1] for j in levels]
     # ladder between consecutive level series, multiplied out to avoid 1/r1
     checks.append(
         dp.compare(
             "level-ladder",
-            ((f"j={j}", two_m_z2 * fj[j + 1], r2 * fj[j]) for j in levels),
+            ((f"j={j}", two_m_z2 * fj[j + 1], r2 * fj[j]) for j in range(j_top + 1)),
             f"(2 - z^2) f_(j+1) == r2 f_j for j <= {j_top}",
         )
     )
-    checks.append(
-        dp.compare(
-            "channel-difference",
-            ((f"j={j}", hj[j], gj[j] - z * fj[j + 1]) for j in levels),
-            f"h_j == g_j - z f_(j+1) for j <= {j_top}",
-        )
-    )
+    # g_j and h_j as `series --gf gj:J|hj:J` forms them, for the levels the
+    # DP checks below read
+    j_dp = 5
+    gh = [cf.channels(r2, fj[j + 1]) for j in range(j_dp + 1)]
+    g0, h0 = gh[0]
 
     sf, sg, sh = cf.tail_sums(n)
     for name, lhs, rhs, detail in (
-        ("g0-elimination", cf.g0_via_elimination(n), gj[0], "both g0 routes agree"),
-        ("axis-sum", cf.fgh0(n), f0 + gj[0] + hj[0], "fgh0 == f0 + g0 + h0"),
+        ("g0-elimination", cf.g0_via_elimination(n), g0, "both g0 routes agree"),
+        ("axis-sum", cf.fgh0(n), f0 + g0 + h0, "fgh0 == f0 + g0 + h0"),
         ("axis-boundary-tails", f0, 1 + z * (sf + sg + sh), "f0 == 1 + z (tail sums)"),
     ):
         checks.append(dp.compare(name, [(name, lhs, rhs)], f"{detail} through z^{n}"))
 
     # every registry series with a DP view against its counts, read off one
-    # stream of the kernel's rows per model; the level-0 series expanded above
-    # are not expanded again
-    known = {"f0-skew-cat": f0, "g0-skew-cat": gj[0], "h0-skew-cat": hj[0]}
+    # stream of the kernel's rows per model; the level-0 series formed above
+    # are not expanded again, and the level family starts at j = 1, past them
+    known = {"f0-skew-cat": f0, "g0-skew-cat": g0, "h0-skew-cat": h0}
     viewed = [e for e in cf.REGISTRY.values() if e.view is not None]
-    j_dp = min(j_top, 5)
     family = [
         (cf.lookup(f"{head}:{j}"), series)
-        for j in range(j_dp + 1)
-        for head, series in (("fj", fj[j]), ("gj", gj[j]), ("hj", hj[j]))
+        for j in range(1, j_dp + 1)
+        for head, series in zip(("fj", "gj", "hj"), (fj[j], *gh[j]))
     ]
     entries = viewed + [e for e, _ in family]
     counted: dict = {}  # model -> view -> its counts as a series
@@ -170,7 +165,7 @@ def _suite_theorem(order: int, max_n: int) -> list:
         dp.compare(
             "dp-level-family",
             ((e.name, series, counted[e.model][e.view]) for e, series in family),
-            f"level series match table for j <= {j_dp}",
+            f"level series match table for 1 <= j <= {j_dp}",
         )
     )
     return checks
@@ -209,22 +204,24 @@ def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> Report:
     """Run one named suite (or all of them) and collect the report.
 
     ``order`` bounds the series comparisons, ``max_n`` the brute-force
-    enumerations.  Raises ValueError for an unknown suite name and lets the
-    brute-force size guards propagate if max_n is pushed past them.
+    enumerations.  A suite that raises a :class:`SeriesError`, as a division
+    by a wrong kernel root does, is one failed check ``<suite>-error`` naming
+    the exception, and the other suites still run.  Raises ValueError for an
+    unknown suite name and lets the brute-force size guards propagate if
+    max_n is pushed past them.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if suite == "all":
-        builders = [_SUITES[k] for k in sorted(_SUITES)]
-    elif suite in _SUITES:
-        builders = [_SUITES[suite]]
-    else:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     start = time.perf_counter()
     checks: list = []
-    for b in builders:
-        checks.extend(b(order, max_n))
+    for name in sorted(_SUITES) if suite == "all" else [suite]:
+        try:
+            checks.extend(_SUITES[name](order, max_n))
+        except SeriesError as exc:
+            checks.append(Check(f"{name}-error", False, f"{type(exc).__name__}: {exc}"))
     elapsed = int((time.perf_counter() - start) * 1000)
     return Report(suite, checks, elapsed)

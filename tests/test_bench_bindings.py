@@ -57,7 +57,7 @@ for name, calls in (("sampler.build", 1), ("sampler.draw", 7), ("model.validate_
 def test_tracer_installs_on_this_package():
     src = pathlib.Path(catwalk.__file__).parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-B", "-c", SCRIPT],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "bench")])},

@@ -308,6 +308,20 @@ def test_sample_empty_open_ensemble_names_open(tmp_path, capsys):
     assert "no length-3 path meets the end condition 'open'" in err
 
 
+@pytest.mark.parametrize("level, label", [(0, "closed"), (2, "level:2")])
+def test_sample_empty_level_ensemble_names_it_as_count_does(tmp_path, capsys, level, label):
+    cfg = tmp_path / "down_only.json"
+    down_only = {"steps": ["down_black"], "forbidden_pairs": [], "catastrophe": {"kind": "none"}}
+    cfg.write_text(json.dumps(down_only), encoding="utf-8")
+    code, out, err = run(capsys, "sample", "--config", str(cfg), "--n", "3", "--level", str(level))
+    assert (code, out) == (2, "")
+    assert f"no length-3 path meets the end condition {label!r}" in err
+    code, out, _ = run(
+        capsys, "count", "--config", str(cfg), "--n", "3", "--level", str(level), "--format", "json"
+    )
+    assert (code, json.loads(out)["final"]) == (0, label)
+
+
 def test_render_svg_default(capsys):
     code, out, _ = run(capsys, "render", "--path", "UUUUDRC")
     assert code == 0
@@ -520,7 +534,7 @@ def test_negative_n_rejected():
 def test_module_entry_points(module):
     src = pathlib.Path(catwalk.__file__).parents[1]
     done = subprocess.run(
-        [sys.executable, "-m", module, "count", "--model", "dyck", "--n", "4", "--closed"],
+        [sys.executable, "-B", "-m", module, "count", "--model", "dyck", "--n", "4", "--closed"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(src)},
@@ -534,8 +548,8 @@ def test_closed_stdout_ends_silently_with_sigpipe_status():
     # still writing when the reader closes its end after the first line
     src = pathlib.Path(catwalk.__file__).parents[1]
     with subprocess.Popen(
-        [sys.executable, "-m", "catwalk", "series", "--gf", "open-skew-cat", "--order", "3000",
-         "--format", "csv"],
+        [sys.executable, "-B", "-m", "catwalk", "series", "--gf", "open-skew-cat",
+         "--order", "3000", "--format", "csv"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={"PYTHONPATH": str(src)},
@@ -554,7 +568,7 @@ def test_cli_import_loads_no_module_a_command_may_not_run():
     lazy = ("dataclasses", "csv", "catwalk.render", "catwalk.automaton")
     probe = f"import sys, catwalk.cli; print([m for m in {lazy} if m in sys.modules])"
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-B", "-c", probe],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(src)},
@@ -595,7 +609,7 @@ def test_workload_commands_never_load_fractions():
         "print([m for m in ('fractions', 'decimal') if m in sys.modules], file=sys.stderr)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-B", "-c", probe],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,

@@ -66,7 +66,10 @@ def test_only_the_automaton_imports_the_automaton():
 
 def test_cli_import_leaves_the_automaton_unloaded():
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, catwalk.cli; print('catwalk.automaton' in sys.modules)"],
+        [
+            sys.executable, "-B", "-c",
+            "import sys, catwalk.cli; print('catwalk.automaton' in sys.modules)",
+        ],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(SRC.parent)},

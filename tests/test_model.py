@@ -253,6 +253,28 @@ def test_json_is_canonical_and_valid():
     jsonschema.validate(pick.to_json(), schema)
 
 
+def test_catastrophe_first_pair_fails_schema_and_loader():
+    data = {**SKEW_CAT.to_json(), "forbidden_pairs": [["catastrophe", "down_red"]]}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, load_schema("model_config"))
+    with pytest.raises(ConfigError, match="starting with a catastrophe"):
+        ModelConfig.from_json(data)
+    # a catastrophe second is a pair both accept
+    data["forbidden_pairs"] = [["down_red", "catastrophe"]]
+    jsonschema.validate(data, load_schema("model_config"))
+    assert ModelConfig.from_json(data).forbidden_pairs == {
+        (StepKind.DOWN_RED, StepKind.CATASTROPHE)
+    }
+
+
+def test_integral_float_threshold_passes_schema_but_not_loader():
+    # JSON Schema counts 2.0 as an integer; the schema's description says so
+    data = {**SKEW_CAT.to_json(), "catastrophe": {"kind": "min_level", "k": 2.0}}
+    jsonschema.validate(data, load_schema("model_config"))
+    with pytest.raises(ConfigError, match="integer"):
+        ModelConfig.from_json(data)
+
+
 def test_from_json_malformed():
     with pytest.raises(ConfigError):
         ModelConfig.from_json({"steps": ["up"]})
@@ -418,7 +440,11 @@ def test_equal_configs_print_alike(hash_seed):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {"PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed)}
     done = subprocess.run(
-        [sys.executable, "-c", REPR_OF_COPIES], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-B", "-c", REPR_OF_COPIES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
     assert done.returncode == 0, done.stderr
 

@@ -3,7 +3,7 @@ import pytest
 
 from catwalk import brute, closedform as cf, dp, verify
 from catwalk.model import SKEW
-from catwalk.series import Series
+from catwalk.series import Series, ValuationError
 
 from conftest import load_schema
 
@@ -12,7 +12,7 @@ def test_all_suites_pass_at_moderate_scale():
     report = verify.run_suite("all", order=40, max_n=8)
     assert report.ok
     assert report.failures() == []
-    assert len(report.checks) == 30
+    assert len(report.checks) == 29
     names = [c.name for c in report.checks]
     assert len(set(names)) == len(names)
     assert report.elapsed_ms >= 0
@@ -46,6 +46,28 @@ def test_kernel_failure_names_first_coefficient(monkeypatch):
         assert "coefficient of z^3" in c.detail
         assert c.detail == "fails at K(r2), coefficient of z^3: 5 != 0"
     assert all(c.ok for c in report.checks if c.name.startswith("reciprocal-root-"))
+
+
+def test_a_series_error_fails_its_suite_and_the_others_run(monkeypatch):
+    def crash(order, max_n):
+        raise ValuationError("dividend has valuation 0, divisor has valuation 1")
+
+    monkeypatch.setitem(verify._SUITES, "kernel", crash)
+    report = verify.run_suite("all", order=20, max_n=4)
+    detail = "ValuationError: dividend has valuation 0, divisor has valuation 1"
+    assert report.failures() == [dp.Check("kernel-error", False, detail)]
+    assert report.checks[0].name == "kernel-error"
+    assert len(report.checks) == 26  # the four kernel checks are one error record
+    jsonschema.validate(report.to_json(), load_schema("verify_report"))
+
+
+def test_a_non_series_error_propagates(monkeypatch):
+    def refuse(order, max_n):
+        raise brute.SizeGuard("refusing brute-force enumeration past n=20")
+
+    monkeypatch.setitem(verify._SUITES, "oracle", refuse)
+    with pytest.raises(brute.SizeGuard):
+        verify.run_suite("all", order=20, max_n=4)
 
 
 def test_suite_arguments():
