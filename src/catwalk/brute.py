@@ -24,7 +24,6 @@ from .model import (
     ModelConfig,
     Path,
     SKEW,
-    StepKind,
     normalize_final,
 )
 
@@ -44,11 +43,7 @@ SE = (1, -1)
 SW = (-1, -1)
 GEO_STEPS = (NE, SE, SW)
 
-_RED_TO_GEO = {
-    StepKind.UP: NE,
-    StepKind.DOWN_BLACK: SE,
-    StepKind.DOWN_RED: SW,
-}
+_RED_TO_GEO = {"U": NE, "D": SE, "R": SW}
 
 
 class SizeGuard(ValueError):
@@ -58,54 +53,55 @@ class SizeGuard(ValueError):
 def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     """All length-n paths of the model, in lexicographic step order.
 
-    The order of the step alphabet is U < D < R < C.  ``final`` restricts
-    the final level (None or "open" for no restriction, "closed" or 0 for the
-    axis, any int k >= 0 for level k).  Validation logic is deliberately local:
+    The order of the step alphabet is U < D < R < C, not the order of the
+    letters, so the words are never sorted.  ``final`` restricts the final
+    level (None or "open" for no restriction, "closed" or 0 for the axis,
+    any int k >= 0 for level k).  Validation logic is deliberately local:
     the moves come from the model's step set, forbidden pairs and catastrophe
     rule, not from ``ModelConfig.next_steps``, so the result is independent
     of the DP route.
 
     The last ``TAIL`` steps of every path come from a memo of tails, each
-    held as its steps and its end level, that end as ``final`` asks.  A
-    depth-first walk covers the heads before them, tracking only the level,
-    and steps only into heads that some tail completes, so each path costs
-    one tuple concatenation and its ``Path``.
+    held as its word and its end level, that end as ``final`` asks.  A
+    depth-first walk builds the heads before them as words, tracking only
+    the level, and steps only into heads that some tail completes, so each
+    path costs one string concatenation and its ``Path``.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
     if n > RED_LIMIT:
         raise SizeGuard(f"refusing brute-force enumeration past n={RED_LIMIT}")
     want = normalize_final(final)
-    steps = [s for s in STEP_ORDER if s in config.steps]
+    letters = [s.char for s in STEP_ORDER if s in config.steps]
+    banned = {(a.char, b.char) for a, b in config.forbidden_pairs}
     fires = [config.catastrophe.allows(level) for level in range(n)]
-    up, cat = StepKind.UP, StepKind.CATASTROPHE
     legal: dict = {}
     memo: dict = {}
 
     def moves(prev, level: int) -> list:
-        """The legal (step, next level) pairs after ``prev`` at ``level``, in order."""
+        """The legal (letter, next level) pairs after ``prev`` at ``level``, in order."""
         key = (prev, level)
         if key not in legal:
             legal[key] = [
-                (s, level + 1 if s is up else 0 if s is cat else level - 1)
-                for s in steps
-                if (prev, s) not in config.forbidden_pairs
-                and (s is up or (fires[level] if s is cat else level > 0))
+                (s, level + 1 if s == "U" else 0 if s == "C" else level - 1)
+                for s in letters
+                if (prev, s) not in banned
+                and (s == "U" or (fires[level] if s == "C" else level > 0))
             ]
         return legal[key]
 
     def tails(prev, level: int, k: int):
-        """The length-k (steps, end level) tails after ``prev`` at ``level``
+        """The length-k (word, end level) tails after ``prev`` at ``level``
         that end as wanted; past ``TAIL`` steps, only whether one exists."""
         key = (prev, level, k)
         if key not in memo:
             if k == 0:
-                memo[key] = [((), level)] if want is None or level == want else []
+                memo[key] = [("", level)] if want is None or level == want else []
             elif k > TAIL:
                 memo[key] = any(tails(s, nxt, k - 1) for s, nxt in moves(prev, level))
             else:
                 memo[key] = [
-                    ((s, *rest), end)
+                    (s + rest, end)
                     for s, nxt in moves(prev, level)
                     for rest, end in tails(s, nxt, k - 1)
                 ]
@@ -114,7 +110,7 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     out: list = []
     cut = max(n - TAIL, 0)
 
-    def walk(prev, level: int, head: tuple) -> None:
+    def walk(prev, level: int, head: str) -> None:
         if len(head) == cut:
             out.extend([
                 Path(head + rest, end) for rest, end in tails(prev, level, n - cut)
@@ -122,9 +118,9 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
             return
         for s, nxt in moves(prev, level):
             if tails(s, nxt, n - len(head) - 1):
-                walk(s, nxt, head + (s,))
+                walk(s, nxt, head + s)
 
-    walk(None, 0, ())
+    walk(None, 0, "")
     # the nested functions reach each other through closure cells, a cycle
     # that only the cyclic collector frees; empty the memo now instead
     memo.clear()
@@ -179,7 +175,7 @@ def red_to_geometric(path: Path) -> tuple:
     verts = [(0, 0)]
     for s in path.steps:
         if s not in _RED_TO_GEO:
-            raise ValueError(f"step {s.value} has no geometric counterpart")
+            raise ValueError(f"step {s!r} has no geometric counterpart")
         dx, dy = _RED_TO_GEO[s]
         x, y = x + dx, y + dy
         verts.append((x, y))

@@ -51,7 +51,8 @@ def _emit(args, **forms) -> None:
     """Build the one form ``--format`` names and write it to ``--out`` or stdout.
 
     Each form is a zero-argument callable: ``json`` returns the payload,
-    ``csv`` the rows with the header first, any other the text itself.
+    ``csv`` the rows with the header first or its finished text, any other
+    the text itself.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact counts run past the digit limit
@@ -59,7 +60,7 @@ def _emit(args, **forms) -> None:
         value = forms[args.format]()
         if args.format == "json":
             text = json.dumps(value, indent=2)
-        elif args.format == "csv":
+        elif args.format == "csv" and not isinstance(value, str):
             import csv
 
             buf = io.StringIO()
@@ -170,15 +171,18 @@ def cmd_series(args) -> int:
 
 
 def _emit_paths(args, paths: list, payload) -> None:
-    """Emit ``paths`` one per line as text and one row each as csv."""
+    """Emit ``paths`` one word per line as text and one row each as csv.
+
+    The csv text is what ``csv.writer`` writes, less the final LF: no cell
+    needs quoting, and every line ends in CR LF, the last in CR alone."""
     _emit(
         args,
-        text=lambda: "\n".join(str(p) if len(p) else "(empty)" for p in paths) or "(none)",
+        text=lambda: "\n".join([steps or "(empty)" for steps, _ in paths]) or "(none)",
         json=payload,
-        csv=lambda: [
-            ["index", "steps", "final_level"],
-            *([i, str(p), p.final_level] for i, p in enumerate(paths)),
-        ],
+        csv=lambda: "\r\n".join([
+            "index,steps,final_level",
+            *[f"{i},{steps},{level}" for i, (steps, level) in enumerate(paths)],
+        ]) + "\r",
     )
 
 

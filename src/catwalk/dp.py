@@ -62,7 +62,7 @@ class Transfer:
         # per layer: the step entering it above level 0, the level that step
         # leaves less the level it enters, and the layers that may take it
         into = map(INCOMING.get, LAYER_ORDER)
-        self._into = [(s, -1 if s is UP else 1, self.sources[s]) for s in into]
+        self._into = [(s.char, -1 if s is UP else 1, self.sources[s]) for s in into]
 
     def __call__(self, row: tuple, size: int) -> tuple:
         """The row one step longer, cut to levels 0..size-1 (size <= len + 1)."""
@@ -84,17 +84,17 @@ class Transfer:
         return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
 
     def unrank(self, rows: list, layer: int, level: int, x: int) -> list:
-        """The steps of the x-th path into (layer, level), 0 <= x < its count
-        in the last of ``rows`` (lengths 0..n), in one loop back.  The states
+        """The step letters of the x-th path into (layer, level), 0 <= x < its
+        count in the last of ``rows`` (lengths 0..n), in one loop back.  The states
         one step shorter hold the paths into a state in a fixed order: into
         (F, 0), catastrophes from the lowest firing level up, each level in
         layer order; into any other, its entering step from each layer in
         order, then the up-step out of (F, 0) when only the start may take
         it.  x less the paths before the one it falls in is its rank there."""
         into, cat = self._into, self.sources[CATASTROPHE]
-        lifted = (UP, -1, into[0][2] + (0,) * self.lift_start)  # into (F, 1)
+        lifted = ("U", -1, into[0][2] + (0,) * self.lift_start)  # into (F, 1)
         fire = tuple(self.firing(len(rows) - 2))  # row t holds those up to t
-        steps = [CATASTROPHE] * (len(rows) - 1)  # the steps into (F, 0)
+        steps = ["C"] * (len(rows) - 1)  # the steps into (F, 0)
         try:
             for t in range(len(rows) - 2, -1, -1):
                 prev = rows[t]

@@ -1,12 +1,15 @@
 """Step alphabet, model configurations, and path validation.
 
 Paths live on the non-negative integers, starting at level 0.  Four step
-kinds exist:
+kinds exist, each with its letter:
 
-* ``UP`` rises by 1,
-* ``DOWN_BLACK`` falls by 1 (the plain down-step),
-* ``DOWN_RED`` falls by 1 (the marked down-step of the skew models),
-* ``CATASTROPHE`` jumps from a qualifying level straight back to 0.
+* ``UP`` (U) rises by 1,
+* ``DOWN_BLACK`` (D) falls by 1 (the plain down-step),
+* ``DOWN_RED`` (R) falls by 1 (the marked down-step of the skew models),
+* ``CATASTROPHE`` (C) jumps from a qualifying level straight back to 0.
+
+A :class:`Path` holds its steps as one word of those letters, as the paper
+writes paths; :class:`StepKind` names the steps of models and JSON outputs.
 
 A :class:`ModelConfig` selects a subset of the alphabet, forbids chosen
 adjacent step pairs, and fixes the catastrophe rule (which levels may fire
@@ -25,7 +28,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 class StepKind(Enum):
@@ -47,11 +50,12 @@ STEP_ORDER = (
     StepKind.CATASTROPHE,
 )
 
-# each step's letter in compact path strings, read by Path.__str__ and parse_steps
+# each step's letter in path words; letter order (C < D < R < U) is not step order
 for _step, _char in zip(STEP_ORDER, "UDRC"):
     _step.char = _char
 del _step, _char
 _CHAR_STEP = {s.char: s for s in STEP_ORDER}
+_CHAR_VALUE = {c: s.value for c, s in _CHAR_STEP.items()}
 
 
 class LayerTag(Enum):
@@ -230,12 +234,12 @@ class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")
         steps = frozenset(sorted(steps, key=rank))
         forbidden_pairs = frozenset(sorted(forbidden_pairs, key=lambda p: tuple(map(rank, p))))
         self = super().__new__(cls, steps, forbidden_pairs, catastrophe)
-        # For each previous step (None at the start), the steps that may come
-        # next; read by validate_path.  It is not a field, so ==, hash and
-        # to_json do not see it, and it is built from the model's own sets
-        # rather than from next_steps, the rule the DP reads.
+        # For each previous step's letter (None at the start), the letters
+        # that may come next; read by validate_path.  It is not a field, so
+        # ==, hash and to_json do not see it, and it is built from the model's
+        # own sets rather than from next_steps, the rule the DP reads.
         follows = {
-            prev: frozenset(s for s in steps if (prev, s) not in forbidden_pairs)
+            prev and prev.char: frozenset(s.char for s in steps if (prev, s) not in forbidden_pairs)
             for prev in (None, *steps)
         }
         object.__setattr__(self, "_follows", follows)
@@ -377,9 +381,9 @@ class IllegalCatastrophe(PathError):
 
 
 class Path(namedtuple("Path", "steps final_level")):
-    """A validated step sequence and the level it ends at; equal steps are
-    an equal path, whatever model validated them.  :attr:`levels` derives
-    the level trace on each access.  ``len`` is the number of steps.
+    """A validated word of step letters and the level it ends at; equal
+    words are an equal path, whatever model validated them.  :attr:`levels`
+    derives the level trace on each access.  ``len`` is the number of steps.
     """
 
     __slots__ = ()
@@ -392,82 +396,79 @@ class Path(namedtuple("Path", "steps final_level")):
     def levels(self) -> tuple:
         """The level before each step, then the final level: up +1, down -1,
         catastrophe to 0.  Costs O(n) per access."""
-        up, cat = StepKind.UP, StepKind.CATASTROPHE
         return tuple(accumulate(
-            self.steps, lambda lv, s: lv + 1 if s is up else 0 if s is cat else lv - 1, initial=0
+            self.steps, lambda lv, s: lv + 1 if s == "U" else 0 if s == "C" else lv - 1, initial=0
         ))
 
     @property
     def final_layer(self) -> LayerTag:
         if not self.steps:
             return LayerTag.F
-        return ENTRY_LAYER[self.steps[-1]]
+        return ENTRY_LAYER[_CHAR_STEP[self.steps[-1]]]
 
     def __str__(self):
-        return "".join([s.char for s in self.steps])
+        return self.steps
 
     def to_json(self) -> list:
-        return [s.value for s in self.steps]
+        return list(map(_CHAR_VALUE.__getitem__, self.steps))
 
 
-def validate_path(config: ModelConfig, steps: Sequence[StepKind]) -> Path:
-    """Check a step sequence against a model and return the validated Path.
+def validate_path(config: ModelConfig, steps: str) -> Path:
+    """Check a word of step letters against a model and return its Path.
 
     Raises a :class:`PathError` subclass naming the first offending step:
-    IllegalStep for an entry that is not a step kind of the model,
-    ForbiddenAdjacency for a banned step pair, IllegalCatastrophe for a
-    catastrophe from a non-qualifying level, and NegativeLevel for a
-    down-step from level 0.
+    IllegalStep for anything but a ``str`` (at index 0), a character not
+    one of U, D, R, C, or a step the model lacks; ForbiddenAdjacency for a
+    banned step pair, IllegalCatastrophe for a catastrophe from a
+    non-qualifying level, and NegativeLevel for a down-step from level 0.
 
-    The walk keeps only the current level.  Each step costs one lookup in
-    the model's table of the steps that may follow the previous one, plus
-    identity tests.  The first step that fails them is then tested rule by
+    The walk keeps only the current level.  Each letter costs one lookup in
+    the model's table of the letters that may follow the previous one, plus
+    comparisons.  The first letter that fails them is then tested rule by
     rule, in the order above, to name the error.
     """
-    steps = tuple(steps)
+    if not isinstance(steps, str):
+        raise IllegalStep(f"steps must be a word of U, D, R, C, not {type(steps).__name__}", 0)
     follows = config._follows
     allows = config.catastrophe.allows
-    up, cat = StepKind.UP, StepKind.CATASTROPHE
     level = 0
     allowed = follows[None]
-    try:
-        for i, s in enumerate(steps):
-            if s not in allowed:
+    for i, s in enumerate(steps):
+        if s not in allowed:
+            break
+        if s == "U":
+            level += 1
+        elif s == "C":
+            if not allows(level):
                 break
-            if s is up:
-                level += 1
-            elif s is cat:
-                if not allows(level):
-                    break
-                level = 0
-            elif level:  # a down-step: whatever is allowed is a step kind
-                level -= 1
-            else:
-                break
-            allowed = follows[s]
+            level = 0
+        elif level:  # a down-step
+            level -= 1
         else:
-            return Path(steps, level)
-    except TypeError:  # an unhashable entry
-        pass
-    if not isinstance(s, StepKind):
-        raise IllegalStep(f"not a step kind: {s!r}", i)
-    if s not in config.steps:
-        raise IllegalStep(f"{s.value} is not in this model", i)
+            break
+        allowed = follows[s]
+    else:
+        return Path(steps, level)
+    if s not in _CHAR_STEP:
+        raise IllegalStep(f"not a step letter: {s!r}", i)
+    value = _CHAR_VALUE[s]
+    if s not in follows:
+        raise IllegalStep(f"{value} is not in this model", i)
     if s not in allowed:
-        raise ForbiddenAdjacency(f"{steps[i - 1].value} may not be followed by {s.value}", i)
-    if s is StepKind.CATASTROPHE:
+        raise ForbiddenAdjacency(f"{_CHAR_VALUE[steps[i - 1]]} may not be followed by {value}", i)
+    if s == "C":
         raise IllegalCatastrophe(f"catastrophe from level {level} is not allowed here", i)
-    raise NegativeLevel(f"{s.value} from level 0", i)
+    raise NegativeLevel(f"{value} from level 0", i)
 
 
-def parse_steps(text: str) -> tuple:
-    """Parse a compact path string like "UUUUDRC" into step kinds."""
-    out = []
-    for i, ch in enumerate(text.strip().upper()):
+def parse_steps(text: str) -> str:
+    """The word of step letters in a compact path string like "uuuudrc":
+    stripped, upper-cased, and checked to hold only U, D, R and C."""
+    word = text.strip().upper()
+    for i, ch in enumerate(word):
         if ch not in _CHAR_STEP:
             raise ValueError(f"character {i} ({ch!r}) is not one of U, D, R, C")
-        out.append(_CHAR_STEP[ch])
-    return tuple(out)
+    return word
 
 
 FinalSpec = Union[None, int, str]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import brute
 from .brute import GEOMETRIES
-from .model import Path, StepKind
+from .model import Path
 
 
 def path_vertices(path: Path, geometry: str = "red") -> list:
@@ -24,17 +24,13 @@ def path_vertices(path: Path, geometry: str = "red") -> list:
         raise ValueError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
     if geometry == "red":
         return list(enumerate(path.levels))
-    if StepKind.CATASTROPHE in path.steps:
+    if "C" in path.steps:
         raise ValueError("catastrophe steps cannot be drawn in sw geometry")
     return list(brute.red_to_geometric(path))
 
 
-_SVG_STROKE = {
-    StepKind.UP: "#1a1a1a",
-    StepKind.DOWN_BLACK: "#1a1a1a",
-    StepKind.DOWN_RED: "#c0392b",
-    StepKind.CATASTROPHE: "#8e44ad",
-}
+# each step letter's colour
+_SVG_STROKE = {"U": "#1a1a1a", "D": "#1a1a1a", "R": "#c0392b", "C": "#8e44ad"}
 
 _UNIT = 24
 _PAD = 14
@@ -64,7 +60,7 @@ def to_svg(path: Path, geometry: str = "red") -> str:
     ]
     for i, s in enumerate(path.steps):
         (x1, y1), (x2, y2) = verts[i], verts[i + 1]
-        dash = ' stroke-dasharray="5 4"' if s is StepKind.CATASTROPHE else ""
+        dash = ' stroke-dasharray="5 4"' if s == "C" else ""
         parts.append(
             f'  <line x1="{cx(x1)}" y1="{cy(y1)}" x2="{cx(x2)}" y2="{cy(y2)}" '
             f'stroke="{_SVG_STROKE[s]}" stroke-width="2" stroke-linecap="round"{dash}/>'
@@ -92,11 +88,11 @@ def to_ascii(path: Path) -> str:
 
     for i, s in enumerate(path.steps):
         before = levels[i]
-        if s is StepKind.UP:
+        if s == "U":
             put(before + 1, i, "/")
-        elif s is StepKind.DOWN_BLACK:
+        elif s == "D":
             put(before, i, "\\")
-        elif s is StepKind.DOWN_RED:
+        elif s == "R":
             put(before, i, "r")
         else:
             for lv in range(1, before + 1):

@@ -58,7 +58,7 @@ class Sampler:
         k = bisect_right(self._before, x) - 1
         layer, level = self._ends[k]
         steps = self._step.unrank(self._rows, layer, level, x - self._before[k])
-        return validate_path(self.config, steps)
+        return validate_path(self.config, "".join(steps))
 
 
 def sample(spec: SamplerSpec, count: int) -> list:

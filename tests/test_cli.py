@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import pytest
 
 import catwalk
 from catwalk import cli, closedform as cf, dp, verify
-from catwalk.model import SKEW_CAT, StepKind, preset, validate_path
+from catwalk.model import SKEW_CAT, STEP_ORDER, StepKind, preset, validate_path
 
 from conftest import load_schema
+from test_random_models import reference_walk
 
 
 def run(capsys, *argv):
@@ -298,6 +300,68 @@ def test_sample_empty_ensemble(capsys):
     assert "no length-3 path" in err
 
 
+# -- path outputs against a reference built from step kinds -----------------
+
+FINALS = {"--open": ("open", None), "--closed": ("closed", 0), "--level 2": ("level:2", 2)}
+
+
+def _reference_ensemble(config, n: int, want):
+    """The reference walk of ``test_random_models``, one ``predecessor`` per
+    step, and what it needs: the walk of rank x as a list of step kinds,
+    and the ensemble's size."""
+    step = dp.Transfer(config)
+    rows = list(step.rows(n, want))
+    return (lambda x: reference_walk(step, rows, want, x)), dp.ending(rows[n], None, want)
+
+
+def _printed(fmt: str, walks: list, payload) -> str:
+    """The stdout of ``walks``, lists of step kinds, as the CLI prints paths:
+    a word per line, csv as ``csv.writer`` writes it, or the json payload
+    that ``payload`` builds from the step values."""
+    rows = []
+    for i, walk in enumerate(walks):
+        level = 0
+        for s in walk:
+            level = 0 if s is StepKind.CATASTROPHE else level + (1 if s is StepKind.UP else -1)
+        rows.append([i, "".join(s.char for s in walk), level])
+    if fmt == "text":
+        return "".join(f"{word or '(empty)'}\n" for _, word, _ in rows) or "(none)\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([["index", "steps", "final_level"], *rows])
+        return buf.getvalue()
+    return json.dumps(payload([[s.value for s in walk] for walk in walks]), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("end", FINALS)
+@pytest.mark.parametrize("model", ["dyck", "dyck-cat", "skew", "skew-cat"])
+def test_path_outputs_match_a_step_kind_reference(capsys, model, end):
+    # enumerate lists the reference's walks in step order U < D < R < C
+    # (not letter order), and a seeded sample unranks the same randrange
+    # draws the reference walk unranks, in every format
+    label, want = FINALS[end]
+    config = preset(model)
+    rank = STEP_ORDER.index
+    for n in range(11):
+        walk_of, total = _reference_ensemble(config, n, want)
+        walks = sorted(map(walk_of, range(total)), key=lambda w: [rank(s) for s in w])
+        rng = random.Random(n)
+        drawn = [walk_of(rng.randrange(total)) for _ in range(4)] if total else []
+        head = {"model": model, "n": n, "final": label, "count": total}
+        for fmt in ("text", "csv", "json"):
+            flags = [*end.split(), "--n", str(n), "--model", model, "--format", fmt]
+            listed = run(capsys, "enumerate", *flags)
+            assert listed == (0, _printed(fmt, walks, lambda ps: {**head, "paths": ps}), "")
+            if total:
+                got = run(capsys, "sample", *flags, "--seed", str(n), "--count", "4")
+                assert got == (0, _printed(fmt, drawn, lambda ps: ps), "")
+            if fmt == "csv":
+                # csv.writer's CR LF ends every row, the header's and the last one's too
+                out = listed[1]
+                assert out.endswith("\r\n") and out.split("\r\n") == out.splitlines() + [""]
+                assert len(out.splitlines()) == total + 1
+
+
 def test_sample_empty_open_ensemble_names_open(tmp_path, capsys):
     # a model with only down-steps has no path of length 3, whatever its end
     cfg = tmp_path / "down_only.json"
@@ -450,7 +514,7 @@ def _views(argv, data) -> tuple:
     if kind in ("enumerate", "sample"):
         config = preset(argv[argv.index("--model") + 1])
         paths = [
-            validate_path(config, [StepKind(s) for s in steps])
+            validate_path(config, "".join(StepKind(s).char for s in steps))
             for steps in (data["paths"] if kind == "enumerate" else data)
         ]
         rows = [[str(i), str(p), str(p.final_level)] for i, p in enumerate(paths)]

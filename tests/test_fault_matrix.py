@@ -24,7 +24,6 @@ from catwalk.model import (
     SKEW,
     SKEW_CAT,
     CatastropheRule,
-    StepKind,
     with_rule,
 )
 from catwalk.series import Series
@@ -157,7 +156,7 @@ def level_view_one_up(mp):
 
 def red_drawn_south_east(mp):
     """``red_to_geometric`` draws a red step like a black one."""
-    mp.setitem(brute._RED_TO_GEO, StepKind.DOWN_RED, brute.SE)
+    mp.setitem(brute._RED_TO_GEO, "R", brute.SE)
 
 
 # fault -> (plant, the exact set of checks that fail)

@@ -9,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from catwalk.brute import enumerate_red
 from catwalk.dp import Check
 
 from catwalk.model import (
@@ -35,7 +36,7 @@ from catwalk.model import (
     with_rule,
 )
 
-from catwalk.sampler import SamplerSpec
+from catwalk.sampler import SamplerSpec, sample
 
 from conftest import load_schema
 
@@ -133,25 +134,30 @@ def test_validate_good_path_with_repeated_catastrophes():
 
 def test_validate_errors_carry_index():
     with pytest.raises(IllegalStep) as exc:
-        validate_path(DYCK, [U, U, R])
+        validate_path(DYCK, "UUR")
     assert exc.value.index == 2
     with pytest.raises(NegativeLevel) as exc:
-        validate_path(DYCK, [D])
+        validate_path(DYCK, "D")
     assert exc.value.index == 0
     with pytest.raises(ForbiddenAdjacency) as exc:
-        validate_path(SKEW, [U, U, R, D])
+        validate_path(SKEW, "UURD")
     assert exc.value.index == 2
     with pytest.raises(IllegalCatastrophe) as exc:
-        validate_path(DYCK_CAT, [U, C])
+        validate_path(DYCK_CAT, "UC")
     assert exc.value.index == 1
 
 
-def test_validate_reads_an_iterator_once():
-    # the walk that names an error reads the steps a second time
-    assert validate_path(DYCK, iter([U, D])).steps == (U, D)
-    with pytest.raises(NegativeLevel) as exc:
-        validate_path(DYCK, iter([U, D, D]))
-    assert exc.value.index == 2
+def test_validate_takes_one_spelling_a_word():
+    # a path's steps are one str of letters; step kinds, or letters in a
+    # list, are not a word, and a lower-case letter is not a step letter
+    assert isinstance(validate_path(DYCK, "UD").steps, str)
+    for steps in ((U, D), [U, D], ["U", "D"], iter("UD")):
+        with pytest.raises(IllegalStep) as exc:
+            validate_path(DYCK, steps)
+        assert exc.value.index == 0
+    with pytest.raises(IllegalStep, match="step 1: not a step letter: 'd'") as exc:
+        validate_path(DYCK, "Ud")
+    assert exc.value.index == 1
 
 
 def test_validation_table_is_not_a_config_field():
@@ -159,15 +165,27 @@ def test_validation_table_is_not_a_config_field():
     assert ModelConfig._fields == ("steps", "forbidden_pairs", "catastrophe")
 
 
+def test_every_path_source_gives_words():
+    # enumeration, draws and validation hold a path's steps as one str,
+    # which is what the path prints as
+    paths = [
+        *enumerate_red(SKEW_CAT, 5),
+        *sample(SamplerSpec(SKEW_CAT, 9, "open", 3), 5),
+        validate_path(SKEW_CAT, "UUC"),
+    ]
+    assert all(type(p.steps) is str and str(p) is p.steps for p in paths)
+    assert paths[-1].to_json() == ["up", "up", "catastrophe"]
+
+
 def test_red_after_down_is_fine():
-    validate_path(SKEW, [U, U, D, R])
-    for steps in ([U, R], [U, U, R, U]):
+    validate_path(SKEW, "UUDR")
+    for steps in ("UR", "UURU"):
         with pytest.raises(ForbiddenAdjacency):
             validate_path(SKEW, steps)
 
 
 def test_path_properties():
-    empty = validate_path(DYCK, [])
+    empty = validate_path(DYCK, "")
     assert empty.final_level == 0 and empty.levels == (0,)
     assert empty.final_layer is LayerTag.F
     assert len(empty) == 0
@@ -177,20 +195,20 @@ def test_path_properties():
     assert p.final_layer is LayerTag.H
     after_cat = validate_path(SKEW_CAT, parse_steps("UUC"))
     assert after_cat.final_layer is LayerTag.F
-    assert validate_path(DYCK, [U, D]).final_layer is LayerTag.G
+    assert validate_path(DYCK, "UD").final_layer is LayerTag.G
 
 
 def test_path_has_slots_and_value_semantics():
     p = validate_path(SKEW_CAT, parse_steps("UUUDRDUUC"))
-    q = validate_path(SKEW_CAT, list(p.steps))
+    q = validate_path(SKEW_CAT, parse_steps("uuudrduuc"))
     assert not hasattr(p, "__dict__")
     assert p == q and p is not q and hash(p) == hash(q)
     assert len({p, q, validate_path(SKEW_CAT, parse_steps("UUUDRDUUD"))}) == 2
     assert p != validate_path(DYCK_CAT, parse_steps("UUDDUUC"))
     # the model is not part of the path: equal steps are equal paths
-    assert validate_path(DYCK, [U, D]) == validate_path(DYCK_CAT, [U, D])
+    assert validate_path(DYCK, "UD") == validate_path(DYCK_CAT, "UD")
     with pytest.raises(AttributeError):
-        p.steps = ()
+        p.steps = ""
     # _replace builds through the class, whose len() counts steps, not fields
     assert p._replace(final_level=0) == Path(p.steps, 0) and len(p) == 9
 
@@ -205,9 +223,9 @@ def test_path_stores_steps_and_end_level_only():
 
 
 def test_parse_steps():
-    assert parse_steps("udrc") == (U, D, R, C)
-    assert parse_steps("") == ()
-    with pytest.raises(ValueError):
+    assert parse_steps(" udrc\n") == "UDRC"
+    assert parse_steps("") == ""
+    with pytest.raises(ValueError, match=r"character 1 \('X'\) is not one of U, D, R, C"):
         parse_steps("UXD")
     assert "".join(s.char for s in (U, D, R, C)) == "UDRC"
 
@@ -354,7 +372,7 @@ def test_every_route_to_a_config_validates():
         SKEW_CAT._replace(catastrophe=rule),
         ModelConfig._make([SKEW_CAT.steps, SKEW_CAT.forbidden_pairs, rule]),
     ]
-    words = [w for n in range(6) for w in itertools.product((U, D, R, C), repeat=n)]
+    words = ["".join(w) for n in range(6) for w in itertools.product("UDRC", repeat=n)]
     first = routes[0]
     assert all(config == first and config._follows == first._follows for config in routes)
     outcomes = [_outcome(first, w) for w in words]

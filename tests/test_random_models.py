@@ -247,16 +247,22 @@ def test_walk_back_refuses_a_rank_past_the_count(config):
                     step.unrank(rows[: t + 1], layer, level, paths)
 
 
-def reference_validate(config: ModelConfig, steps) -> tuple:
-    """``validate_path`` as a plain loop testing each rule in turn: the Path,
-    and the level trace the loop kept (the level before each step, then the
-    final level)."""
+LETTER_STEP = {s.char: s for s in STEP_ORDER}
+
+
+def reference_validate(config: ModelConfig, steps: str) -> tuple:
+    """``validate_path`` as a plain loop over the step kinds of a word,
+    testing each rule in turn: the Path, and the level trace the loop kept
+    (the level before each step, then the final level)."""
+    if not isinstance(steps, str):
+        raise IllegalStep(f"steps must be a word of U, D, R, C, not {type(steps).__name__}", 0)
     level = 0
     levels = [0]
     prev = None
-    for i, s in enumerate(steps):
-        if not isinstance(s, StepKind):
-            raise IllegalStep(f"not a step kind: {s!r}", i)
+    for i, letter in enumerate(steps):
+        if letter not in LETTER_STEP:
+            raise IllegalStep(f"not a step letter: {letter!r}", i)
+        s = LETTER_STEP[letter]
         if s not in config.steps:
             raise IllegalStep(f"{s.value} is not in this model", i)
         if prev is not None and (prev, s) in config.forbidden_pairs:
@@ -273,7 +279,7 @@ def reference_validate(config: ModelConfig, steps) -> tuple:
             level = 0
         levels.append(level)
         prev = s
-    return Path(tuple(steps), level), tuple(levels)
+    return Path(steps, level), tuple(levels)
 
 
 def outcome(validate, config: ModelConfig, steps):
@@ -285,32 +291,35 @@ def outcome(validate, config: ModelConfig, steps):
         return type(exc), exc.index, str(exc)
 
 
-# entries that are not step kinds: a value string, None, an int, an unhashable list
-JUNK = ["up", None, 1, [StepKind.UP]]
+# characters that are not step letters: lower case, another letter, a space, a digit
+JUNK = "uXa 1"
+# inputs that are not words: step kinds, letters in a list
+NOT_WORDS = [(StepKind.UP,), [StepKind.UP, StepKind.DOWN_BLACK], ["U", "D"]]
 
 
 def step_sequences(config: ModelConfig, rng: random.Random, count: int):
-    """Seeded step lists: legal walks, some with one entry replaced or
-    appended, and lists drawn freely from the step kinds."""
-    entries = [*STEP_ORDER, *JUNK]
+    """Seeded words: legal walks, some with one letter replaced or appended,
+    words drawn freely from the letters, and a few inputs that are not words."""
+    yield from NOT_WORDS
+    letters = "UDRC"
     for _ in range(count):
         n = rng.randint(0, 12)
         if rng.random() < 0.3:
-            yield [rng.choice(STEP_ORDER) for _ in range(n)]
+            yield "".join(rng.choice(letters) for _ in range(n))
             continue
-        seq: list = []
+        word = ""
         for _ in range(n):
             legal = [
-                s for s in STEP_ORDER
-                if isinstance(outcome(reference_validate, config, seq + [s])[0], Path)
+                s for s in letters
+                if isinstance(outcome(reference_validate, config, word + s)[0], Path)
             ]
             if not legal:
                 break
-            seq.append(rng.choice(legal))
+            word += rng.choice(legal)
         if rng.random() < 0.6:
-            k = rng.randint(0, len(seq))
-            seq[k : k + 1] = [rng.choice(entries)]
-        yield seq
+            k = rng.randint(0, len(word))
+            word = word[:k] + rng.choice(letters + JUNK) + word[k + 1 :]
+        yield word
 
 
 @pytest.mark.parametrize("config", EVERY_MODEL, ids=EVERY_ID)
