@@ -19,7 +19,6 @@ from .model import (
     PRESETS,
     SKEW,
     SKEW_CAT,
-    StepKind,
     parse_steps,
     preset,
     validate_path,
@@ -40,7 +39,6 @@ __all__ = [
     "SKEW",
     "SKEW_CAT",
     "Series",
-    "StepKind",
     "parse_steps",
     "preset",
     "validate_path",

@@ -1,16 +1,16 @@
 """The layered state space of a model and its explicit automaton.
 
 A state is a pair (layer, level), :class:`dp.State`: the level is the
-current height, the layer remembers what kind of step got us here
+current height, the layer remembers which step got us here
 (:class:`model.LayerTag`).  Because the forbidden adjacencies of a model only
 ever constrain *consecutive* steps, this one-step memory is enough to decide
 which steps may come next, so paths of a model correspond exactly to walks
 of this automaton from the start state (F, 0).
 
 ``ModelConfig.next_steps`` is that rule.  The level-vector transfer step of
-:mod:`catwalk.dp` reads it once per layer; :func:`build` spells it out as an
-explicit transition table, truncated at a maximum level.  Walks of length n
-never pass level n, so truncating at (or above) n loses no path.
+:mod:`catwalk.dp` reads it once per layer; :func:`build` spells it out as a
+table of (step letter, state) transitions up to a maximum level.  Walks
+of length n never pass level n, so truncating at (or above) n loses no path.
 
 No command imports this module and no counting route walks the table; it
 stays because the tests read its transitions and the benchmark's tracer
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dp import State
-from .model import ENTRY_LAYER, INCOMING, LAYER_ORDER, LayerTag, ModelConfig, StepKind
+from .model import ENTRY_LAYER, INCOMING, LAYER_ORDER, LayerTag, ModelConfig
 
 START = State(LayerTag.F, 0)
 
@@ -42,10 +42,10 @@ def build(config: ModelConfig, max_level: int) -> Automaton:
 
     From (layer, level) the candidate moves are, in canonical order:
 
-    * up        -> (F, level + 1)   if level < max_level
-    * down black-> (G, level - 1)   if level > 0
-    * down red  -> (H, level - 1)   if level > 0
-    * catastrophe -> (F, 0)         if the rule allows firing from ``level``
+    * U (up)          -> (F, level + 1)   if level < max_level
+    * D (down black)  -> (G, level - 1)   if level > 0
+    * R (down red)    -> (H, level - 1)   if level > 0
+    * C (catastrophe) -> (F, 0)           if the rule allows firing from ``level``
 
     each kept only when ``config.next_steps`` allows the step after the one
     that entered (layer, level).  (F, 0) is the start and the catastrophe
@@ -60,10 +60,10 @@ def build(config: ModelConfig, max_level: int) -> Automaton:
             out = []
             came_by = None if st == START else INCOMING[layer]
             for step in config.next_steps(came_by):
-                if step is StepKind.UP:
+                if step == "U":
                     if level < max_level:
                         out.append((step, State(LayerTag.F, level + 1)))
-                elif step in (StepKind.DOWN_BLACK, StepKind.DOWN_RED):
+                elif step in ("D", "R"):
                     if level > 0:
                         tgt = ENTRY_LAYER[step]
                         out.append((step, State(tgt, level - 1)))

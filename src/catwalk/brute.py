@@ -72,8 +72,7 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     if n > RED_LIMIT:
         raise SizeGuard(f"refusing brute-force enumeration past n={RED_LIMIT}")
     want = normalize_final(final)
-    letters = [s.char for s in STEP_ORDER if s in config.steps]
-    banned = {(a.char, b.char) for a, b in config.forbidden_pairs}
+    letters = [s for s in STEP_ORDER if s in config.steps]
     fires = [config.catastrophe.allows(level) for level in range(n)]
     legal: dict = {}
     memo: dict = {}
@@ -85,7 +84,7 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
             legal[key] = [
                 (s, level + 1 if s == "U" else 0 if s == "C" else level - 1)
                 for s in letters
-                if (prev, s) not in banned
+                if (prev, s) not in config.forbidden_pairs
                 and (s == "U" or (fires[level] if s == "C" else level > 0))
             ]
         return legal[key]

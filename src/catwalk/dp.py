@@ -62,7 +62,7 @@ class Transfer:
         # per layer: the step entering it above level 0, the level that step
         # leaves less the level it enters, and the layers that may take it
         into = map(INCOMING.get, LAYER_ORDER)
-        self._into = [(s.char, -1 if s is UP else 1, self.sources[s]) for s in into]
+        self._into = [(s, -1 if s == UP else 1, self.sources[s]) for s in into]
 
     def __call__(self, row: tuple, size: int) -> tuple:
         """The row one step longer, cut to levels 0..size-1 (size <= len + 1)."""

@@ -1,15 +1,16 @@
 """Step alphabet, model configurations, and path validation.
 
-Paths live on the non-negative integers, starting at level 0.  Four step
-kinds exist, each with its letter:
+Paths live on the non-negative integers, starting at level 0.  Four steps
+exist, each a letter, as the paper writes paths:
 
-* ``UP`` (U) rises by 1,
-* ``DOWN_BLACK`` (D) falls by 1 (the plain down-step),
-* ``DOWN_RED`` (R) falls by 1 (the marked down-step of the skew models),
-* ``CATASTROPHE`` (C) jumps from a qualifying level straight back to 0.
+* ``U`` (up) rises by 1,
+* ``D`` (down_black) falls by 1 (the plain down-step),
+* ``R`` (down_red) falls by 1 (the marked down-step of the skew models),
+* ``C`` (catastrophe) jumps from a qualifying level straight back to 0.
 
-A :class:`Path` holds its steps as one word of those letters, as the paper
-writes paths; :class:`StepKind` names the steps of models and JSON outputs.
+A :class:`Path` holds its steps as one word of those letters, and a model
+names its steps and forbidden pairs by the same letters; JSON files and
+validation messages name a step by its word in :data:`STEP_NAMES`.
 
 A :class:`ModelConfig` selects a subset of the alphabet, forbids chosen
 adjacent step pairs, and fixes the catastrophe rule (which levels may fire
@@ -30,36 +31,17 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Union
 
+# canonical order, also the lexicographic order used by the enumerators;
+# letter order (C < D < R < U) is not step order
+STEP_ORDER = "UDRC"
 
-class StepKind(Enum):
-    UP = "up"
-    DOWN_BLACK = "down_black"
-    DOWN_RED = "down_red"
-    CATASTROPHE = "catastrophe"
-
-    # Members are singletons that compare by identity, so the identity hash
-    # agrees with ==; it runs in C, where Enum's own hashes the name in Python.
-    __hash__ = object.__hash__
-
-
-# canonical order, also the lexicographic order used by the enumerators
-STEP_ORDER = (
-    StepKind.UP,
-    StepKind.DOWN_BLACK,
-    StepKind.DOWN_RED,
-    StepKind.CATASTROPHE,
-)
-
-# each step's letter in path words; letter order (C < D < R < U) is not step order
-for _step, _char in zip(STEP_ORDER, "UDRC"):
-    _step.char = _char
-del _step, _char
-_CHAR_STEP = {s.char: s for s in STEP_ORDER}
-_CHAR_VALUE = {c: s.value for c, s in _CHAR_STEP.items()}
+# each step's name in the JSON configurations and outputs
+STEP_NAMES = {"U": "up", "D": "down_black", "R": "down_red", "C": "catastrophe"}
+_STEP_OF_NAME = {name: s for s, name in STEP_NAMES.items()}
 
 
 class LayerTag(Enum):
-    """Memory of the last step kind: the layer of a DP end state (``dp.State``).
+    """Memory of the last step: the layer of a DP end state (``dp.State``).
 
     F: at the start, after an up-step, or after a catastrophe.
     G: after a black down-step.
@@ -73,16 +55,11 @@ class LayerTag(Enum):
 
 LAYER_ORDER = (LayerTag.F, LayerTag.G, LayerTag.H)
 
-# layer a path is in right after taking a step of the given kind
-ENTRY_LAYER = {
-    StepKind.UP: LayerTag.F,
-    StepKind.CATASTROPHE: LayerTag.F,
-    StepKind.DOWN_BLACK: LayerTag.G,
-    StepKind.DOWN_RED: LayerTag.H,
-}
+# layer a path is in right after taking a step of the given letter
+ENTRY_LAYER = {"U": LayerTag.F, "C": LayerTag.F, "D": LayerTag.G, "R": LayerTag.H}
 
-# the step kind that enters each layer at a level above 0
-INCOMING = {ENTRY_LAYER[s]: s for s in (StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED)}
+# the step that enters each layer at a level above 0
+INCOMING = {ENTRY_LAYER[s]: s for s in "UDR"}
 
 
 class ConfigError(ValueError):
@@ -206,40 +183,44 @@ def _distinct(items: list, where: str) -> None:
         raise ConfigError(f"{where} must be an array without repeats, got {items!r}")
 
 
+def _step_of_name(name) -> str:
+    if isinstance(name, str) and name in _STEP_OF_NAME:
+        return _STEP_OF_NAME[name]
+    raise ConfigError(f"unknown step {name!r}; choose from {', '.join(STEP_NAMES.values())}")
+
+
 class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")):
     """An immutable path model: step set, forbidden adjacencies, catastrophe rule."""
 
     def __new__(cls, steps, forbidden_pairs, catastrophe=CatastropheRule.none()):
         steps = frozenset(steps)
         forbidden_pairs = frozenset(tuple(p) for p in forbidden_pairs)
-        if StepKind.CATASTROPHE not in steps:
+        if "C" not in steps:
             # a rule for a step the model lacks fires nothing: one canonical form
             catastrophe = CatastropheRule.none()
         for s in steps:
-            if not isinstance(s, StepKind):
-                raise ConfigError(f"not a step kind: {s!r}")
+            if s not in STEP_NAMES:
+                raise ConfigError(f"not a step letter: {s!r}")
         for pair in forbidden_pairs:
-            if len(pair) != 2 or not all(isinstance(s, StepKind) for s in pair):
-                raise ConfigError(f"forbidden pair must be two step kinds, got {pair!r}")
-            if pair[0] is StepKind.CATASTROPHE:
+            if len(pair) != 2 or not all(s in STEP_NAMES for s in pair):
+                raise ConfigError(f"forbidden pair must be two step letters, got {pair!r}")
+            if pair[0] == "C":
                 # The layered state space remembers "after a catastrophe" and
                 # "path start" as the same thing, so a restriction that applies
                 # only after catastrophes cannot be represented.
-                raise ConfigError(
-                    "forbidden pairs starting with a catastrophe are not supported"
-                )
+                raise ConfigError("forbidden pairs starting with a catastrophe are not supported")
         # a frozenset prints in the order its items went in: one order, so
         # equal configs print alike however they were built or copied
         rank = STEP_ORDER.index
         steps = frozenset(sorted(steps, key=rank))
         forbidden_pairs = frozenset(sorted(forbidden_pairs, key=lambda p: tuple(map(rank, p))))
         self = super().__new__(cls, steps, forbidden_pairs, catastrophe)
-        # For each previous step's letter (None at the start), the letters
-        # that may come next; read by validate_path.  It is not a field, so
-        # ==, hash and to_json do not see it, and it is built from the model's
-        # own sets rather than from next_steps, the rule the DP reads.
+        # For each previous step (None at the start), the steps that may come
+        # next; read by validate_path.  It is not a field, so ==, hash and
+        # to_json do not see it, and it is built from the model's own sets
+        # rather than from next_steps, the rule the DP reads.
         follows = {
-            prev and prev.char: frozenset(s.char for s in steps if (prev, s) not in forbidden_pairs)
+            prev: frozenset(s for s in steps if (prev, s) not in forbidden_pairs)
             for prev in (None, *steps)
         }
         object.__setattr__(self, "_follows", follows)
@@ -255,11 +236,10 @@ class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")
         )
 
     def to_json(self) -> dict:
+        pairs = sorted([STEP_NAMES[a], STEP_NAMES[b]] for a, b in self.forbidden_pairs)
         return {
-            "steps": [s.value for s in STEP_ORDER if s in self.steps],
-            "forbidden_pairs": sorted(
-                [a.value, b.value] for a, b in self.forbidden_pairs
-            ),
+            "steps": [STEP_NAMES[s] for s in STEP_ORDER if s in self.steps],
+            "forbidden_pairs": pairs,
             "catastrophe": self.catastrophe.to_json(),
         }
 
@@ -268,19 +248,17 @@ class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")
         try:
             _only(data, ("steps", "forbidden_pairs", "catastrophe"), "model configuration")
             _distinct(data["steps"], "steps")
-            steps = frozenset(StepKind(s) for s in data["steps"])
+            steps = [_step_of_name(s) for s in data["steps"]]
             pairs = data["forbidden_pairs"]
             if not isinstance(pairs, list):
                 raise ConfigError(f"forbidden_pairs must be an array, got {pairs!r}")
             for pair in pairs:
                 if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                     raise ConfigError(f"forbidden_pairs entry must be two steps, got {pair!r}")
-            pairs = frozenset((StepKind(a), StepKind(b)) for a, b in pairs)
+            pairs = [(_step_of_name(a), _step_of_name(b)) for a, b in pairs]
             rule = CatastropheRule.from_json(data["catastrophe"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"malformed model configuration: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         return cls(steps, pairs, rule)
 
     def dumps(self) -> str:
@@ -298,39 +276,10 @@ def with_rule(config: ModelConfig, rule: CatastropheRule) -> ModelConfig:
 
 # -- presets ---------------------------------------------------------------
 
-DYCK = ModelConfig(
-    frozenset({StepKind.UP, StepKind.DOWN_BLACK}),
-    frozenset(),
-    CatastropheRule.none(),
-)
-
-DYCK_CAT = ModelConfig(
-    frozenset({StepKind.UP, StepKind.DOWN_BLACK, StepKind.CATASTROPHE}),
-    frozenset(),
-    CatastropheRule.min_level(2),
-)
-
-SKEW = ModelConfig(
-    frozenset({StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED}),
-    frozenset(
-        {
-            (StepKind.UP, StepKind.DOWN_RED),
-            (StepKind.DOWN_RED, StepKind.UP),
-        }
-    ),
-    CatastropheRule.none(),
-)
-
-SKEW_CAT = ModelConfig(
-    frozenset({StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED, StepKind.CATASTROPHE}),
-    frozenset(
-        {
-            (StepKind.UP, StepKind.DOWN_RED),
-            (StepKind.DOWN_RED, StepKind.UP),
-        }
-    ),
-    CatastropheRule.min_level(2),
-)
+DYCK = ModelConfig("UD", (), CatastropheRule.none())
+DYCK_CAT = ModelConfig("UDC", (), CatastropheRule.min_level(2))
+SKEW = ModelConfig("UDR", ("UR", "RU"), CatastropheRule.none())
+SKEW_CAT = ModelConfig("UDRC", ("UR", "RU"), CatastropheRule.min_level(2))
 
 PRESETS = {
     "dyck": DYCK,
@@ -404,13 +353,13 @@ class Path(namedtuple("Path", "steps final_level")):
     def final_layer(self) -> LayerTag:
         if not self.steps:
             return LayerTag.F
-        return ENTRY_LAYER[_CHAR_STEP[self.steps[-1]]]
+        return ENTRY_LAYER[self.steps[-1]]
 
     def __str__(self):
         return self.steps
 
     def to_json(self) -> list:
-        return list(map(_CHAR_VALUE.__getitem__, self.steps))
+        return list(map(STEP_NAMES.__getitem__, self.steps))
 
 
 def validate_path(config: ModelConfig, steps: str) -> Path:
@@ -449,13 +398,13 @@ def validate_path(config: ModelConfig, steps: str) -> Path:
         allowed = follows[s]
     else:
         return Path(steps, level)
-    if s not in _CHAR_STEP:
+    if s not in STEP_NAMES:
         raise IllegalStep(f"not a step letter: {s!r}", i)
-    value = _CHAR_VALUE[s]
+    value = STEP_NAMES[s]
     if s not in follows:
         raise IllegalStep(f"{value} is not in this model", i)
     if s not in allowed:
-        raise ForbiddenAdjacency(f"{_CHAR_VALUE[steps[i - 1]]} may not be followed by {value}", i)
+        raise ForbiddenAdjacency(f"{STEP_NAMES[steps[i - 1]]} may not be followed by {value}", i)
     if s == "C":
         raise IllegalCatastrophe(f"catastrophe from level {level} is not allowed here", i)
     raise NegativeLevel(f"{value} from level 0", i)
@@ -466,7 +415,7 @@ def parse_steps(text: str) -> str:
     stripped, upper-cased, and checked to hold only U, D, R and C."""
     word = text.strip().upper()
     for i, ch in enumerate(word):
-        if ch not in _CHAR_STEP:
+        if ch not in STEP_NAMES:
             raise ValueError(f"character {i} ({ch!r}) is not one of U, D, R, C")
     return word
 

@@ -13,6 +13,7 @@ fault, or follows from checks named there.
 from __future__ import annotations
 
 import time
+import traceback
 from collections import Counter
 
 from . import brute, closedform as cf, dp
@@ -189,6 +190,15 @@ def _suite_oeis(order: int, max_n: int) -> list:
     ]
 
 
+def _crash_site(exc: Exception) -> str:
+    """``module.function`` of the innermost frame of ``exc``'s traceback in a
+    catwalk module other than ``series``; the suite's own frame is one."""
+    for frame, _ in reversed(list(traceback.walk_tb(exc.__traceback__))):
+        module = frame.f_globals["__name__"]
+        if module.startswith("catwalk.") and module != "catwalk.series":
+            return f"{module.removeprefix('catwalk.')}.{frame.f_code.co_name}"
+
+
 _SUITES = {
     "kernel": _suite_kernel,
     "recurrences": _suite_recurrences,
@@ -206,9 +216,10 @@ def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> Report:
     ``order`` bounds the series comparisons, ``max_n`` the brute-force
     enumerations.  A suite that raises a :class:`SeriesError`, as a division
     by a wrong kernel root does, is one failed check ``<suite>-error`` naming
-    the exception, and the other suites still run.  Raises ValueError for an
-    unknown suite name and lets the brute-force size guards propagate if
-    max_n is pushed past them.
+    the exception and the innermost catwalk function outside the series
+    engine that it passed through, and the other suites still run.  Raises
+    ValueError for an unknown suite name and lets the brute-force size
+    guards propagate if max_n is pushed past them.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -222,6 +233,7 @@ def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> Report:
         try:
             checks.extend(_SUITES[name](order, max_n))
         except SeriesError as exc:
-            checks.append(Check(f"{name}-error", False, f"{type(exc).__name__}: {exc}"))
+            detail = f"{type(exc).__name__} in {_crash_site(exc)}: {exc}"
+            checks.append(Check(f"{name}-error", False, detail))
     elapsed = int((time.perf_counter() - start) * 1000)
     return Report(suite, checks, elapsed)

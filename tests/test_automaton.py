@@ -8,12 +8,11 @@ from catwalk.model import (
     LayerTag,
     SKEW,
     SKEW_CAT,
-    StepKind,
     with_rule,
 )
 
 F, G, H = LayerTag.F, LayerTag.G, LayerTag.H
-U, D, R, C = StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED, StepKind.CATASTROPHE
+U, D, R, C = "UDRC"
 
 
 def succ(auto, layer, level):

@@ -183,7 +183,7 @@ def test_models_agree_catches_a_moved_vertex(monkeypatch):
 def _valid_words(config, n: int) -> list:
     """Every length-n word over the model's alphabet, in step order, that
     ``validate_path`` accepts: the definition ``enumerate_red`` answers to."""
-    alphabet = [s.char for s in STEP_ORDER if s in config.steps]
+    alphabet = [s for s in STEP_ORDER if s in config.steps]
     out = []
     for word in itertools.product(alphabet, repeat=n):
         try:

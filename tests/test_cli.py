@@ -12,10 +12,10 @@ import pytest
 
 import catwalk
 from catwalk import cli, closedform as cf, dp, verify
-from catwalk.model import SKEW_CAT, STEP_ORDER, StepKind, preset, validate_path
+from catwalk.model import SKEW_CAT, STEP_ORDER, preset, validate_path
 
 from conftest import load_schema
-from test_random_models import reference_walk
+from test_random_models import NAMES, reference_walk
 
 
 def run(capsys, *argv):
@@ -101,6 +101,11 @@ def test_bad_config_file(tmp_path, capsys):
         code, _, err = run(capsys, "count", "--config", str(cfg), "--n", "4", "--closed")
         assert code == 2
         assert named in err
+    # a step name outside the schema's four, in the steps or in a pair
+    unknown = "error: unknown step 'sideways'; choose from up, down_black, down_red, catastrophe\n"
+    for field, value in (("steps", ["up", "sideways"]), ("forbidden_pairs", [["up", "sideways"]])):
+        cfg.write_text(json.dumps({**SKEW_CAT.to_json(), field: value}), encoding="utf-8")
+        assert run(capsys, "count", "--config", str(cfg), "--n", "4", "--closed") == (2, "", unknown)
 
 
 def test_series_text_frozen(capsys):
@@ -300,14 +305,14 @@ def test_sample_empty_ensemble(capsys):
     assert "no length-3 path" in err
 
 
-# -- path outputs against a reference built from step kinds -----------------
+# -- path outputs against a reference built from step letters ---------------
 
 FINALS = {"--open": ("open", None), "--closed": ("closed", 0), "--level 2": ("level:2", 2)}
 
 
 def _reference_ensemble(config, n: int, want):
     """The reference walk of ``test_random_models``, one ``predecessor`` per
-    step, and what it needs: the walk of rank x as a list of step kinds,
+    step, and what it needs: the walk of rank x as a list of step letters,
     and the ensemble's size."""
     step = dp.Transfer(config)
     rows = list(step.rows(n, want))
@@ -315,22 +320,22 @@ def _reference_ensemble(config, n: int, want):
 
 
 def _printed(fmt: str, walks: list, payload) -> str:
-    """The stdout of ``walks``, lists of step kinds, as the CLI prints paths:
+    """The stdout of ``walks``, lists of step letters, as the CLI prints paths:
     a word per line, csv as ``csv.writer`` writes it, or the json payload
-    that ``payload`` builds from the step values."""
+    that ``payload`` builds from the step names."""
     rows = []
     for i, walk in enumerate(walks):
         level = 0
         for s in walk:
-            level = 0 if s is StepKind.CATASTROPHE else level + (1 if s is StepKind.UP else -1)
-        rows.append([i, "".join(s.char for s in walk), level])
+            level = 0 if s == "C" else level + (1 if s == "U" else -1)
+        rows.append([i, "".join(walk), level])
     if fmt == "text":
         return "".join(f"{word or '(empty)'}\n" for _, word, _ in rows) or "(none)\n"
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows([["index", "steps", "final_level"], *rows])
         return buf.getvalue()
-    return json.dumps(payload([[s.value for s in walk] for walk in walks]), indent=2) + "\n"
+    return json.dumps(payload([[NAMES[s] for s in walk] for walk in walks]), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("end", FINALS)
@@ -513,8 +518,9 @@ def _views(argv, data) -> tuple:
         return [["n", "coeff"], *rows], [",".join(coeffs)]
     if kind in ("enumerate", "sample"):
         config = preset(argv[argv.index("--model") + 1])
+        letter = {name: s for s, name in NAMES.items()}
         paths = [
-            validate_path(config, "".join(StepKind(s).char for s in steps))
+            validate_path(config, "".join(map(letter.get, steps)))
             for steps in (data["paths"] if kind == "enumerate" else data)
         ]
         rows = [[str(i), str(p), str(p.final_level)] for i, p in enumerate(paths)]

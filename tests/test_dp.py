@@ -15,13 +15,12 @@ from catwalk.model import (
     PRESETS,
     SKEW,
     SKEW_CAT,
-    StepKind,
     with_rule,
 )
 from test_random_models import MODELS, random_rule
 
 F, G, H = LayerTag.F, LayerTag.G, LayerTag.H
-U, D, R = StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED
+U, D, R = "UDR"
 
 # expansions frozen from the closed forms (see test_closedform) and
 # reproduced here as literals so this module stands on its own

@@ -333,7 +333,7 @@ def test_a_crashing_suite_is_a_failed_check_of_the_report(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert (
-        "FAIL theorem-error: ValuationError: dividend has valuation 0, divisor has valuation 1"
-        in lines
+        "FAIL theorem-error: ValuationError in closedform.level_ladder: "
+        "dividend has valuation 0, divisor has valuation 1" in lines
     )
     assert lines[-1].startswith("suite=all checks=18 failures=2 ")

@@ -28,7 +28,8 @@ from catwalk.model import (
     PathError,
     SKEW,
     SKEW_CAT,
-    StepKind,
+    STEP_NAMES,
+    STEP_ORDER,
     normalize_final,
     parse_steps,
     preset,
@@ -40,7 +41,7 @@ from catwalk.sampler import SamplerSpec, sample
 
 from conftest import load_schema
 
-U, D, R, C = StepKind.UP, StepKind.DOWN_BLACK, StepKind.DOWN_RED, StepKind.CATASTROPHE
+U, D, R, C = "UDRC"
 
 
 def test_presets_shape():
@@ -51,6 +52,10 @@ def test_presets_shape():
     assert SKEW.forbidden_pairs == {(U, R), (R, U)}
     assert SKEW_CAT.steps == {U, D, R, C}
     assert set(PRESETS) == {"dyck", "dyck-cat", "skew", "skew-cat"}
+    # the letters and letter pairs build a preset as the paper writes it
+    built = ModelConfig("UDRC", ("UR", "RU"), CatastropheRule.min_level(2))
+    assert built == SKEW_CAT and hash(built) == hash(SKEW_CAT)
+    assert repr(built) == repr(SKEW_CAT) and built.to_json() == SKEW_CAT.to_json()
 
 
 def test_preset_lookup():
@@ -118,6 +123,10 @@ def test_config_rejects_non_steps():
         ModelConfig(frozenset({"up"}), frozenset())
     with pytest.raises(ConfigError):
         ModelConfig(frozenset({U}), frozenset({(U,)}))
+    # a step is one letter of U, D, R, C, and a pair two of them, C not first
+    for steps, pairs in (("UDX", ()), ("up", ()), ("UDR", ("URD",)), ("UDC", [("C", "U")])):
+        with pytest.raises(ConfigError):
+            ModelConfig(steps, pairs)
 
 
 def test_validate_good_path():
@@ -148,10 +157,10 @@ def test_validate_errors_carry_index():
 
 
 def test_validate_takes_one_spelling_a_word():
-    # a path's steps are one str of letters; step kinds, or letters in a
-    # list, are not a word, and a lower-case letter is not a step letter
+    # a path's steps are one str of letters; letters in a tuple or a list
+    # are not a word, and a lower-case letter is not a step letter
     assert isinstance(validate_path(DYCK, "UD").steps, str)
-    for steps in ((U, D), [U, D], ["U", "D"], iter("UD")):
+    for steps in ((U, D), [U, D], iter("UD")):
         with pytest.raises(IllegalStep) as exc:
             validate_path(DYCK, steps)
         assert exc.value.index == 0
@@ -227,7 +236,7 @@ def test_parse_steps():
     assert parse_steps("") == ""
     with pytest.raises(ValueError, match=r"character 1 \('X'\) is not one of U, D, R, C"):
         parse_steps("UXD")
-    assert "".join(s.char for s in (U, D, R, C)) == "UDRC"
+    assert "".join(STEP_NAMES) == STEP_ORDER == "UDRC"
 
 
 def test_normalize_final():
@@ -271,6 +280,14 @@ def test_json_is_canonical_and_valid():
     jsonschema.validate(pick.to_json(), schema)
 
 
+def test_schemas_name_the_steps_as_the_model_does():
+    names = [STEP_NAMES[s] for s in STEP_ORDER]
+    assert load_schema("model_config")["$defs"]["step"]["enum"] == names
+    paths = load_schema("paths_result")["properties"]["paths"]["items"]
+    assert paths["items"]["enum"] == names
+    assert load_schema("sample_result")["items"]["items"]["enum"] == names
+
+
 def test_catastrophe_first_pair_fails_schema_and_loader():
     data = {**SKEW_CAT.to_json(), "forbidden_pairs": [["catastrophe", "down_red"]]}
     with pytest.raises(jsonschema.ValidationError):
@@ -280,9 +297,7 @@ def test_catastrophe_first_pair_fails_schema_and_loader():
     # a catastrophe second is a pair both accept
     data["forbidden_pairs"] = [["down_red", "catastrophe"]]
     jsonschema.validate(data, load_schema("model_config"))
-    assert ModelConfig.from_json(data).forbidden_pairs == {
-        (StepKind.DOWN_RED, StepKind.CATASTROPHE)
-    }
+    assert ModelConfig.from_json(data).forbidden_pairs == {(R, C)}
 
 
 def test_integral_float_threshold_passes_schema_but_not_loader():
@@ -296,7 +311,7 @@ def test_integral_float_threshold_passes_schema_but_not_loader():
 def test_from_json_malformed():
     with pytest.raises(ConfigError):
         ModelConfig.from_json({"steps": ["up"]})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown step 'sideways'; choose from up, "):
         ModelConfig.from_json(
             {"steps": ["sideways"], "forbidden_pairs": [], "catastrophe": {"kind": "none"}}
         )

@@ -38,13 +38,12 @@ from catwalk.model import (
     NegativeLevel,
     Path,
     PathError,
-    StepKind,
     validate_path,
     with_rule,
 )
 from catwalk.sampler import EmptyEnsemble, Sampler
 
-U, D, R, C = STEP_ORDER
+U, D, R, C = "UDRC"
 N_MAX = 9
 
 
@@ -58,7 +57,7 @@ def random_rule(rng: random.Random) -> CatastropheRule:
 
 
 def random_model(rng: random.Random) -> ModelConfig:
-    steps = {s for s in STEP_ORDER if rng.random() < (0.9 if s is U else 0.7)}
+    steps = {s for s in STEP_ORDER if rng.random() < (0.9 if s == U else 0.7)}
     pairs = {(a, b) for a in (U, D, R) for b in STEP_ORDER if rng.random() < 0.15}
     return ModelConfig(frozenset(steps), frozenset(pairs), random_rule(rng))
 
@@ -146,9 +145,9 @@ def moves_into(config: ModelConfig, prev: tuple) -> dict:
             for s in config.steps:
                 if paths == 0 or (came_by, s) in config.forbidden_pairs:
                     continue
-                if s is U:
+                if s == U:
                     into = (0, i + 1)
-                elif s is C:
+                elif s == C:
                     if not config.catastrophe.allows(i):
                         continue
                     into = (0, 0)
@@ -182,7 +181,7 @@ def predecessor(step: dp.Transfer, prev: tuple, layer: int, level: int, x: int) 
                 x -= paths
     else:
         into = INCOMING[LAYER_ORDER[layer]]
-        i = level - 1 if into is U else level + 1
+        i = level - 1 if into == U else level + 1
         if i < len(prev[0]):
             for j in step.sources[into]:
                 paths = prev[j][i]
@@ -247,11 +246,13 @@ def test_walk_back_refuses_a_rank_past_the_count(config):
                     step.unrank(rows[: t + 1], layer, level, paths)
 
 
-LETTER_STEP = {s.char: s for s in STEP_ORDER}
+# each step's JSON name, spelled out here so that the references below do
+# not read the names they are checked against
+NAMES = {U: "up", D: "down_black", R: "down_red", C: "catastrophe"}
 
 
 def reference_validate(config: ModelConfig, steps: str) -> tuple:
-    """``validate_path`` as a plain loop over the step kinds of a word,
+    """``validate_path`` as a plain loop over the letters of a word,
     testing each rule in turn: the Path, and the level trace the loop kept
     (the level before each step, then the final level)."""
     if not isinstance(steps, str):
@@ -259,19 +260,18 @@ def reference_validate(config: ModelConfig, steps: str) -> tuple:
     level = 0
     levels = [0]
     prev = None
-    for i, letter in enumerate(steps):
-        if letter not in LETTER_STEP:
-            raise IllegalStep(f"not a step letter: {letter!r}", i)
-        s = LETTER_STEP[letter]
+    for i, s in enumerate(steps):
+        if s not in NAMES:
+            raise IllegalStep(f"not a step letter: {s!r}", i)
         if s not in config.steps:
-            raise IllegalStep(f"{s.value} is not in this model", i)
+            raise IllegalStep(f"{NAMES[s]} is not in this model", i)
         if prev is not None and (prev, s) in config.forbidden_pairs:
-            raise ForbiddenAdjacency(f"{prev.value} may not be followed by {s.value}", i)
-        if s is StepKind.UP:
+            raise ForbiddenAdjacency(f"{NAMES[prev]} may not be followed by {NAMES[s]}", i)
+        if s == U:
             level += 1
-        elif s in (StepKind.DOWN_BLACK, StepKind.DOWN_RED):
+        elif s in (D, R):
             if level == 0:
-                raise NegativeLevel(f"{s.value} from level 0", i)
+                raise NegativeLevel(f"{NAMES[s]} from level 0", i)
             level -= 1
         else:
             if not config.catastrophe.allows(level):
@@ -293,8 +293,8 @@ def outcome(validate, config: ModelConfig, steps):
 
 # characters that are not step letters: lower case, another letter, a space, a digit
 JUNK = "uXa 1"
-# inputs that are not words: step kinds, letters in a list
-NOT_WORDS = [(StepKind.UP,), [StepKind.UP, StepKind.DOWN_BLACK], ["U", "D"]]
+# inputs that are not words: letters in a tuple or a list
+NOT_WORDS = [(U,), (U, D), [U, D]]
 
 
 def step_sequences(config: ModelConfig, rng: random.Random, count: int):
