@@ -5,12 +5,25 @@ lists indexed by level, one per layer (after an up-step, the start or a
 catastrophe; after a black down-step; after a red down-step).
 :class:`Transfer` steps a row by shifts and ``map(add)``, and unranks paths.
 :func:`ending` reads one row at a (layer, level) view, None meaning any
-layer or any level.  :func:`count` keeps one rolling row, and so does
-:func:`view_series`, which collects the series of each view the closed-form
-registry names.  :class:`CountTable` keeps one row per length and reads
-off it the closed and open counts, the nonzero end-state counts keyed by
-:class:`State` and the series of one (layer, level); any other view is
-:func:`count` or :func:`view_series`.
+layer or any level.  :func:`count` keeps one rolling row, merging the top
+levels as below, and :func:`view_series` keeps one row too: it collects
+the series of each view the closed-form registry names.
+:class:`CountTable` keeps one row per length and reads off it the closed
+and open counts, the nonzero end-state counts keyed by :class:`State` and
+the series of one (layer, level); any other view is :func:`count` or
+:func:`view_series`.
+
+Only :func:`count` merges levels.  Take a path that will have length n,
+now at length t and at a level of at least n - t + c, where c >= 1 is above
+the end level asked for and at least f, the lowest level from which the
+rule fires at every level up to n or at none.  In its n - t steps left it
+stays at c or above.  So each of its down-steps is legal, a catastrophe is
+legal from every level it reaches or from none, and it meets the end level
+only after a catastrophe, at (F, 0) like any other path.  All those levels
+of a layer have the same completions: :func:`count` sums them into one top
+slot, and its row at length t is min(t, n - t + c) + 1 levels wide, not
+t + 1.  :meth:`Transfer.rows` keeps every level exact, and so do the table,
+the series views, the recurrence checks and the sampler that read it.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, by whole-row comparisons, the step-inflow identities the
@@ -64,8 +77,13 @@ class Transfer:
         into = map(INCOMING.get, LAYER_ORDER)
         self._into = [(s, -1 if s == UP else 1, self.sources[s]) for s in into]
 
-    def __call__(self, row: tuple, size: int) -> tuple:
-        """The row one step longer, cut to levels 0..size-1 (size <= len + 1)."""
+    def __call__(self, row: tuple, size: int, fold: bool = False) -> tuple:
+        """The row one step longer, cut to levels 0..size-1 (size <= len + 1).
+
+        With ``fold``, the up-steps that would land above level size - 1 are
+        added into it.  No down-step needs folding when size >= len - 1, the
+        only sizes a row that shrinks by at most one level per step asks for.
+        """
         sums = {(): [0] * len(row[0]), (0,): row[0], (1,): row[1], (2,): row[2]}
 
         def inflow(step):  # the elementwise sum of the layers that may take ``step``
@@ -76,10 +94,17 @@ class Transfer:
             return sums[layers]
 
         fire = inflow(CATASTROPHE)
-        f = [sum(map(fire.__getitem__, self.firing(len(fire) - 1)))]
-        f += inflow(UP)[: size - 1]
+        fired = self.firing(len(fire) - 1)
+        if isinstance(fired, range):
+            f = [sum(fire[fired.start : fired.stop : fired.step])]
+        else:
+            f = [sum(map(fire.__getitem__, fired))]
+        up = inflow(UP)
+        f += up[: size - 1]
         if self.lift_start and size > 1:
             f[1] += row[0][0]
+        if fold:
+            f[-1] += sum(up[size - 1 :])
         g, h = (inflow(step)[1 : size + 1] for step in (DOWN_BLACK, DOWN_RED))
         return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
 
@@ -146,10 +171,30 @@ def ending(row: tuple, layer: LayerTag | None, level: int | None) -> int:
 
 def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
     """The number of length-n paths meeting the end condition ``final``,
-    from one rolling row."""
+    from one rolling row whose levels from n - t + c up share one top slot.
+
+    c is max(f, 1, want + 1), the last term only when ``final`` is a level
+    want, and f is the lowest level such that the rule fires at every level
+    from f to n or at none: k for ``min_level`` k, the highest firing level
+    <= n plus 1 for explicit levels, and 0 when no level <= n fires.  For
+    ``even_min`` the firing levels alternate, f is n or n + 1 and the rows
+    stay full.
+    """
+    if n < 0:
+        raise ValueError("path length must be >= 0")
     want = normalize_final(final)
-    for row in Transfer(config).rows(n, want):
-        pass
+    fired = config.catastrophe.firing(n)
+    if not fired:
+        f = 0
+    elif config.catastrophe.kind == "min_level":
+        f = fired[0]
+    else:
+        f = fired[-1] + 1
+    c = max(f, 1, 0 if want is None else want + 1)
+    step = Transfer(config)
+    row = ([1], [0], [0])  # length 0: the empty path, in (F, 0)
+    for t in range(1, n + 1):
+        row = step(row, min(t, n - t + c) + 1, fold=True)
     return ending(row, None, want)
 
 

@@ -193,11 +193,9 @@ class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")
     """An immutable path model: step set, forbidden adjacencies, catastrophe rule."""
 
     def __new__(cls, steps, forbidden_pairs, catastrophe=CatastropheRule.none()):
-        steps = frozenset(steps)
-        forbidden_pairs = frozenset(tuple(p) for p in forbidden_pairs)
-        if "C" not in steps:
-            # a rule for a step the model lacks fires nothing: one canonical form
-            catastrophe = CatastropheRule.none()
+        # checked in input order, so an error names the same item in every process
+        steps = tuple(steps)
+        forbidden_pairs = [tuple(p) for p in forbidden_pairs]
         for s in steps:
             if s not in STEP_NAMES:
                 raise ConfigError(f"not a step letter: {s!r}")
@@ -213,7 +211,12 @@ class ModelConfig(namedtuple("ModelConfig", "steps forbidden_pairs catastrophe")
         # equal configs print alike however they were built or copied
         rank = STEP_ORDER.index
         steps = frozenset(sorted(steps, key=rank))
+        # a rule or a pair naming a step the model lacks changes no path, so it
+        # goes: configs that differ only in such a rule or pair are equal
+        forbidden_pairs = [p for p in forbidden_pairs if steps.issuperset(p)]
         forbidden_pairs = frozenset(sorted(forbidden_pairs, key=lambda p: tuple(map(rank, p))))
+        if "C" not in steps:
+            catastrophe = CatastropheRule.none()
         self = super().__new__(cls, steps, forbidden_pairs, catastrophe)
         # For each previous step (None at the start), the steps that may come
         # next; read by validate_path.  It is not a field, so ==, hash and

@@ -339,3 +339,61 @@ def test_recurrences_check_levels_above_the_row_length(monkeypatch):
     # t_5 at z^3 fails first at i=5, then as the row before at i=4 (UUUU is t_4 at z^4)
     assert checks["interior"].detail == "fails at i=4, coefficient of z^4: 1 != 2"
     assert checks["axis-boundary"].detail.startswith("fails at t0, coefficient of z^4: ")
+
+
+HORIZON_RULES = {
+    "none": CatastropheRule.none(),
+    **{f"min{k}": CatastropheRule.min_level(k) for k in (1, 2, 3, 7, 60)},
+    **{f"even{k}": CatastropheRule.even_min(k) for k in (2, 3)},
+    "levels1": CatastropheRule.explicit({1}),
+    "levels147": CatastropheRule.explicit({1, 4, 7}),
+    "levels3": CatastropheRule.explicit({3}),
+    "levels50": CatastropheRule.explicit({50}),
+}
+
+
+@pytest.mark.parametrize("rule", HORIZON_RULES.values(), ids=HORIZON_RULES.keys())
+def test_count_with_merged_levels_equals_the_full_rows(rule):
+    # count sums the levels no boundary can reach in the steps left into one
+    # slot; the full rows keep every level.  n runs below each rule's first
+    # firing level too, where nothing fires and only the end level bounds c.
+    # The presets' step sets, each with and without C, are four distinct models.
+    configs = {
+        with_rule(ModelConfig(steps, preset.forbidden_pairs), rule)
+        for preset in PRESETS.values()
+        for steps in (preset.steps | {"C"}, preset.steps - {"C"})
+    }
+    assert len(configs) == 4
+    for config in configs:
+        rows = list(dp.Transfer(config).rows(44))
+        for n, row in enumerate(rows):
+            for final, want in (("open", None), ("closed", 0), (1, 1), (2, 2), (3, 3), (6, 6)):
+                assert dp.count(config, n, final) == dp.ending(row, None, want), (config, n, final)
+
+
+def _row_widths(monkeypatch, config, n, final) -> list:
+    """The width of each row ``dp.count`` builds, in order of length."""
+    widths = []
+    step = dp.Transfer.__call__
+
+    def recording(self, row, size, fold=False):
+        out = step(self, row, size, fold)
+        widths.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(dp.Transfer, "__call__", recording)
+    dp.count(config, n, final)
+    monkeypatch.undo()
+    assert len(widths) == n
+    return widths
+
+
+def test_count_rows_stop_at_the_horizon(monkeypatch):
+    # for skew-cat (c = 2) the row of length t holds min(t, n - t + 2) + 1 levels
+    n = 200
+    widths = _row_widths(monkeypatch, SKEW_CAT, n, "open")
+    assert all(w <= min(t, n - t + 2) + 1 for t, w in enumerate(widths, 1))
+    assert sum(widths) < 0.6 * sum(range(2, n + 2))
+    # every other level fires under even_min: no level is merged
+    even = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
+    assert _row_widths(monkeypatch, even, 60, "open") == list(range(2, 62))

@@ -482,6 +482,48 @@ def test_equal_configs_print_alike(hash_seed):
     assert done.returncode == 0, done.stderr
 
 
+FIRST_BAD_ITEM = """
+from catwalk.model import ConfigError, ModelConfig
+for steps, pairs in (("up", ()), ("UD", ("Ux", "Uy", "UD"))):
+    try:
+        ModelConfig(steps, pairs)
+    except ConfigError as exc:
+        print(exc)
+"""
+
+
+def test_config_errors_name_the_first_bad_item_under_any_hash_seed():
+    # the steps and pairs are checked in the order given, not a set's order
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    for hash_seed in (1, 3):  # a set yields p and (U, y) first under seed 3
+        env = {"PYTHONPATH": str(src), "PYTHONHASHSEED": str(hash_seed)}
+        done = subprocess.run(
+            [sys.executable, "-B", "-c", FIRST_BAD_ITEM],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "not a step letter: 'u'",
+            "forbidden pair must be two step letters, got ('U', 'x')",
+        ]
+
+
+def test_pairs_naming_a_missing_step_are_dropped():
+    # like a rule without the catastrophe step, such a pair changes no path
+    assert ModelConfig("UD", ("UR",)) == DYCK
+    assert ModelConfig("UDC", ("UR", "RC", "DU"), SKEW_CAT.catastrophe).forbidden_pairs == {(D, U)}
+    data = {"steps": ["up", "down_black"], "forbidden_pairs": [["up", "down_red"]]}
+    loaded = ModelConfig.from_json({**data, "catastrophe": {"kind": "none"}})
+    assert loaded == DYCK and loaded.to_json() == DYCK.to_json()
+    assert ModelConfig.from_json(loaded.to_json()) == loaded
+    # a pair the model could never represent is still refused
+    with pytest.raises(ConfigError, match="starting with a catastrophe"):
+        ModelConfig("UD", ("CU",))
+
+
 def test_rule_repr_is_the_field_repr():
     shown = "CatastropheRule(kind='min_level', k=2, levels=frozenset())"
     assert repr(CatastropheRule.min_level(2)) == shown
