@@ -10,13 +10,14 @@ geometric picture behind the red-step relabelling, each as its tuple of
 pictures count (and mean) the same thing.
 
 Every path is still listed explicitly, so the work grows exponentially
-in n and the size guards bound it; but ``enumerate_red`` costs about its
-output times n, not one call per prefix visited.
+in n and the size guards bound it; but ``enumerate_red`` joins memoised
+halves of the paths in C-level maps, so it makes no Python call per path.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 
 from .model import (
     STEP_ORDER,
@@ -28,8 +29,6 @@ from .model import (
 )
 
 RED_LIMIT = 20
-# steps at the end of each path that enumerate_red takes from its memo of tails
-TAIL = 4
 GEO_LIMIT = 16
 
 # render.py's pictures: "red", a step right per letter, and "sw", red_to_geometric's;
@@ -61,11 +60,12 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     rule, not from ``ModelConfig.next_steps``, so the result is independent
     of the DP route.
 
-    The last ``TAIL`` steps of every path come from a memo of tails, each
-    held as its word and its end level, that end as ``final`` asks.  A
-    depth-first walk builds the heads before them as words, tracking only
-    the level, and steps only into heads that some tail completes, so each
-    path costs one string concatenation and its ``Path``.
+    Each path is a head of n // 2 steps, ending anywhere, joined to a tail
+    of the remaining steps that ends as ``final`` asks.  Both halves come
+    from :func:`_words` memos, one per end condition, and every head joins
+    the tails of its last letter and level in a ``map``, so no Python call
+    is made per path.  The heads have one length, so the joins stay in step
+    order.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
@@ -75,7 +75,6 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     letters = [s for s in STEP_ORDER if s in config.steps]
     fires = [config.catastrophe.allows(level) for level in range(n)]
     legal: dict = {}
-    memo: dict = {}
 
     def moves(prev, level: int) -> list:
         """The legal (letter, next level) pairs after ``prev`` at ``level``, in order."""
@@ -89,41 +88,35 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
             ]
         return legal[key]
 
-    def tails(prev, level: int, k: int):
-        """The length-k (word, end level) tails after ``prev`` at ``level``
-        that end as wanted; past ``TAIL`` steps, only whether one exists."""
-        key = (prev, level, k)
-        if key not in memo:
-            if k == 0:
-                memo[key] = [("", level)] if want is None or level == want else []
-            elif k > TAIL:
-                memo[key] = any(tails(s, nxt, k - 1) for s, nxt in moves(prev, level))
-            else:
-                memo[key] = [
-                    (s + rest, end)
-                    for s, nxt in moves(prev, level)
-                    for rest, end in tails(s, nxt, k - 1)
-                ]
-        return memo[key]
-
+    h = n // 2
+    anywhere: dict = {}
+    ending = anywhere if want is None else {}
+    heads, levels = _words(moves, None, anywhere, None, 0, h)
     out: list = []
-    cut = max(n - TAIL, 0)
-
-    def walk(prev, level: int, head: str) -> None:
-        if len(head) == cut:
-            out.extend([
-                Path(head + rest, end) for rest, end in tails(prev, level, n - cut)
-            ])
-            return
-        for s, nxt in moves(prev, level):
-            if tails(s, nxt, n - len(head) - 1):
-                walk(s, nxt, head + s)
-
-    walk(None, 0, "")
-    # the nested functions reach each other through closure cells, a cycle
-    # that only the cyclic collector frees; empty the memo now instead
-    memo.clear()
+    for head, level in zip(heads, levels):
+        tails, ends = _words(moves, want, ending, head[-1:] or None, level, n - h)
+        out += map(tuple.__new__, repeat(Path), zip(map(head.__add__, tails), ends))
     return out
+
+
+def _words(moves, want, memo: dict, prev, level: int, k: int) -> tuple:
+    """The length-k continuations after ``prev`` at ``level`` that end at
+    level ``want`` (None: anywhere), as a list of words in step order and
+    the list of their end levels, memoised in ``memo``.  A module function
+    rather than a closure, so that no cycle keeps the memo alive."""
+    key = (prev, level, k)
+    if key not in memo:
+        if k == 0:
+            memo[key] = ([""], [level]) if want is None or level == want else ([], [])
+        else:
+            words: list = []
+            ends: list = []
+            for s, nxt in moves(prev, level):
+                rest, rest_ends = _words(moves, want, memo, s, nxt, k - 1)
+                words += map(s.__add__, rest)
+                ends += rest_ends
+            memo[key] = (words, ends)
+    return memo[key]
 
 
 def enumerate_geometric(n: int, final: FinalSpec = None) -> list:

@@ -376,13 +376,14 @@ def validate_path(config: ModelConfig, steps: str) -> Path:
 
     The walk keeps only the current level.  Each letter costs one lookup in
     the model's table of the letters that may follow the previous one, plus
-    comparisons.  The first letter that fails them is then tested rule by
-    rule, in the order above, to name the error.
+    comparisons; a catastrophe looks its level up in the rule's firing
+    levels, read once per call.  The first letter that fails them is then
+    tested rule by rule, in the order above, to name the error.
     """
     if not isinstance(steps, str):
         raise IllegalStep(f"steps must be a word of U, D, R, C, not {type(steps).__name__}", 0)
     follows = config._follows
-    allows = config.catastrophe.allows
+    fires = config.catastrophe.firing(len(steps))  # no level above len(steps) is reached
     level = 0
     allowed = follows[None]
     for i, s in enumerate(steps):
@@ -391,7 +392,7 @@ def validate_path(config: ModelConfig, steps: str) -> Path:
         if s == "U":
             level += 1
         elif s == "C":
-            if not allows(level):
+            if level not in fires:
                 break
             level = 0
         elif level:  # a down-step

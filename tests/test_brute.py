@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -208,6 +209,19 @@ def test_calls_share_no_memo():
     fresh = {final: enumerate_red(SKEW_CAT, 9, final) for final in (None, "closed", 3)}
     again = [enumerate_red(SKEW_CAT, 9, final) for final in ("closed", 3, None, "closed")]
     assert again == [fresh["closed"], fresh[3], fresh[None], fresh["closed"]]
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # reference counting frees the memos: the cyclic collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        paths = enumerate_red(SKEW_CAT, 12)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert len(paths) == 4536
+    assert freed == 0
 
 
 def test_catastrophe_rule_is_read_once_per_level(monkeypatch):

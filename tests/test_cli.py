@@ -600,6 +600,48 @@ def test_negative_n_rejected():
     assert exc.value.code == 2
 
 
+def _parsed(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([name, "--help"] for name in cli._COMMANDS),
+        ["count", "--model", "dyck", "--n", "4", "--closed", "surplus"],
+        ["sample", "--model", "dyck", "--n", "four", "--open"],
+        ["enumerate", "--model", "dyck", "--closed"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_one_subparser_prints_as_the_full_parser(argv, capsys):
+    # main builds only argv[0]'s subparser; help, errors and exit codes
+    # must read as if it had built all of them
+    full = _parsed(cli._build_parser().parse_args, argv, capsys)
+    assert _parsed(cli.main, argv, capsys) == full
+    assert full[0] == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (
+            ["frobnicate"],
+            "argument command: invalid choice: 'frobnicate' (choose from "
+            "'count', 'series', 'enumerate', 'sample', 'render', 'verify')",
+        ),
+    ],
+    ids=["no command", "unknown command"],
+)
+def test_errors_without_a_command_name_the_command_argument(argv, message, capsys):
+    usage = "usage: catwalk [-h] {count,series,enumerate,sample,render,verify} ...\n"
+    assert _parsed(cli.main, argv, capsys) == (2, "", f"{usage}catwalk: error: {message}\n")
+
+
 @pytest.mark.parametrize("module", ["catwalk", "catwalk.cli"])
 def test_module_entry_points(module):
     src = pathlib.Path(catwalk.__file__).parents[1]

@@ -98,6 +98,19 @@ def test_random_model_routes_agree(config):
 
 
 @pytest.mark.parametrize("config", MODELS, ids=[f"model{i}" for i in range(len(MODELS))])
+def test_end_conditions_filter_the_open_enumeration(config):
+    # the tails of brute force end as asked, under rules outside the presets
+    for n in range(N_MAX + 1):
+        paths = brute.enumerate_red(config, n)
+        assert all(type(p) is Path for p in paths)
+        for final in ("closed", *range(n + 2)):
+            level = 0 if final == "closed" else final
+            got = brute.enumerate_red(config, n, final)
+            assert got == [p for p in paths if p.final_level == level], (n, final)
+            assert all(type(p) is Path for p in got)
+
+
+@pytest.mark.parametrize("config", MODELS, ids=[f"model{i}" for i in range(len(MODELS))])
 def test_random_model_json_round_trip(config):
     assert ModelConfig.from_json(json.loads(json.dumps(config.to_json()))) == config
     assert ModelConfig.loads(config.dumps()) == config
