@@ -10,8 +10,10 @@ geometric picture behind the red-step relabelling, each as its tuple of
 pictures count (and mean) the same thing.
 
 Every path is still listed explicitly, so the work grows exponentially
-in n and the size guards bound it; but ``enumerate_red`` joins memoised
-halves of the paths in C-level maps, so it makes no Python call per path.
+in n and the size guards bound it; but the paths are memoised halves,
+which :func:`red_halves` gives as each head with the shared list of its
+tails, and ``enumerate_red`` joins them in C-level maps, so it makes no
+Python call per path.  The CLI prints the halves without joining them.
 """
 
 from __future__ import annotations
@@ -60,12 +62,30 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     rule, not from ``ModelConfig.next_steps``, so the result is independent
     of the DP route.
 
-    Each path is a head of n // 2 steps, ending anywhere, joined to a tail
-    of the remaining steps that ends as ``final`` asks.  Both halves come
-    from :func:`_words` memos, one per end condition, and every head joins
-    the tails of its last letter and level in a ``map``, so no Python call
-    is made per path.  The heads have one length, so the joins stay in step
-    order.
+    The paths are :func:`red_halves`' heads, each joined to its tails in a
+    ``map``, with ``tuple.__new__`` making each ``Path``, so no Python call
+    is made per path.
+    """
+    out: list = []
+    for head, tails, ends in red_halves(config, n, final):
+        out += map(tuple.__new__, repeat(Path), zip(map(head.__add__, tails), ends))
+    return out
+
+
+def red_halves(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
+    """The length-n paths of the model as ``(head, tails, end levels)``
+    triples: each path is the head followed by one of the tails, and ends
+    at the tail's end level.  In order, the triples' words are those of
+    :func:`enumerate_red`, with the same meaning of ``final``.
+
+    The heads are every word of n // 2 steps, ending anywhere; a head's
+    tails are the words of the remaining steps from its last letter and
+    level that end as ``final`` asks.  Both halves come from :func:`_words`
+    memos, one per end condition, so heads with one last letter and level
+    share one list of tails and one of end levels: the caller must not
+    change them.  The heads have one length, so the joins stay in step
+    order.  Nothing is joined here: a caller that prints the paths or
+    counts them needs no word of n steps.
     """
     if n < 0:
         raise ValueError("path length must be >= 0")
@@ -92,11 +112,10 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     anywhere: dict = {}
     ending = anywhere if want is None else {}
     heads, levels = _words(moves, None, anywhere, None, 0, h)
-    out: list = []
-    for head, level in zip(heads, levels):
-        tails, ends = _words(moves, want, ending, head[-1:] or None, level, n - h)
-        out += map(tuple.__new__, repeat(Path), zip(map(head.__add__, tails), ends))
-    return out
+    return [
+        (head, *_words(moves, want, ending, head[-1:] or None, level, n - h))
+        for head, level in zip(heads, levels)
+    ]
 
 
 def _words(moves, want, memo: dict, prev, level: int, k: int) -> tuple:

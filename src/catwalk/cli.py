@@ -8,6 +8,10 @@ empty ensemble, and so on).
 Every handler hands its result to one output path, ``_emit``, as one
 zero-argument builder per format.  Only the form that ``--format`` names is
 built, and ``--out FILE`` receives exactly the bytes stdout would print.
+``enumerate`` and ``sample`` stream: their forms yield the text a head's
+paths at a time, straight from the words of ``brute.red_halves``, so no
+``Path`` is made for a listed path and no Python code runs per path.  Bad
+input is refused before the first byte is written.
 """
 
 from __future__ import annotations
@@ -17,12 +21,16 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 from . import brute, dp
 from . import closedform as cf
 from . import sampler as sampler_mod
 from . import verify as verify_mod
 from .model import (
+    STEP_NAMES,
     ModelConfig,
     PRESETS,
     final_label,
@@ -48,31 +56,30 @@ def _positive(text: str) -> int:
 
 
 def _emit(args, **forms) -> None:
-    """Build the one form ``--format`` names and write it to ``--out`` or stdout.
+    """Build the one form ``--format`` names and write it and a newline to
+    ``--out`` or stdout.
 
-    Each form is a zero-argument callable: ``json`` returns the payload,
-    ``csv`` the rows with the header first or its finished text, any other
-    the text itself.
+    Each form is a zero-argument callable that returns an iterator of text
+    chunks, written as they come, or else: ``json`` the payload, ``csv`` the
+    rows with the header first, any other the text itself.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact counts run past the digit limit
     try:
         value = forms[args.format]()
-        if args.format == "json":
-            text = json.dumps(value, indent=2)
-        elif args.format == "csv" and not isinstance(value, str):
-            import csv
+        if not hasattr(value, "__next__"):
+            if args.format == "json":
+                value = json.dumps(value, indent=2)
+            elif args.format == "csv":
+                import csv
 
-            buf = io.StringIO()
-            csv.writer(buf).writerows(value)
-            text = buf.getvalue().rstrip("\n")
-        else:
-            text = value
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                print(text, file=fh)
-        else:
-            print(text)
+                buf = io.StringIO()
+                csv.writer(buf).writerows(value)
+                value = buf.getvalue().rstrip("\n")
+            value = [value]
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            fh.writelines(value)
+            fh.write("\n")
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -170,36 +177,72 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _emit_paths(args, paths: list, payload) -> None:
-    """Emit ``paths`` one word per line as text and one row each as csv.
+def _emit_paths(args, halves: list, meta: dict | None = None) -> None:
+    """Emit paths given as ``brute.red_halves`` gives them, heads each
+    joined to a list of tails, with no Python call per path.
 
-    The csv text is what ``csv.writer`` writes, less the final LF: no cell
-    needs quoting, and every line ends in CR LF, the last in CR alone."""
-    _emit(
-        args,
-        text=lambda: "\n".join([steps or "(empty)" for steps, _ in paths]) or "(none)",
-        json=payload,
-        csv=lambda: "\r\n".join([
-            "index,steps,final_level",
-            *[f"{i},{steps},{level}" for i, (steps, level) in enumerate(paths)],
-        ]) + "\r",
-    )
+    Text is one word per line; csv is what ``csv.writer`` writes, less the
+    final LF: no cell needs quoting, and every line ends in CR LF, the last
+    in CR alone.  Json is what ``json.dumps(indent=2)`` writes for the list
+    of paths as lists of step names, or for ``meta`` with that list added
+    as ``"paths"``.
+    """
+
+    def text():
+        sep = ""
+        for head, tails, ends in halves:
+            if ends:
+                yield sep
+                if args.n:
+                    yield head + ("\n" + head).join(tails)
+                else:
+                    yield "\n".join(["(empty)"] * len(ends))
+                sep = "\n"
+        if not sep:
+            yield "(none)"
+
+    def csv():
+        yield "index,steps,final_level"
+        i = 0
+        for head, tails, ends in halves:
+            yield "".join(map("\r\n{},{}{},{}".format, count(i), repeat(head), tails, ends))
+            i += len(ends)
+        yield "\r"
+
+    def paths(pad: str):
+        # a letter becomes a line of its step's name and a comma, so a word's
+        # lines are its head's and then its tail's, less the tail's last comma;
+        # heads share their lists of tails, which are made json once each
+        table = str.maketrans({s: f'\n{pad}    "{name}",' for s, name in STEP_NAMES.items()})
+        start, close = f"\n{pad}  [", f"\n{pad}  ]" if args.n else "]"
+        all_but_last = itemgetter(slice(-1))
+        done: dict = {}  # id of a list of tails -> its tails as json; halves keeps the lists
+        sep = "["
+        for head, tails, ends in halves:
+            if ends:
+                if id(tails) not in done:
+                    lines = map(str.translate, tails, repeat(table))
+                    done[id(tails)] = list(map(all_but_last, lines))
+                lead = start + head.translate(table)
+                yield sep + lead + f"{close},{lead}".join(done[id(tails)]) + close
+                sep = ","
+        yield f"\n{pad}]" if sep == "," else "[]"
+
+    def json_():
+        if meta is None:
+            return paths("")
+        lead = json.dumps(meta, indent=2)[: -len("\n}")] + ',\n  "paths": '
+        return chain([lead], paths("  "), ["\n}"])
+
+    _emit(args, text=text, csv=csv, json=json_)
 
 
 def cmd_enumerate(args) -> int:
     label, config = _resolve_config(args)
-    paths = brute.enumerate_red(config, args.n, args.final)
-    _emit_paths(
-        args,
-        paths,
-        lambda: {
-            "model": label,
-            "n": args.n,
-            "final": final_label(args.final),
-            "count": len(paths),
-            "paths": [p.to_json() for p in paths],
-        },
-    )
+    halves = brute.red_halves(config, args.n, args.final)
+    total = sum(len(ends) for _, _, ends in halves)
+    meta = {"model": label, "n": args.n, "final": final_label(args.final), "count": total}
+    _emit_paths(args, halves, meta)
     return 0
 
 
@@ -207,7 +250,7 @@ def cmd_sample(args) -> int:
     _, config = _resolve_config(args)
     spec = sampler_mod.SamplerSpec(config, args.n, args.final, args.seed)
     paths = sampler_mod.sample(spec, args.count)
-    _emit_paths(args, paths, lambda: [p.to_json() for p in paths])
+    _emit_paths(args, [("", *zip(*paths))])  # one empty head, the draws its tails
     return 0
 
 

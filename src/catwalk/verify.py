@@ -15,10 +15,11 @@ from __future__ import annotations
 import time
 import traceback
 from collections import Counter
+from operator import itemgetter
 
 from . import brute, closedform as cf, dp
 from .dp import Check, Report
-from .model import CatastropheRule, DYCK_CAT, PRESETS, SKEW_CAT, with_rule
+from .model import ENTRY_LAYER, CatastropheRule, DYCK_CAT, LayerTag, PRESETS, SKEW_CAT, with_rule
 from .series import Series, SeriesError
 
 
@@ -69,6 +70,7 @@ def _suite_oracle(order: int, max_n: int) -> list:
     variants["dyck-cat-even"] = with_rule(DYCK_CAT, CatastropheRule.even_min(2))
     variants["skew-cat-even"] = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
     geo_cap = min(max_n, 12)
+    last = itemgetter(slice(-1, None))  # a word's last letter, "" for the empty word
     skew = {}  # n -> the red paths of SKEW, for the geometric comparison below
     for name, config in variants.items():
         table = dp.count_table(config, max_n)
@@ -77,7 +79,13 @@ def _suite_oracle(order: int, max_n: int) -> list:
             paths = brute.enumerate_red(config, n)
             if name == "skew" and n <= geo_cap:
                 skew[n] = paths
-            if Counter((p.final_layer, p.final_level) for p in paths) != table.final_counts(n):
+            # the census by last letter and level, folded into layers: a
+            # path's layer is its last letter's, the empty path's is F
+            pairs = Counter(zip(map(last, map(itemgetter(0), paths)), map(itemgetter(1), paths)))
+            census: Counter = Counter()
+            for (letter, level), c in pairs.items():
+                census[ENTRY_LAYER.get(letter, LayerTag.F), level] += c
+            if census != table.final_counts(n):
                 bad = n
                 break
         checks.append(

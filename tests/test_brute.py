@@ -121,6 +121,23 @@ def test_size_guards():
         enumerate_red(SKEW, -1)
 
 
+def test_halves_share_tails_and_refuse_on_the_call():
+    halves = brute.red_halves(SKEW_CAT, 9, "closed")
+    words = [head + tail for head, tails, _ in halves for tail in tails]
+    assert words == [p.steps for p in enumerate_red(SKEW_CAT, 9, "closed")]
+    # heads of one last letter and level share one list of tails
+    junction = {}
+    for head, tails, _ in halves:
+        junction.setdefault(id(tails), set()).add(
+            (head[-1], validate_path(SKEW_CAT, head).final_level)
+        )
+    assert sorted(map(len, junction.values())) == [1] * len(junction)
+    assert len(set.union(*junction.values())) == len(junction) < len(halves)
+    for bad in ((RED_LIMIT + 1, None), (-1, None), (3, "sideways")):
+        with pytest.raises(ValueError):
+            brute.red_halves(SKEW_CAT, *bad)
+
+
 def test_geometric_blocks_immediate_backtrack():
     # NE followed by SW would retrace the same segment back to (0, 0); of
     # the three two-step words from the origin only NE NE and NE SE remain

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import catwalk
-from catwalk import cli, closedform as cf, dp, verify
+from catwalk import brute, cli, closedform as cf, dp, sampler as sampler_mod, verify
 from catwalk.model import SKEW_CAT, STEP_ORDER, preset, validate_path
 
 from conftest import load_schema
@@ -367,6 +367,50 @@ def test_path_outputs_match_a_step_kind_reference(capsys, model, end):
                 assert len(out.splitlines()) == total + 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "model, n, end",
+    [
+        ("skew-cat", 14, "--open"),  # 22,362 paths over many heads
+        ("dyck", 7, "--closed"),  # no path: (none), "paths": []
+        ("skew-cat", 0, "--open"),  # the empty path: (empty), []
+        ("dyck-cat", 1, "--open"),  # heads of length 0
+        ("dyck-cat", 1, "--level 2"),
+    ],
+)
+def test_streamed_paths_match_json_dumps_and_csv_writer(capsys, model, n, end, fmt):
+    # enumerate writes the halves without making a Path; the reference
+    # prints enumerate_red's words through json.dumps and csv.writer
+    label, final = FINALS[end]
+    walks = [list(p.steps) for p in brute.enumerate_red(preset(model), n, final)]
+    head = {"model": model, "n": n, "final": label, "count": len(walks)}
+    want = _printed(fmt, walks, lambda ps: {**head, "paths": ps})
+    flags = ["--model", model, "--n", str(n), *end.split(), "--format", fmt]
+    assert run(capsys, "enumerate", *flags) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("model, n", [("skew-cat", 14), ("dyck", 0), ("skew", 1)])
+def test_streamed_draws_match_json_dumps_and_csv_writer(capsys, model, n, fmt):
+    spec = sampler_mod.SamplerSpec(preset(model), n, "open", 5)
+    drawn = [list(p.steps) for p in sampler_mod.sample(spec, 25)]
+    flags = ["--model", model, "--n", str(n), "--open", "--seed", "5", "--count", "25"]
+    got = run(capsys, "sample", *flags, "--format", fmt)
+    assert got == (0, _printed(fmt, drawn, lambda ps: ps), "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_errors_come_before_the_first_byte(tmp_path, capsys, fmt):
+    # the size guard refuses before any output is opened or written
+    target = tmp_path / "paths.out"
+    flags = ["--model", "skew-cat", "--n", "21", "--open", "--format", fmt]
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run(capsys, "enumerate", *flags, *extra)
+        assert (code, out) == (2, "")
+        assert "refusing brute-force enumeration past n=20" in err
+    assert not target.exists()
+
+
 def test_sample_empty_open_ensemble_names_open(tmp_path, capsys):
     # a model with only down-steps has no path of length 3, whatever its end
     cfg = tmp_path / "down_only.json"
@@ -672,6 +716,48 @@ def test_closed_stdout_ends_silently_with_sigpipe_status():
             assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
         finally:
             proc.kill()
+
+
+def test_pipe_closed_mid_stream_ends_silently_with_sigpipe_status():
+    # about 28 MB of json, written a head's paths at a time
+    src = pathlib.Path(catwalk.__file__).parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-B", "-m", "catwalk", "enumerate", "--model", "skew-cat",
+         "--n", "16", "--open", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src)},
+    ) as proc:
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+        finally:
+            proc.kill()
+
+
+def test_streamed_json_enumeration_stays_small():
+    # 110,998 paths, about 28 MB of json: the process never holds them all
+    # (221 MB when each path was a Path and the text one string).  A small
+    # process starts the command, as a child's peak counts the memory of
+    # the process that forked it.
+    src = pathlib.Path(catwalk.__file__).parents[1]
+    argv = ["enumerate", "--model", "skew-cat", "--n", "16", "--open", "--format", "json"]
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-B', '-m', 'catwalk', *sys.argv[1:]],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 40 * 1024  # kB
 
 
 def test_cli_import_loads_no_module_a_command_may_not_run():
