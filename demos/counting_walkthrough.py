@@ -43,7 +43,7 @@ for level in range(8 + 1):
 # (layer, level) view, None meaning any, off the DP's rows.  The closed
 # paths end at level 0 in any of the three layers, so their series is the
 # axis total f0 + g0 + h0, the registry's fgh0-skew-cat; f0 alone is the
-# view (LayerTag.F, 0).
+# view ("F", 0).
 closed, total = view_series(preset("skew-cat"), N, [(None, 0), (None, None)])
 print()
 print("f0 + g0 + h0 for skew-cat :", closed)

@@ -9,7 +9,7 @@ and checks them coefficient-by-coefficient against counts produced by
 the transfer-matrix DP, which knows nothing about kernels or roots.
 """
 
-from catwalk import LayerTag, preset
+from catwalk import preset
 from catwalk import closedform as cf
 from catwalk.dp import view_series
 
@@ -32,7 +32,7 @@ print("  r2 =", cf.r2("skew", 13))
 # meaning any: the axis is (None, 0), the open total (None, None).
 axis_d, open_d = view_series(preset("dyck-cat"), ORDER, [(None, 0), (None, None)])
 f0_s, axis_s, open_s = view_series(
-    preset("skew-cat"), ORDER, [(LayerTag.F, 0), (None, 0), (None, None)]
+    preset("skew-cat"), ORDER, [("F", 0), (None, 0), (None, None)]
 )
 
 # For the skew model the axis census splits across three channels

@@ -1,11 +1,11 @@
 """The layered state space of a model and its explicit automaton.
 
 A state is a pair (layer, level), :class:`dp.State`: the level is the
-current height, the layer remembers which step got us here
-(:class:`model.LayerTag`).  Because the forbidden adjacencies of a model only
-ever constrain *consecutive* steps, this one-step memory is enough to decide
-which steps may come next, so paths of a model correspond exactly to walks
-of this automaton from the start state (F, 0).
+current height, the layer is a letter, F, G or H of ``model.LAYER_ORDER``,
+that remembers which step got us here.  Because the forbidden adjacencies
+of a model only ever constrain *consecutive* steps, this one-step memory is
+enough to decide which steps may come next, so paths of a model correspond
+exactly to walks of this automaton from the start state (F, 0).
 
 ``ModelConfig.next_steps`` is that rule.  The level-vector transfer step of
 :mod:`catwalk.dp` reads it once per layer; :func:`build` spells it out as a
@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dp import State
-from .model import ENTRY_LAYER, INCOMING, LAYER_ORDER, LayerTag, ModelConfig
+from .model import ENTRY_LAYER, INCOMING, LAYER_ORDER, ModelConfig
 
-START = State(LayerTag.F, 0)
+START = State("F", 0)
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,12 @@ def build(config: ModelConfig, max_level: int) -> Automaton:
             for step in config.next_steps(came_by):
                 if step == "U":
                     if level < max_level:
-                        out.append((step, State(LayerTag.F, level + 1)))
+                        out.append((step, State("F", level + 1)))
                 elif step in ("D", "R"):
                     if level > 0:
-                        tgt = ENTRY_LAYER[step]
-                        out.append((step, State(tgt, level - 1)))
+                        out.append((step, State(ENTRY_LAYER[step], level - 1)))
                 else:  # catastrophe
                     if config.catastrophe.allows(level):
-                        out.append((step, State(LayerTag.F, 0)))
+                        out.append((step, START))
             transitions[st] = tuple(out)
     return Automaton(config, max_level, START, transitions)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .model import DYCK_CAT, LAYER_ORDER, SKEW_CAT, LayerTag, ModelConfig
+from .model import DYCK_CAT, LAYER_ORDER, SKEW_CAT, ModelConfig
 from .series import Series
 
 MODELS = ("dyck", "skew")
@@ -310,9 +310,9 @@ REGISTRY = {
         Entry("r2-skew", lambda n: r2("skew", n)),
         Entry("f0-dyck-cat", lambda n: f0("dyck", n), DYCK_CAT, (None, 0)),
         Entry("open-dyck-cat", lambda n: open_total("dyck", n), DYCK_CAT, (None, None)),
-        Entry("f0-skew-cat", lambda n: f0("skew", n), SKEW_CAT, (LayerTag.F, 0)),
-        Entry("g0-skew-cat", g0, SKEW_CAT, (LayerTag.G, 0)),
-        Entry("h0-skew-cat", h0, SKEW_CAT, (LayerTag.H, 0)),
+        Entry("f0-skew-cat", lambda n: f0("skew", n), SKEW_CAT, ("F", 0)),
+        Entry("g0-skew-cat", g0, SKEW_CAT, ("G", 0)),
+        Entry("h0-skew-cat", h0, SKEW_CAT, ("H", 0)),
         Entry("fgh0-skew-cat", fgh0, SKEW_CAT, (None, 0)),
         Entry("open-skew-cat", lambda n: open_total("skew", n), SKEW_CAT, (None, None)),
     )

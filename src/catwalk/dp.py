@@ -1,29 +1,30 @@
 """Exact big-integer path counting by a level-vector transfer DP.
 
-A row counts the paths of one length by end state: a tuple (F, G, H) of int
-lists indexed by level, one per layer (after an up-step, the start or a
-catastrophe; after a black down-step; after a red down-step).
-:class:`Transfer` steps a row by shifts and ``map(add)``, and unranks paths.
-:func:`ending` reads one row at a (layer, level) view, None meaning any
-layer or any level.  :func:`count` keeps one rolling row, merging the top
-levels as below, and :func:`view_series` keeps one row too: it collects
-the series of each view the closed-form registry names.
+A row counts the paths of one length by end state: a tuple of int lists
+indexed by level, one per layer of ``LAYER_ORDER``, the letters F (after an
+up-step, the start or a catastrophe), G (after a black down-step) and H
+(after a red down-step).  :meth:`Transfer.rows` is the one row generator:
+it steps a row by shifts and ``map(add)``, and :meth:`Transfer.unrank`
+walks paths back through its rows.  :func:`ending` reads one row at a
+(layer, level) view, None meaning any layer or any level.  :func:`count`
+reads the last row, holding one, and :func:`view_series` holds one row
+too: it collects the series of each view the closed-form registry names.
 :class:`CountTable` keeps one row per length and reads off it the closed
 and open counts, the nonzero end-state counts keyed by :class:`State` and
 the series of one (layer, level); any other view is :func:`count` or
 :func:`view_series`.
 
-Only :func:`count` merges levels.  Take a path that will have length n,
-now at length t and at a level of at least n - t + c, where c >= 1 is above
-the end level asked for and at least f, the lowest level from which the
-rule fires at every level up to n or at none.  In its n - t steps left it
-stays at c or above.  So each of its down-steps is legal, a catastrophe is
-legal from every level it reaches or from none, and it meets the end level
-only after a catastrophe, at (F, 0) like any other path.  All those levels
-of a layer have the same completions: :func:`count` sums them into one top
-slot, and its row at length t is min(t, n - t + c) + 1 levels wide, not
-t + 1.  :meth:`Transfer.rows` keeps every level exact, and so do the table,
-the series views, the recurrence checks and the sampler that read it.
+Given c, :meth:`Transfer.rows` merges levels.  Take a path that will have
+length n, now at length t and at a level of at least n - t + c, where
+c >= 1 is above the end level asked for and at least f, the lowest level
+from which the rule fires at every level up to n or at none.  In its n - t
+steps left it stays at c or above.  So each of its down-steps is legal, a
+catastrophe is legal from every level it reaches or from none, and it meets
+the end level only after a catastrophe, at (F, 0) like any other path.  All
+those levels of a layer have the same completions: the rows sum them into
+one top slot, and the row at length t is min(t, n - t + c) + 1 levels wide,
+not t + 1.  :func:`count` and the sampler pass c; the table, the series
+views and the recurrence checks read every level exact.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, by whole-row comparisons, the step-inflow identities the
@@ -39,7 +40,7 @@ from itertools import product
 from operator import add
 from typing import NamedTuple
 
-from .model import INCOMING, LAYER_ORDER, STEP_ORDER, FinalSpec, LayerTag, ModelConfig
+from .model import INCOMING, LAYER_ORDER, STEP_ORDER, FinalSpec, ModelConfig
 from .model import normalize_final
 from .series import Series
 
@@ -47,9 +48,10 @@ UP, DOWN_BLACK, DOWN_RED, CATASTROPHE = STEP_ORDER
 
 
 class State(NamedTuple):
-    """An end state, the index of the paper's series f_j, g_j and h_j."""
+    """An end state, the index of the paper's series f_j, g_j and h_j: a
+    layer letter (F, G or H) and a level."""
 
-    layer: LayerTag
+    layer: str
     level: int
 
 
@@ -77,12 +79,12 @@ class Transfer:
         into = map(INCOMING.get, LAYER_ORDER)
         self._into = [(s, -1 if s == UP else 1, self.sources[s]) for s in into]
 
-    def __call__(self, row: tuple, size: int, fold: bool = False) -> tuple:
-        """The row one step longer, cut to levels 0..size-1 (size <= len + 1).
+    def __call__(self, row: tuple, size: int) -> tuple:
+        """The row one step longer, cut to levels 0..size-1 (2 <= size <= len + 1).
 
-        With ``fold``, the up-steps that would land above level size - 1 are
-        added into it.  No down-step needs folding when size >= len - 1, the
-        only sizes a row that shrinks by at most one level per step asks for.
+        The up-steps that would land above level size - 1 are added into it,
+        none at full width.  No down-step needs adding when size >= len - 1,
+        the only sizes a row that shrinks by at most one level per step asks for.
         """
         sums = {(): [0] * len(row[0]), (0,): row[0], (1,): row[1], (2,): row[2]}
 
@@ -101,10 +103,9 @@ class Transfer:
             f = [sum(map(fire.__getitem__, fired))]
         up = inflow(UP)
         f += up[: size - 1]
-        if self.lift_start and size > 1:
+        if self.lift_start:
             f[1] += row[0][0]
-        if fold:
-            f[-1] += sum(up[size - 1 :])
+        f[-1] += sum(up[size - 1 :])
         g, h = (inflow(step)[1 : size + 1] for step in (DOWN_BLACK, DOWN_RED))
         return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
 
@@ -145,23 +146,22 @@ class Transfer:
             raise RuntimeError("sampler weights do not sum to the forward count") from None
         return steps
 
-    def rows(self, n: int, want: int | None = None):
+    def rows(self, n: int, c: int | None = None):
         """The rows of lengths 0..n in turn; the row of length t has levels 0..t.
 
-        Without catastrophes a level above ``want`` plus the steps left
-        cannot come down in time, so given ``want`` it is dropped.
+        Given c (see the module docstring), the levels from n - t + c up
+        share one top slot: the row of length t has min(t, n - t + c) + 1.
         """
         if n < 0:
             raise ValueError("path length must be >= 0")
-        trim = want is not None and not (self.sources[CATASTROPHE] and self.firing(n))
         row = ([1], [0], [0])  # length 0: the empty path, in (F, 0)
         yield row
         for t in range(1, n + 1):
-            row = self(row, min(t, want + n - t) + 1 if trim else t + 1)
+            row = self(row, t + 1 if c is None else min(t, n - t + c) + 1)
             yield row
 
 
-def ending(row: tuple, layer: LayerTag | None, level: int | None) -> int:
+def ending(row: tuple, layer: str | None, level: int | None) -> int:
     """The paths of one row that end in (layer, level), None meaning any."""
     vecs = row if layer is None else (row[LAYER_ORDER.index(layer)],)
     if level is None:
@@ -171,30 +171,25 @@ def ending(row: tuple, layer: LayerTag | None, level: int | None) -> int:
 
 def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
     """The number of length-n paths meeting the end condition ``final``,
-    from one rolling row whose levels from n - t + c up share one top slot.
+    read off the last of :meth:`Transfer.rows` given c, holding one row.
 
     c is max(f, 1, want + 1), the last term only when ``final`` is a level
     want, and f is the lowest level such that the rule fires at every level
-    from f to n or at none: k for ``min_level`` k, the highest firing level
-    <= n plus 1 for explicit levels, and 0 when no level <= n fires.  For
-    ``even_min`` the firing levels alternate, f is n or n + 1 and the rows
-    stay full.
+    from f to n or at none: the first firing level <= n when they run
+    unbroken up to n, as for ``min_level``, else the last one plus 1, and 0
+    when none fires.  Where the firing levels alternate, as for
+    ``even_min``, f is n or n + 1 and the rows stay full.
     """
-    if n < 0:
-        raise ValueError("path length must be >= 0")
     want = normalize_final(final)
     fired = config.catastrophe.firing(n)
     if not fired:
         f = 0
-    elif config.catastrophe.kind == "min_level":
+    elif len(fired) == n + 1 - fired[0]:  # every level from fired[0] to n
         f = fired[0]
     else:
         f = fired[-1] + 1
-    c = max(f, 1, 0 if want is None else want + 1)
-    step = Transfer(config)
-    row = ([1], [0], [0])  # length 0: the empty path, in (F, 0)
-    for t in range(1, n + 1):
-        row = step(row, min(t, n - t + c) + 1, fold=True)
+    for row in Transfer(config).rows(n, max(f, 1, 0 if want is None else want + 1)):
+        pass
     return ending(row, None, want)
 
 
@@ -238,7 +233,7 @@ class CountTable:
             if c
         }
 
-    def layer_series(self, layer: LayerTag, level: int, order: int | None = None) -> Series:
+    def layer_series(self, layer: str, level: int, order: int | None = None) -> Series:
         """Counts ending in (layer, level) for lengths 0..order, all when None."""
         top = self.n_max if order is None else order
         if not 0 <= top <= self.n_max:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import namedtuple
-from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Union
 
@@ -40,23 +39,19 @@ STEP_NAMES = {"U": "up", "D": "down_black", "R": "down_red", "C": "catastrophe"}
 _STEP_OF_NAME = {name: s for s, name in STEP_NAMES.items()}
 
 
-class LayerTag(Enum):
-    """Memory of the last step: the layer of a DP end state (``dp.State``).
-
-    F: at the start, after an up-step, or after a catastrophe.
-    G: after a black down-step.
-    H: after a red down-step.
-    """
-
-    F = "F"
-    G = "G"
-    H = "H"
+# the layers of a DP end state (``dp.State``), letters that remember the last step
+LAYER_ORDER = ("F", "G", "H")
 
 
-LAYER_ORDER = (LayerTag.F, LayerTag.G, LayerTag.H)
+class LayerTag:
+    """The layer letters by name: F at the start, after an up-step or after
+    a catastrophe; G after a black down-step; H after a red down-step."""
+
+    F, G, H = LAYER_ORDER
+
 
 # layer a path is in right after taking a step of the given letter
-ENTRY_LAYER = {"U": LayerTag.F, "C": LayerTag.F, "D": LayerTag.G, "R": LayerTag.H}
+ENTRY_LAYER = {"U": "F", "C": "F", "D": "G", "R": "H"}
 
 # the step that enters each layer at a level above 0
 INCOMING = {ENTRY_LAYER[s]: s for s in "UDR"}
@@ -353,10 +348,9 @@ class Path(namedtuple("Path", "steps final_level")):
         ))
 
     @property
-    def final_layer(self) -> LayerTag:
-        if not self.steps:
-            return LayerTag.F
-        return ENTRY_LAYER[self.steps[-1]]
+    def final_layer(self) -> str:
+        """The layer the path ends in: its last letter's, F for the empty path."""
+        return ENTRY_LAYER.get(self.steps[-1:], "F")
 
     def __str__(self):
         return self.steps

@@ -35,13 +35,20 @@ class SamplerSpec(NamedTuple):
 
 
 class Sampler:
-    """Reusable sampler for one (model, length, end condition) ensemble."""
+    """Reusable sampler for one (model, length, end condition) ensemble.
+
+    When the end level is fixed and no catastrophe fires within the length,
+    a path above that level plus the steps left cannot come down in time:
+    the rows merge those levels into one top slot (c = want + 1 in
+    :meth:`dp.Transfer.rows`), and no draw reads it.
+    """
 
     def __init__(self, config: ModelConfig, n: int, final: FinalSpec = "closed"):
         self.config = config
         self.want = normalize_final(final)
         self._step = dp.Transfer(config)
-        self._rows = list(self._step.rows(n, self.want))
+        full = self.want is None or config.catastrophe.firing(n)
+        self._rows = list(self._step.rows(n, None if full else self.want + 1))
         self.total = dp.ending(self._rows[n], None, self.want)
         if self.total == 0:
             raise EmptyEnsemble(

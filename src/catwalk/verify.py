@@ -15,11 +15,12 @@ from __future__ import annotations
 import time
 import traceback
 from collections import Counter
+from itertools import repeat
 from operator import itemgetter
 
 from . import brute, closedform as cf, dp
 from .dp import Check, Report
-from .model import ENTRY_LAYER, CatastropheRule, DYCK_CAT, LayerTag, PRESETS, SKEW_CAT, with_rule
+from .model import ENTRY_LAYER, CatastropheRule, DYCK_CAT, PRESETS, SKEW_CAT, with_rule
 from .series import Series, SeriesError
 
 
@@ -79,12 +80,9 @@ def _suite_oracle(order: int, max_n: int) -> list:
             paths = brute.enumerate_red(config, n)
             if name == "skew" and n <= geo_cap:
                 skew[n] = paths
-            # the census by last letter and level, folded into layers: a
-            # path's layer is its last letter's, the empty path's is F
-            pairs = Counter(zip(map(last, map(itemgetter(0), paths)), map(itemgetter(1), paths)))
-            census: Counter = Counter()
-            for (letter, level), c in pairs.items():
-                census[ENTRY_LAYER.get(letter, LayerTag.F), level] += c
+            # the census by layer and level: a path's layer is its last letter's, F if empty
+            layers = map(ENTRY_LAYER.get, map(last, map(itemgetter(0), paths)), repeat("F"))
+            census = Counter(zip(layers, map(itemgetter(1), paths)))
             if census != table.final_counts(n):
                 bad = n
                 break

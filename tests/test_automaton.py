@@ -5,13 +5,12 @@ from catwalk.model import (
     CatastropheRule,
     DYCK,
     DYCK_CAT,
-    LayerTag,
     SKEW,
     SKEW_CAT,
     with_rule,
 )
 
-F, G, H = LayerTag.F, LayerTag.G, LayerTag.H
+F, G, H = "FGH"
 U, D, R, C = "UDRC"
 
 
@@ -37,7 +36,7 @@ def test_dyck_h_states_exist_but_are_unreachable():
     auto = build(DYCK, 4)
     assert State(H, 2) in auto.transitions
     targets = {tgt for moves in auto.transitions.values() for _, tgt in moves}
-    assert all(st.layer is not H for st in targets)
+    assert all(st.layer != H for st in targets)
     assert State(F, 1) in targets and State(G, 0) in targets
     # nothing lands on the top G level: a down-step onto it would start
     # above the truncation

@@ -315,7 +315,7 @@ def _reference_ensemble(config, n: int, want):
     step, and what it needs: the walk of rank x as a list of step letters,
     and the ensemble's size."""
     step = dp.Transfer(config)
-    rows = list(step.rows(n, want))
+    rows = list(step.rows(n))
     return (lambda x: reference_walk(step, rows, want, x)), dp.ending(rows[n], None, want)
 
 

@@ -10,16 +10,16 @@ from catwalk.model import (
     CatastropheRule,
     DYCK,
     DYCK_CAT,
-    LayerTag,
     ModelConfig,
     PRESETS,
     SKEW,
     SKEW_CAT,
     with_rule,
 )
+from catwalk.sampler import Sampler
 from test_random_models import MODELS, random_rule
 
-F, G, H = LayerTag.F, LayerTag.G, LayerTag.H
+F, G, H = "FGH"
 U, D, R = "UDR"
 
 # expansions frozen from the closed forms (see test_closedform) and
@@ -119,6 +119,8 @@ def test_table_bounds():
         table.layer_series(F, 0, 7)
     with pytest.raises(ValueError):
         dp.count_table(DYCK, -1)
+    with pytest.raises(ValueError):
+        dp.count(DYCK, -1, "open")
 
 
 def test_recurrences_pass_for_presets():
@@ -349,6 +351,8 @@ HORIZON_RULES = {
     "levels147": CatastropheRule.explicit({1, 4, 7}),
     "levels3": CatastropheRule.explicit({3}),
     "levels50": CatastropheRule.explicit({50}),
+    "levels2to60": CatastropheRule.explicit(range(2, 61)),
+    "levels345": CatastropheRule.explicit({3, 4, 5}),
 }
 
 
@@ -371,29 +375,52 @@ def test_count_with_merged_levels_equals_the_full_rows(rule):
                 assert dp.count(config, n, final) == dp.ending(row, None, want), (config, n, final)
 
 
-def _row_widths(monkeypatch, config, n, final) -> list:
-    """The width of each row ``dp.count`` builds, in order of length."""
+def _row_widths(monkeypatch, build, n) -> list:
+    """The width of each row that ``build()`` steps to, in order of length."""
     widths = []
     step = dp.Transfer.__call__
 
-    def recording(self, row, size, fold=False):
-        out = step(self, row, size, fold)
+    def recording(self, row, size):
+        out = step(self, row, size)
         widths.append(len(out[0]))
         return out
 
     monkeypatch.setattr(dp.Transfer, "__call__", recording)
-    dp.count(config, n, final)
+    build()
     monkeypatch.undo()
     assert len(widths) == n
     return widths
 
 
+def _count_widths(monkeypatch, config, n, final) -> list:
+    """The width of each row ``dp.count`` reads, in order of length."""
+    return _row_widths(monkeypatch, lambda: dp.count(config, n, final), n)
+
+
 def test_count_rows_stop_at_the_horizon(monkeypatch):
     # for skew-cat (c = 2) the row of length t holds min(t, n - t + 2) + 1 levels
     n = 200
-    widths = _row_widths(monkeypatch, SKEW_CAT, n, "open")
+    widths = _count_widths(monkeypatch, SKEW_CAT, n, "open")
     assert all(w <= min(t, n - t + 2) + 1 for t, w in enumerate(widths, 1))
     assert sum(widths) < 0.6 * sum(range(2, n + 2))
     # every other level fires under even_min: no level is merged
     even = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
-    assert _row_widths(monkeypatch, even, 60, "open") == list(range(2, 62))
+    assert _count_widths(monkeypatch, even, 60, "open") == list(range(2, 62))
+    # explicit levels that run unbroken up to n merge like min_level
+    unbroken = with_rule(SKEW_CAT, HORIZON_RULES["levels2to60"])
+    assert _count_widths(monkeypatch, unbroken, 60, "open") == _count_widths(
+        monkeypatch, SKEW_CAT, 60, "open"
+    )
+
+
+@pytest.mark.parametrize("name", ["skew", "dyck", "skew-cat"])
+def test_sampler_rows_stop_at_the_horizon(monkeypatch, name):
+    # with no catastrophe a fixed end level bounds the rows: a path more
+    # than the steps left above it, in the top slot, cannot come down in time
+    n, config = 40, PRESETS[name]
+    for final, want in (("closed", 0), (2, 2)):
+        widths = _row_widths(monkeypatch, lambda: Sampler(config, n, final), n)
+        if name == "skew-cat":
+            assert widths == list(range(2, n + 2)), final
+        else:
+            assert all(w <= min(t, want + n - t + 1) + 1 for t, w in enumerate(widths, 1))

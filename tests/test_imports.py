@@ -76,3 +76,25 @@ def test_cli_import_leaves_the_automaton_unloaded():
         timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def _nodes(module: str, kind) -> list:
+    """The ``kind`` nodes of ``module``'s syntax tree."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [node for node in ast.walk(tree) if isinstance(node, kind)]
+
+
+def test_only_the_model_reads_a_rule_kind():
+    # the rest of the package asks a rule for its firing levels, not its kind
+    for module in MODULES:
+        if module != "model":
+            names = {node.attr for node in _nodes(module, ast.Attribute)}
+            assert "kind" not in names, module
+
+
+def test_no_module_defines_an_enum():
+    # steps and layers are letters
+    for module in MODULES:
+        for node in _nodes(module, ast.ClassDef):
+            bases = [getattr(base, "id", getattr(base, "attr", "")) for base in node.bases]
+            assert not any(name.endswith("Enum") for name in bases), (module, node.name)

@@ -196,15 +196,15 @@ def test_red_after_down_is_fine():
 def test_path_properties():
     empty = validate_path(DYCK, "")
     assert empty.final_level == 0 and empty.levels == (0,)
-    assert empty.final_layer is LayerTag.F
+    assert empty.final_layer == LayerTag.F
     assert len(empty) == 0
 
     p = validate_path(SKEW, parse_steps("UUDR"))
     assert p.final_level == 0
-    assert p.final_layer is LayerTag.H
+    assert p.final_layer == LayerTag.H
     after_cat = validate_path(SKEW_CAT, parse_steps("UUC"))
-    assert after_cat.final_layer is LayerTag.F
-    assert validate_path(DYCK, "UD").final_layer is LayerTag.G
+    assert after_cat.final_layer == LayerTag.F
+    assert validate_path(DYCK, "UD").final_layer == LayerTag.G
 
 
 def test_path_has_slots_and_value_semantics():

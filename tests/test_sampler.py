@@ -191,7 +191,7 @@ def test_draws_unrank_each_ensemble_member_once(config):
                 continue
             s = Sampler(config, n, final)
             assert s.total == len(members)
-            rows = list(step.rows(n, s.want))
+            rows = list(step.rows(n))
             drawn = []
             for x in range(s.total):
                 rng = OneRank(s.total, x)
