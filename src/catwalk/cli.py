@@ -34,6 +34,7 @@ from .model import (
     ModelConfig,
     PRESETS,
     final_label,
+    parse_natural,
     parse_steps,
     preset,
     validate_path,
@@ -42,14 +43,14 @@ from .series import SeriesError
 
 
 def _nonneg(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return v
+    try:
+        return parse_natural(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive(text: str) -> int:
-    v = int(text)
+    v = _nonneg(text)
     if v < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return v

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .model import DYCK_CAT, LAYER_ORDER, SKEW_CAT, ModelConfig
+from .model import DYCK_CAT, LAYER_ORDER, SKEW_CAT, ModelConfig, parse_natural
 from .series import Series
 
 MODELS = ("dyck", "skew")
@@ -266,6 +266,11 @@ A224747 = (1, 0, 1, 1, 3, 5, 12, 23, 52, 105, 232, 480, 1049, 2199)
 A274115_PREFIX = (1, 1, 1, 2, 4, 8, 17, 35, 75, 157, 337, 712)
 
 
+# closed counts of the skew model at lengths 0, 2, ..., 20, the skew Dyck
+# numbers (Deutsch, Munarini and Rinaldi, 2010); the odd lengths count none
+A002212 = (1, 1, 3, 10, 36, 137, 543, 2219, 9285, 39587, 171369)
+
+
 def matches_prefix(series: Series, prefix) -> bool:
     """Compare a series against an integer prefix over their overlap."""
     top = min(series.order, len(prefix) - 1)
@@ -336,11 +341,9 @@ def lookup(name: str) -> Entry:
     head, colon, tail = key.partition(":")
     if colon and head in _LEVEL_SERIES:
         try:
-            j = int(tail)
-        except ValueError:
-            raise UnknownSeriesName(f"bad level index in {name!r}") from None
-        if j < 0:
-            raise UnknownSeriesName(f"negative level index in {name!r}")
+            j = parse_natural(tail)
+        except ValueError as exc:
+            raise UnknownSeriesName(f"bad level index in {name!r}: {exc}") from None
         slot = _LEVEL_SERIES.index(head)
         return Entry(
             f"{head}:{j}", lambda n: fj_family(j, n)[slot], SKEW_CAT, (LAYER_ORDER[slot], j)

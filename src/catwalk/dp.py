@@ -16,15 +16,20 @@ the series of one (layer, level); any other view is :func:`count` or
 
 Given c, :meth:`Transfer.rows` merges levels.  Take a path that will have
 length n, now at length t and at a level of at least n - t + c, where
-c >= 1 is above the end level asked for and at least f, the lowest level
-from which the rule fires at every level up to n or at none.  In its n - t
+c >= 1 is above every level read and at least f, the lowest level from
+which the rule fires at every level up to n or at none.  In its n - t
 steps left it stays at c or above.  So each of its down-steps is legal, a
 catastrophe is legal from every level it reaches or from none, and it meets
-the end level only after a catastrophe, at (F, 0) like any other path.  All
+a level read only after a catastrophe, at (F, 0) like any other path.  All
 those levels of a layer have the same completions: the rows sum them into
 one top slot, and the row at length t is min(t, n - t + c) + 1 levels wide,
-not t + 1.  :func:`count` and the sampler pass c; the table, the series
-views and the recurrence checks read every level exact.
+not t + 1.  Each row total stays exact, and so does each level below c.
+:func:`horizon` gives the c that :func:`count` and :func:`view_series`
+pass.  The sampler passes c = want + 1 only for a fixed end level and no
+catastrophe firing within n: :meth:`Transfer.unrank` places a catastrophe
+by the paths at each firing level of a row on its own, which a top slot
+would pool, and an open draw reads every end level.  The table and the
+recurrence checks compare every level, so they step full rows.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, by whole-row comparisons, the step-inflow identities the
@@ -74,6 +79,17 @@ class Transfer:
         self.sources = {step: tuple(j for j in live if step in after[j]) for step in STEP_ORDER}
         self.lift_start = UP in config.steps and 0 not in self.sources[UP]
         self.firing = config.catastrophe.firing
+        # a step's inflow is the elementwise sum of the layers that may take
+        # it, for C, U, D and R in turn.  A row's step builds each sum of k >= 2
+        # layers by one map(add) onto the sum of the first k - 1: (the layers,
+        # the first k - 1, the last), shared prefixes once, shorter ones first
+        self._inflows = tuple(self.sources[s] for s in (CATASTROPHE, UP, DOWN_BLACK, DOWN_RED))
+        sums = (
+            (layers[:k], layers[: k - 1], layers[k - 1])
+            for layers in self._inflows
+            for k in range(2, len(layers) + 1)
+        )
+        self._sums = tuple(dict.fromkeys(sums))
         # per layer: the step entering it above level 0, the level that step
         # leaves less the level it enters, and the layers that may take it
         into = map(INCOMING.get, LAYER_ORDER)
@@ -87,26 +103,19 @@ class Transfer:
         the only sizes a row that shrinks by at most one level per step asks for.
         """
         sums = {(): [0] * len(row[0]), (0,): row[0], (1,): row[1], (2,): row[2]}
-
-        def inflow(step):  # the elementwise sum of the layers that may take ``step``
-            layers = self.sources[step]
-            for k in range(2, len(layers) + 1):
-                if layers[:k] not in sums:
-                    sums[layers[:k]] = list(map(add, sums[layers[: k - 1]], row[layers[k - 1]]))
-            return sums[layers]
-
-        fire = inflow(CATASTROPHE)
+        for layers, head, last in self._sums:
+            sums[layers] = list(map(add, sums[head], row[last]))
+        fire, up, g, h = map(sums.__getitem__, self._inflows)
         fired = self.firing(len(fire) - 1)
         if isinstance(fired, range):
             f = [sum(fire[fired.start : fired.stop : fired.step])]
         else:
             f = [sum(map(fire.__getitem__, fired))]
-        up = inflow(UP)
         f += up[: size - 1]
         if self.lift_start:
             f[1] += row[0][0]
         f[-1] += sum(up[size - 1 :])
-        g, h = (inflow(step)[1 : size + 1] for step in (DOWN_BLACK, DOWN_RED))
+        g, h = g[1 : size + 1], h[1 : size + 1]
         return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
 
     def unrank(self, rows: list, layer: int, level: int, x: int) -> list:
@@ -169,18 +178,18 @@ def ending(row: tuple, layer: str | None, level: int | None) -> int:
     return sum(vec[level] for vec in vecs) if 0 <= level < len(row[0]) else 0
 
 
-def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
-    """The number of length-n paths meeting the end condition ``final``,
-    read off the last of :meth:`Transfer.rows` given c, holding one row.
+def horizon(config: ModelConfig, n: int, level: int | None) -> int:
+    """The c of :meth:`Transfer.rows` for length-n paths read at levels up
+    to ``level``, or at row totals only when it is None: every row total
+    and every level below c stay exact at every length.
 
-    c is max(f, 1, want + 1), the last term only when ``final`` is a level
-    want, and f is the lowest level such that the rule fires at every level
-    from f to n or at none: the first firing level <= n when they run
-    unbroken up to n, as for ``min_level``, else the last one plus 1, and 0
-    when none fires.  Where the firing levels alternate, as for
-    ``even_min``, f is n or n + 1 and the rows stay full.
+    c is max(f, 1, level + 1), the last term only when ``level`` is given,
+    and f is the lowest level such that the rule fires at every level from
+    f to n or at none: the first firing level <= n when they run unbroken
+    up to n, as for ``min_level``, else the last one plus 1, and 0 when
+    none fires.  Where the firing levels alternate, as for ``even_min``, f
+    is n or n + 1 and the rows stay full.
     """
-    want = normalize_final(final)
     fired = config.catastrophe.firing(n)
     if not fired:
         f = 0
@@ -188,16 +197,26 @@ def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
         f = fired[0]
     else:
         f = fired[-1] + 1
-    for row in Transfer(config).rows(n, max(f, 1, 0 if want is None else want + 1)):
+    return max(f, 1, 0 if level is None else level + 1)
+
+
+def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
+    """The number of length-n paths meeting the end condition ``final``,
+    read off the last of :meth:`Transfer.rows` cut at :func:`horizon`,
+    holding one row."""
+    want = normalize_final(final)
+    for row in Transfer(config).rows(n, horizon(config, n, want)):
         pass
     return ending(row, None, want)
 
 
 def view_series(config: ModelConfig, order: int, views) -> list:
     """One series per (layer, level) view, None meaning any: the counts of
-    lengths 0..order that end there, read off the rows while holding one."""
+    lengths 0..order that end there, read off the rows cut at the
+    :func:`horizon` of the highest level a view reads, holding one row."""
+    top = max((level for _, level in views if level is not None), default=None)
     columns = [[] for _ in views]
-    for row in Transfer(config).rows(order):
+    for row in Transfer(config).rows(order, horizon(config, order, top)):
         for column, view in zip(columns, views):
             column.append(ending(row, *view))
     return [Series(column) for column in columns]

@@ -421,6 +421,17 @@ def parse_steps(text: str) -> str:
 FinalSpec = Union[None, int, str]
 
 
+def parse_natural(text: str) -> int:
+    """The integer >= 0 that ``text`` writes in the ASCII digits 0-9 alone.
+
+    Signs, spaces, underscores and the digits of other scripts, all of
+    which ``int`` reads, raise ValueError, as does the empty string.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not an integer >= 0 in the digits 0-9")
+    return int(text)
+
+
 def normalize_final(final: FinalSpec):
     """The level an end condition asks for, or None for any level.
 

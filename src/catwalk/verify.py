@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from . import brute, closedform as cf, dp
 from .dp import Check, Report
-from .model import ENTRY_LAYER, CatastropheRule, DYCK_CAT, PRESETS, SKEW_CAT, with_rule
+from .model import ENTRY_LAYER, CatastropheRule, DYCK_CAT, PRESETS, SKEW, SKEW_CAT, with_rule
 from .series import Series, SeriesError
 
 
@@ -182,6 +182,9 @@ def _suite_oeis(order: int, max_n: int) -> list:
     axis = cf.f0("dyck", len(cf.A224747) - 1)
     ok_axis = cf.matches_prefix(axis, cf.A224747)
     ok_shift = cf.oeis_shift_check(len(cf.A274115_PREFIX) - 1)
+    top = 2 * len(cf.A002212) - 2
+    closed = dp.view_series(SKEW, top, [(None, 0)])[0].as_integers()
+    ok_skew = closed[::2] == list(cf.A002212) and not any(closed[1::2])
     return [
         Check(
             "oeis-axis-dyck-cat",
@@ -192,6 +195,11 @@ def _suite_oeis(order: int, max_n: int) -> list:
             "oeis-open-shift",
             ok_shift,
             f"1 + z * open total matches shifted sequence for n <= {len(cf.A274115_PREFIX) - 1}",
+        ),
+        Check(
+            "oeis-skew-dyck",
+            ok_skew,
+            f"closed skew counts match published sequence for n <= {top}",
         ),
     ]
 

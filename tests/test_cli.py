@@ -175,7 +175,7 @@ def test_series_check_dp(capsys):
     assert data["dp_match"] is True
 
 
-@pytest.mark.parametrize("gf", ["fj: 2", "fj:+2"])
+@pytest.mark.parametrize("gf", ["FJ:2", "fj:02"])
 def test_series_check_dp_accepts_every_level_spelling(capsys, gf):
     code, out, _ = run(
         capsys, "series", "--gf", gf, "--order", "8", "--check-dp", "--format", "json"
@@ -514,7 +514,8 @@ def test_verify_json_schema(capsys):
     assert code == 0
     data = json.loads(out)
     jsonschema.validate(data, load_schema("verify_report"))
-    assert {c["name"] for c in data["checks"]} == {"oeis-axis-dyck-cat", "oeis-open-shift"}
+    names = {c["name"] for c in data["checks"]}
+    assert names == {"oeis-axis-dyck-cat", "oeis-open-shift", "oeis-skew-dyck"}
 
 
 def test_verify_csv(capsys):
@@ -642,6 +643,23 @@ def test_negative_n_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--model", "dyck", "--n", "-3", "--closed"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["1_0", "+4", " 4", "\u0663", "\uff10", ""], ids=ascii)
+def test_integer_options_take_ascii_digits_only(text, capsys):
+    refusal = f"{text!r} is not an integer >= 0 in the digits 0-9\n"
+    for argv in (
+        ["count", "--model", "dyck", "--n", text, "--open"],
+        ["count", "--model", "dyck", "--n", "4", "--level", text],
+        ["sample", "--model", "dyck", "--n", "4", "--closed", "--count", text],
+        ["verify", "--order", text],
+    ):
+        code, out, err = _parsed(cli.main, argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(refusal), argv
+    code, out, err = run(capsys, "series", "--gf", f"fj:{text}", "--order", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad level index in 'fj:{text}': {refusal}"
 
 
 def _parsed(parse, argv, capsys):

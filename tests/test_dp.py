@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from catwalk import brute, dp
+from catwalk import brute, dp, verify
 from catwalk.dp import State
 from catwalk.model import (
     CatastropheRule,
@@ -356,23 +356,47 @@ HORIZON_RULES = {
 }
 
 
-@pytest.mark.parametrize("rule", HORIZON_RULES.values(), ids=HORIZON_RULES.keys())
-def test_count_with_merged_levels_equals_the_full_rows(rule):
-    # count sums the levels no boundary can reach in the steps left into one
-    # slot; the full rows keep every level.  n runs below each rule's first
-    # firing level too, where nothing fires and only the end level bounds c.
-    # The presets' step sets, each with and without C, are four distinct models.
+def _horizon_configs(rule) -> set:
+    """The presets' step sets, each with and without C, under ``rule``:
+    four distinct models."""
     configs = {
         with_rule(ModelConfig(steps, preset.forbidden_pairs), rule)
         for preset in PRESETS.values()
         for steps in (preset.steps | {"C"}, preset.steps - {"C"})
     }
     assert len(configs) == 4
-    for config in configs:
+    return configs
+
+
+@pytest.mark.parametrize("rule", HORIZON_RULES.values(), ids=HORIZON_RULES.keys())
+def test_count_with_merged_levels_equals_the_full_rows(rule):
+    # count sums the levels no boundary can reach in the steps left into one
+    # slot; the full rows keep every level.  n runs below each rule's first
+    # firing level too, where nothing fires and only the end level bounds c.
+    for config in _horizon_configs(rule):
         rows = list(dp.Transfer(config).rows(44))
         for n, row in enumerate(rows):
             for final, want in (("open", None), ("closed", 0), (1, 1), (2, 2), (3, 3), (6, 6)):
                 assert dp.count(config, n, final) == dp.ending(row, None, want), (config, n, final)
+
+
+@pytest.mark.parametrize("rule", HORIZON_RULES.values(), ids=HORIZON_RULES.keys())
+def test_view_series_with_merged_levels_equals_the_full_rows(rule):
+    # view_series merges the levels above the highest one its views read;
+    # each view must read what the full rows hold, at every length
+    levels = [(layer, level) for layer in (F, G, H, None) for level in range(7)]
+    totals = [(None, None), (F, None), (G, None), (H, None)]
+    for config in _horizon_configs(rule):
+        rows = list(dp.Transfer(config).rows(44))
+        for order in range(45):
+            head = rows[: order + 1]
+            for views in (levels + totals[:1], totals):
+                want = [[dp.ending(row, *view) for row in head] for view in views]
+                got = [s.as_integers() for s in dp.view_series(config, order, views)]
+                assert got == want, (config, order, views)
+            (above,) = dp.view_series(config, order, [(None, order + 1)])
+            assert above.as_integers() == [0] * (order + 1)
+            assert dp.view_series(config, order, []) == []
 
 
 def _row_widths(monkeypatch, build, n) -> list:
@@ -411,6 +435,33 @@ def test_count_rows_stop_at_the_horizon(monkeypatch):
     assert _count_widths(monkeypatch, unbroken, 60, "open") == _count_widths(
         monkeypatch, SKEW_CAT, 60, "open"
     )
+
+
+def test_view_rows_stop_at_the_horizon(monkeypatch):
+    # totals alone: c = 2 for skew-cat, as for an open count
+    n = 200
+    totals = _row_widths(monkeypatch, lambda: dp.view_series(SKEW_CAT, n, [(None, None)]), n)
+    assert totals == [min(t, n + 2 - t) + 1 for t in range(1, n + 1)]
+    # the theorem suite reads skew-cat levels up to 5 off one stream: c = 6
+    streams = {}
+    view_series = dp.view_series
+
+    def recording(config, order, views):
+        streams[config] = views
+        return view_series(config, order, views)
+
+    monkeypatch.setattr(dp, "view_series", recording)
+    assert verify.run_suite("theorem", 30).ok
+    monkeypatch.undo()
+    views = streams[SKEW_CAT]
+    assert max(level for _, level in views if level is not None) == 5
+    for n in (30, 80):
+        widths = _row_widths(monkeypatch, lambda: dp.view_series(SKEW_CAT, n, views), n)
+        assert widths == [min(t, n - t + 6) + 1 for t in range(1, n + 1)]
+    # every other level fires under even_min: no level is merged
+    even = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
+    widths = _row_widths(monkeypatch, lambda: dp.view_series(even, 60, views), 60)
+    assert widths == list(range(2, 62))
 
 
 @pytest.mark.parametrize("name", ["skew", "dyck", "skew-cat"])

@@ -76,7 +76,8 @@ def at(i, change=plus):
 
 def row(config, length, delta):
     """The DP's row of ``length`` for ``config``, with ``delta`` added:
-    {(layer index, level): paths}."""
+    {(layer index, level): paths}.  In a row whose top slot merges the
+    levels from it up, a level at or above the top slot is that slot."""
 
     def plant(mp):
         class Faulty(dp.Transfer):
@@ -89,7 +90,7 @@ def row(config, length, delta):
                     if self.hit and t == length:
                         r = tuple(list(vec) for vec in r)
                         for (layer, level), d in delta.items():
-                            r[layer][level] += d
+                            r[layer][min(level, len(r[layer]) - 1)] += d
                     yield r
 
         mp.setattr(dp, "Transfer", Faulty)
@@ -218,13 +219,17 @@ FAULTS = {
         {"kernel-root-dyck", "kernel-root-skew", "reciprocal-root-dyck", "reciprocal-root-skew"},
     ),
     # the DP's rows: one more path at (F, 2) of length 4; at length 20, one
-    # path moved from (F, 6) to (F, 8), past every view the registry reads
+    # path moved from (F, 6) to (F, 8), past every view the registry reads.
+    # A planted row does not feed the rows after it, so the skew closed
+    # counts change only where a fault plants one: at (G, 0) of length 10,
+    # past MAX_N.
     "transfer-count-dyck": (row(DYCK, 4, {(0, 2): 1}), {"oracle-dyck", "recurrences-dyck"}),
     "transfer-count-dyck-cat": (
         row(DYCK_CAT, 4, {(0, 2): 1}),
         {"oracle-dyck-cat", "recurrences-dyck-cat", "dp-open-dyck-cat"},
     ),
     "transfer-count-skew": (row(SKEW, 4, {(0, 2): 1}), {"oracle-skew", "recurrences-skew"}),
+    "transfer-axis-skew": (row(SKEW, 10, {(1, 0): 1}), {"oeis-skew-dyck", "recurrences-skew"}),
     "transfer-count-skew-cat": (
         row(SKEW_CAT, 4, {(0, 2): 1}),
         {"oracle-skew-cat", "recurrences-skew-cat", "dp-open-skew-cat", "dp-level-family"},
@@ -261,7 +266,7 @@ FAULTS = {
 # the checks of the suite, in report order
 CHECKS = (
     "kernel-root-dyck", "reciprocal-root-dyck", "kernel-root-skew", "reciprocal-root-skew",
-    "oeis-axis-dyck-cat", "oeis-open-shift",
+    "oeis-axis-dyck-cat", "oeis-open-shift", "oeis-skew-dyck",
     "oracle-dyck", "oracle-dyck-cat", "oracle-skew", "oracle-skew-cat",
     "oracle-dyck-cat-even", "oracle-skew-cat-even", "oracle-geometric",
     "recurrences-dyck", "recurrences-dyck-cat", "recurrences-skew", "recurrences-skew-cat",
@@ -276,10 +281,13 @@ IMPLIED = {
     # recurrence, multiplies out to f_0 K(r2) = 0; kernel_at, the evaluator
     # both kernels share, is what kernel-root-dyck checks
     "kernel-root-skew": {"level-ladder", "kernel-root-dyck"},
-    # the only checks against published data, which ends at z^13 and z^11;
-    # the DP checks compare the same closed forms through z^ORDER
+    # the only checks of the closed forms against published data, which
+    # ends at z^13 and z^11; the DP checks compare them through z^ORDER
     "oeis-axis-dyck-cat": {"dp-f0-dyck-cat"},
     "oeis-open-shift": {"dp-open-dyck-cat"},
+    # the skew closed counts against published data through z^20; the skew
+    # recurrences fix every row of the table, so every wrong count too
+    "oeis-skew-dyck": {"recurrences-skew"},
     # oracle-geometric compares the same red paths with the geometric
     # enumeration, and the skew recurrences fix every row of the table
     "oracle-skew": {"oracle-geometric", "recurrences-skew"},
@@ -336,4 +344,4 @@ def test_a_crashing_suite_is_a_failed_check_of_the_report(monkeypatch, capsys):
         "FAIL theorem-error: ValuationError in closedform.level_ladder: "
         "dividend has valuation 0, divisor has valuation 1" in lines
     )
-    assert lines[-1].startswith("suite=all checks=18 failures=2 ")
+    assert lines[-1].startswith("suite=all checks=19 failures=2 ")

@@ -31,6 +31,7 @@ from catwalk.model import (
     STEP_NAMES,
     STEP_ORDER,
     normalize_final,
+    parse_natural,
     parse_steps,
     preset,
     validate_path,
@@ -250,6 +251,21 @@ def test_normalize_final():
         normalize_final(-1)
     with pytest.raises(ValueError):
         normalize_final("sideways")
+
+
+def test_parse_natural_reads_ascii_digits():
+    assert [parse_natural(t) for t in ("0", "7", "007", "1000")] == [0, 7, 7, 1000]
+
+
+# int() reads all of these but the empty string: an underscore, signs,
+# spaces, ARABIC-INDIC DIGIT THREE, FULLWIDTH DIGIT ZERO, DEVANAGARI DIGIT FOUR
+NOT_NATURAL = ["1_0", "+4", "-3", " 4", "4\n", "\u0663", "\uff10", "\u096a", ""]
+
+
+@pytest.mark.parametrize("text", NOT_NATURAL, ids=ascii)
+def test_parse_natural_refuses_what_only_int_reads(text):
+    with pytest.raises(ValueError, match="is not an integer >= 0 in the digits 0-9"):
+        parse_natural(text)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ def test_all_suites_pass_at_moderate_scale():
     report = verify.run_suite("all", order=40, max_n=8)
     assert report.ok
     assert report.failures() == []
-    assert len(report.checks) == 29
+    assert len(report.checks) == 30
     names = [c.name for c in report.checks]
     assert len(set(names)) == len(names)
     assert report.elapsed_ms >= 0
@@ -58,7 +58,7 @@ def test_a_series_error_fails_its_suite_and_the_others_run(monkeypatch):
     detail = "ValuationError in verify.run_suite: dividend has valuation 0, divisor has valuation 1"
     assert report.failures() == [dp.Check("kernel-error", False, detail)]
     assert report.checks[0].name == "kernel-error"
-    assert len(report.checks) == 26  # the four kernel checks are one error record
+    assert len(report.checks) == 27  # the four kernel checks are one error record
     jsonschema.validate(report.to_json(), load_schema("verify_report"))
 
 
