@@ -14,14 +14,19 @@ in n and the size guards bound it; but the paths are memoised halves,
 which :func:`red_halves` gives as each head with the shared list of its
 tails, and ``enumerate_red`` joins them in C-level maps, so it makes no
 Python call per path.  The CLI prints the halves without joining them.
+The oracle suite lists every length of a model from one memo of halves
+(:func:`red_junctions`) and counts the listed halves (:func:`census`),
+joining none of them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
+from operator import itemgetter
 
 from .model import (
+    ENTRY_LAYER,
     STEP_ORDER,
     FinalSpec,
     ModelConfig,
@@ -46,6 +51,8 @@ GEO_STEPS = (NE, SE, SW)
 
 _RED_TO_GEO = {"U": NE, "D": SE, "R": SW}
 
+_last = itemgetter(slice(-1, None))  # a word's last letter, "" for the empty word
+
 
 class SizeGuard(ValueError):
     """Refusal to brute-force an instance past the documented limit."""
@@ -57,19 +64,10 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     The order of the step alphabet is U < D < R < C, not the order of the
     letters, so the words are never sorted.  ``final`` restricts the final
     level (None or "open" for no restriction, "closed" or 0 for the axis,
-    any int k >= 0 for level k).  Validation logic is deliberately local:
-    the moves come from the model's step set, forbidden pairs and catastrophe
-    rule, not from ``ModelConfig.next_steps``, so the result is independent
-    of the DP route.
-
-    The paths are :func:`red_halves`' heads, each joined to its tails in a
-    ``map``, with ``tuple.__new__`` making each ``Path``, so no Python call
-    is made per path.
+    any int k >= 0 for level k).  The paths are :func:`red_halves`' heads,
+    each joined to its tails by :func:`join`.
     """
-    out: list = []
-    for head, tails, ends in red_halves(config, n, final):
-        out += map(tuple.__new__, repeat(Path), zip(map(head.__add__, tails), ends))
-    return out
+    return join(([head], tails, ends) for head, tails, ends in red_halves(config, n, final))
 
 
 def red_halves(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
@@ -87,17 +85,85 @@ def red_halves(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     order.  Nothing is joined here: a caller that prints the paths or
     counts them needs no word of n steps.
     """
+    moves = _moves(config, n)
+    want = normalize_final(final)
+    h = n // 2
+    anywhere: dict = {}
+    ending = anywhere if want is None else {}
+    heads, levels = _words(moves, None, anywhere, None, 0, h)
+    return [
+        (head, *_words(moves, want, ending, head[-1:] or None, level, n - h))
+        for head, level in zip(heads, levels)
+    ]
+
+
+def red_junctions(config: ModelConfig, max_n: int):
+    """For each n = 0, 1, ..., max_n in turn, the length-n paths of the
+    model as a list of ``(heads, tails, end levels)`` junctions: each head
+    followed by each tail is a path, ending at the tail's end level.
+
+    A junction's heads are the words of n // 2 steps that end at one last
+    letter and level, in step order; its tails are the words of the
+    remaining steps from there, ending anywhere.  One :func:`_words` memo
+    serves the heads and tails of every length, so the lists are shared
+    and the caller must not change them.  The junctions are in the order
+    of their first heads.
+    """
+    moves = _moves(config, max_n)
+    memo: dict = {}
+    for n in range(max_n + 1):
+        h = n // 2
+        heads, levels = _words(moves, None, memo, None, 0, h)
+        groups: dict = {}
+        for head, level in zip(heads, levels):
+            groups.setdefault((head[-1:] or None, level), []).append(head)
+        yield [
+            (group, *_words(moves, None, memo, prev, level, n - h))
+            for (prev, level), group in groups.items()
+        ]
+
+
+def census(junctions) -> Counter:
+    """The paths of ``junctions`` counted by (layer, end level), a path's
+    layer being its last letter's, F for the empty path.  Each junction's
+    tails are counted once and weighted by its number of heads, so no path
+    is joined."""
+    out: Counter = Counter()
+    for heads, tails, ends in junctions:
+        weight = len(heads)
+        layers = map(ENTRY_LAYER.get, map(_last, tails), repeat("F"))
+        for key, count in Counter(zip(layers, ends)).items():
+            out[key] += weight * count
+    return out
+
+
+def join(junctions) -> list:
+    """The paths of ``junctions`` as ``Path``s, each head's in the order of
+    its tails; ``tuple.__new__`` makes each one in a ``map``, so no Python
+    call is made per path."""
+    out: list = []
+    for heads, tails, ends in junctions:
+        for head in heads:
+            out += map(tuple.__new__, repeat(Path), zip(map(head.__add__, tails), ends))
+    return out
+
+
+def _moves(config: ModelConfig, n: int):
+    """The model's moves in paths of at most n steps: a function of the
+    previous letter and the level that gives the legal (letter, next level)
+    pairs in step order, each list built once.  The moves come from the
+    model's step set, forbidden pairs and catastrophe rule, not from
+    ``ModelConfig.next_steps``, so brute force is independent of the DP
+    route.  Refuses n < 0 and n past ``RED_LIMIT``."""
     if n < 0:
         raise ValueError("path length must be >= 0")
     if n > RED_LIMIT:
         raise SizeGuard(f"refusing brute-force enumeration past n={RED_LIMIT}")
-    want = normalize_final(final)
     letters = [s for s in STEP_ORDER if s in config.steps]
     fires = [config.catastrophe.allows(level) for level in range(n)]
     legal: dict = {}
 
     def moves(prev, level: int) -> list:
-        """The legal (letter, next level) pairs after ``prev`` at ``level``, in order."""
         key = (prev, level)
         if key not in legal:
             legal[key] = [
@@ -108,14 +174,7 @@ def red_halves(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
             ]
         return legal[key]
 
-    h = n // 2
-    anywhere: dict = {}
-    ending = anywhere if want is None else {}
-    heads, levels = _words(moves, None, anywhere, None, 0, h)
-    return [
-        (head, *_words(moves, want, ending, head[-1:] or None, level, n - h))
-        for head, level in zip(heads, levels)
-    ]
+    return moves
 
 
 def _words(moves, want, memo: dict, prev, level: int, k: int) -> tuple:

@@ -34,6 +34,7 @@ from .model import (
     ModelConfig,
     PRESETS,
     final_label,
+    parse_integer,
     parse_natural,
     parse_steps,
     preset,
@@ -42,11 +43,20 @@ from .model import (
 from .series import SeriesError
 
 
-def _nonneg(text: str) -> int:
-    try:
-        return parse_natural(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _typed(parse):
+    """An argparse type that reads with ``parse`` and reports its ValueError."""
+
+    def read(text: str) -> int:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
+
+
+_nonneg = _typed(parse_natural)
+_integer = _typed(parse_integer)
 
 
 def _positive(text: str) -> int:
@@ -330,7 +340,7 @@ def _sample_args(p) -> None:
     _add_model_group(p, required=True)
     p.add_argument("--n", type=_nonneg, required=True, help="path length")
     _add_final_group(p)
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=_integer, default=0, help="random seed (default 0)")
     p.add_argument("--count", type=_positive, default=1, help="number of draws")
     _add_output_group(p, ("text", "json", "csv"), "text")
 

@@ -432,6 +432,16 @@ def parse_natural(text: str) -> int:
     return int(text)
 
 
+def parse_integer(text: str) -> int:
+    """The integer that ``text`` writes as an optional ``-`` and then the
+    ASCII digits 0-9 alone; every other spelling raises ValueError, as in
+    :func:`parse_natural`."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in the digits 0-9")
+    return int(text)
+
+
 def normalize_final(final: FinalSpec):
     """The level an end condition asks for, or None for any level.
 

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import time
 import traceback
-from collections import Counter
-from itertools import repeat
-from operator import itemgetter
 
 from . import brute, closedform as cf, dp
 from .dp import Check, Report
-from .model import ENTRY_LAYER, CatastropheRule, DYCK_CAT, PRESETS, SKEW, SKEW_CAT, with_rule
+from .model import CatastropheRule, DYCK_CAT, PRESETS, SKEW, SKEW_CAT, with_rule
 from .series import Series, SeriesError
 
 
@@ -71,19 +68,14 @@ def _suite_oracle(order: int, max_n: int) -> list:
     variants["dyck-cat-even"] = with_rule(DYCK_CAT, CatastropheRule.even_min(2))
     variants["skew-cat-even"] = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
     geo_cap = min(max_n, 12)
-    last = itemgetter(slice(-1, None))  # a word's last letter, "" for the empty word
     skew = {}  # n -> the red paths of SKEW, for the geometric comparison below
     for name, config in variants.items():
         table = dp.count_table(config, max_n)
         bad = None
-        for n in range(max_n + 1):
-            paths = brute.enumerate_red(config, n)
+        for n, junctions in enumerate(brute.red_junctions(config, max_n)):
             if name == "skew" and n <= geo_cap:
-                skew[n] = paths
-            # the census by layer and level: a path's layer is its last letter's, F if empty
-            layers = map(ENTRY_LAYER.get, map(last, map(itemgetter(0), paths)), repeat("F"))
-            census = Counter(zip(layers, map(itemgetter(1), paths)))
-            if census != table.final_counts(n):
+                skew[n] = brute.join(junctions)
+            if brute.census(junctions) != table.final_counts(n):
                 bad = n
                 break
         checks.append(

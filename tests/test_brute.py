@@ -1,5 +1,7 @@
 import gc
 import itertools
+from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -16,6 +18,7 @@ from catwalk.brute import (
 from catwalk.model import (
     DYCK,
     DYCK_CAT,
+    ENTRY_LAYER,
     PRESETS,
     SKEW,
     SKEW_CAT,
@@ -220,6 +223,19 @@ def test_enumeration_is_the_definition(config):
         for level in range(n + 2):
             got = enumerate_red(config, n, level)
             assert got == [p for p in words if p.final_level == level], (n, level)
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_census_of_the_junctions_is_the_census_of_the_paths(name):
+    config = VARIANTS[name]
+    last = itemgetter(slice(-1, None))
+    for n, junctions in enumerate(brute.red_junctions(config, 12)):
+        paths = enumerate_red(config, n)
+        # the per-path census: a path's layer is its last letter's, F if empty
+        layers = map(ENTRY_LAYER.get, map(last, map(itemgetter(0), paths)), itertools.repeat("F"))
+        assert brute.census(junctions) == Counter(zip(layers, map(itemgetter(1), paths))), n
+        assert sorted(brute.join(junctions)) == sorted(paths), n
+    assert n == 12
 
 
 def test_calls_share_no_memo():

@@ -662,6 +662,28 @@ def test_integer_options_take_ascii_digits_only(text, capsys):
     assert err == f"error: bad level index in 'fj:{text}': {refusal}"
 
 
+# int() reads the first five as 10; the rest are no integer at all
+NOT_SEEDS = [" +1_0", "\u0661\u0660", "+10", " 10", "\uff11\uff10", "--10", "- 1", "-", "1.0", ""]
+
+
+@pytest.mark.parametrize("text", NOT_SEEDS, ids=ascii)
+def test_seed_takes_a_minus_and_ascii_digits_only(text, capsys):
+    argv = ["sample", "--model", "dyck", "--n", "6", "--closed", "--count", "2", f"--seed={text}"]
+    code, out, err = _parsed(cli.main, argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument --seed: {text!r} is not an integer in the digits 0-9\n")
+
+
+def test_seed_spellings_keep_their_draws(capsys):
+    argv = ["sample", "--model", "dyck", "--n", "6", "--closed", "--count", "4", "--seed"]
+    for seed, spellings in ((10, ["10", "010"]), (-3, ["-3", "-03"]), (0, ["0", "-0"])):
+        spec = sampler_mod.SamplerSpec(preset("dyck"), 6, "closed", seed)
+        expected = [str(p) for p in sampler_mod.sample(spec, 4)]
+        for text in spellings:
+            code, out, _ = run(capsys, *argv, text)
+            assert (code, out.split()) == (0, expected), text
+
+
 def _parsed(parse, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         parse(argv)

@@ -9,10 +9,11 @@ checks that catch every fault it catches, and says why.
 
 A series fault adds z^K to one series a piece returns, or to a closed
 form, where it is written into the numerator as z^K times the form's
-denominator.  A count fault changes one count of one row of the DP, or
-drops one path from one brute-force enumeration.  A suite that crashes on a
-fault reports ``<suite>-error``; that record names no check of its own, so
-a check that fails beside it alone still catches the fault alone.
+denominator.  A count fault changes one count of one row of the DP, drops
+one path from one brute-force listing, or miscounts the listed paths.  A
+suite that crashes on a fault reports ``<suite>-error``; that record names
+no check of its own, so a check that fails beside it alone still catches
+the fault alone.
 """
 
 import pytest
@@ -99,18 +100,29 @@ def row(config, length, delta):
 
 
 def drop_path(config, n=6):
-    """``enumerate_red`` loses the last length-n path of ``config``."""
+    """``red_junctions`` loses one length-n path of ``config``: the last
+    tail of the last head of its last junction."""
 
     def plant(mp):
-        original = brute.enumerate_red
+        original = brute.red_junctions
 
-        def faulty(c, m, final=None):
-            paths = original(c, m, final)
-            return paths[:-1] if c == config and m == n else paths
+        def faulty(c, max_n):
+            for m, junctions in enumerate(original(c, max_n)):
+                if c == config and m == n:
+                    *rest, (heads, tails, ends) = junctions
+                    last = (heads[-1:], tails[:-1], ends[:-1])
+                    junctions = [*rest, (heads[:-1], tails, ends), last]
+                yield junctions
 
-        mp.setattr(brute, "enumerate_red", faulty)
+        mp.setattr(brute, "red_junctions", faulty)
 
     return plant
+
+
+def census_weight(mp):
+    """``census`` weights each junction's tails by 1, not by its heads."""
+    original = brute.census
+    mp.setattr(brute, "census", lambda js: original([(h[:1], t, e) for h, t, e in js]))
 
 
 def even_min_fires_odd(attr):
@@ -254,6 +266,7 @@ FAULTS = {
         if config != SKEW
     },
     "enumerate-skew": (drop_path(SKEW), {"oracle-skew", "oracle-geometric"}),
+    "census-weight": (census_weight, {f"oracle-{name}" for name in ORACLE}),
     "red-to-geometric": (red_drawn_south_east, {"oracle-geometric"}),
     "firing-even-min": (
         even_min_fires_odd("firing"), {"oracle-dyck-cat-even", "oracle-skew-cat-even"}
@@ -289,8 +302,9 @@ IMPLIED = {
     # recurrences fix every row of the table, so every wrong count too
     "oeis-skew-dyck": {"recurrences-skew"},
     # oracle-geometric compares the same red paths with the geometric
-    # enumeration, and the skew recurrences fix every row of the table
-    "oracle-skew": {"oracle-geometric", "recurrences-skew"},
+    # enumeration, the skew recurrences fix every row of the table, and
+    # every oracle check reads its counts from the one census
+    "oracle-skew": {"oracle-geometric", "recurrences-skew", "oracle-dyck"},
     # the DP's axis view is the sum of its three level-0 layers; the check
     # stays while the benchmark counts its fgh0 square root
     "axis-sum": {"dp-f0-skew-cat", "dp-g0-skew-cat", "dp-h0-skew-cat", "dp-fgh0-skew-cat"},
@@ -313,6 +327,15 @@ def test_planted_fault_fails_exactly_its_checks(monkeypatch, fault):
     plant, fails = FAULTS[fault]
     plant(monkeypatch)
     assert failing() == fails
+
+
+def test_a_dropped_path_is_one_listed_path_of_its_length(monkeypatch):
+    listed = [brute.join(j) for j in brute.red_junctions(SKEW_CAT, 8)]
+    drop_path(SKEW_CAT)(monkeypatch)
+    planted = [brute.join(j) for j in brute.red_junctions(SKEW_CAT, 8)]
+    assert [len(a) - len(b) for a, b in zip(listed, planted)] == [0] * 6 + [1, 0, 0]
+    assert set(planted[6]) < set(listed[6])
+    assert planted[:6] + planted[7:] == listed[:6] + listed[7:]
 
 
 def test_every_route_piece_has_a_fault():

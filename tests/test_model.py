@@ -31,6 +31,7 @@ from catwalk.model import (
     STEP_NAMES,
     STEP_ORDER,
     normalize_final,
+    parse_integer,
     parse_natural,
     parse_steps,
     preset,
@@ -266,6 +267,19 @@ NOT_NATURAL = ["1_0", "+4", "-3", " 4", "4\n", "\u0663", "\uff10", "\u096a", ""]
 def test_parse_natural_refuses_what_only_int_reads(text):
     with pytest.raises(ValueError, match="is not an integer >= 0 in the digits 0-9"):
         parse_natural(text)
+
+
+def test_parse_integer_reads_a_minus_and_ascii_digits():
+    texts = ("0", "-0", "7", "-7", "007", "-007", "-1000")
+    assert [parse_integer(t) for t in texts] == [0, 0, 7, -7, 7, -7, -1000]
+
+
+@pytest.mark.parametrize(
+    "text", [t for t in NOT_NATURAL if t != "-3"] + ["--3", "-", "- 3", "-+3", "+-3"], ids=ascii
+)
+def test_parse_integer_refuses_what_only_int_reads(text):
+    with pytest.raises(ValueError, match="is not an integer in the digits 0-9"):
+        parse_integer(text)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import jsonschema
 import pytest
 
@@ -117,16 +119,41 @@ def test_theorem_suite_checks_every_registry_view():
     assert checked - {"level-family"} == set(DP_VIEWED)
 
 
+def test_oracle_suite_reaches_the_brute_force_limit_in_bounded_memory():
+    # the peak measured 26.9 MiB traced (CPython 3.11); the enumeration of
+    # every length afresh that this replaced reached 140 MB RSS at max_n = 18
+    tracemalloc.start()
+    try:
+        report = verify.run_suite("oracle", max_n=brute.RED_LIMIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert [c.detail for c in report.checks[:6]] == ["enumeration matches table for n <= 20"] * 6
+    assert peak < 36 * 2**20
+
+
 def test_oracle_suite_enumerates_skew_once_per_length(monkeypatch):
-    # the geometric comparison reads the red paths the oracle-skew check built
-    calls = []
-    enumerate_red = brute.enumerate_red
+    # one listing per model serves every length; the geometric comparison
+    # joins the skew paths the census read, and no path is enumerated again
+    listed = []
+    red_junctions = brute.red_junctions
 
-    def counted(config, n, final=None):
-        calls.append((config == SKEW, n))
-        return enumerate_red(config, n, final)
+    def counted(config, max_n):
+        lengths = []
+        listed.append((config, lengths))
+        for junctions in red_junctions(config, max_n):
+            lengths.append(len(lengths))
+            yield junctions
 
-    monkeypatch.setattr(brute, "enumerate_red", counted)
+    def refuse(*args):
+        raise AssertionError("enumerate_red called")
+
+    monkeypatch.setattr(brute, "red_junctions", counted)
+    monkeypatch.setattr(brute, "enumerate_red", refuse)
     report = verify.run_suite("oracle", max_n=7)
     assert report.ok
-    assert sorted(n for skew, n in calls if skew) == list(range(8))
+    assert [config for config, _ in listed].count(SKEW) == 1
+    assert [lengths for _, lengths in listed] == [list(range(8))] * 6
+    with pytest.raises(ValueError):
+        list(red_junctions(SKEW, -1))
