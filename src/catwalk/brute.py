@@ -1,22 +1,22 @@
 """Brute-force enumeration: the ground truth the faster routes answer to.
 
-Two independent enumerators live here.  :func:`enumerate_red` walks step
-sequences of a :class:`model.ModelConfig` directly, using only the model's
-own validation rules.  :func:`enumerate_geometric` knows nothing about
-models: it enumerates genuinely two-dimensional paths built from north-east,
+Two independent enumerators live here, and both list a path as its word
+of letters and its end level.  :func:`enumerate_red` walks step sequences
+of a :class:`model.ModelConfig` directly, using only the model's own
+validation rules.  :func:`enumerate_geometric` knows nothing about models:
+it enumerates genuinely two-dimensional paths built from north-east,
 south-east and south-west unit steps that never cross themselves, the
-geometric picture behind the red-step relabelling, each as its tuple of
-(x, y) vertices from (0, 0).  :func:`models_agree` confirms the two
-pictures count (and mean) the same thing.
+geometric picture behind the red-step relabelling, each spelt in the
+letters that relabelling draws as those steps.  :func:`models_agree`
+confirms the two pictures list the same paths.
 
 Every path is still listed explicitly, so the work grows exponentially
 in n and the size guards bound it; but the paths are memoised halves,
 which :func:`red_halves` gives as each head with the shared list of its
-tails, and ``enumerate_red`` joins them in C-level maps, so it makes no
-Python call per path.  The CLI prints the halves without joining them.
-The oracle suite lists every length of a model from one memo of halves
-(:func:`red_junctions`) and counts the listed halves (:func:`census`),
-joining none of them.
+tails, one list per last letter and level.  ``enumerate_red`` joins
+them in C-level maps, with no Python call per path, the CLI prints them
+unjoined, and the oracle suite counts them (:func:`census`) for every
+length from one memo (:func:`red_lengths`).
 """
 
 from __future__ import annotations
@@ -42,14 +42,9 @@ GEO_LIMIT = 16
 # named here so that the CLI parser offers them without importing render
 GEOMETRIES = ("red", "sw")
 
-# geometric step vectors, in an order mirroring the step order of the
-# red model: north-east ~ up, south-east ~ down black, south-west ~ down red
-NE = (1, 1)
-SE = (1, -1)
-SW = (-1, -1)
-GEO_STEPS = (NE, SE, SW)
-
-_RED_TO_GEO = {"U": NE, "D": SE, "R": SW}
+# each red-model letter's geometric step, in step order: north-east (up),
+# south-east (down black) and south-west (down red)
+_RED_TO_GEO = {"U": (1, 1), "D": (1, -1), "R": (-1, -1)}
 
 _last = itemgetter(slice(-1, None))  # a word's last letter, "" for the empty word
 
@@ -64,32 +59,42 @@ def enumerate_red(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     The order of the step alphabet is U < D < R < C, not the order of the
     letters, so the words are never sorted.  ``final`` restricts the final
     level (None or "open" for no restriction, "closed" or 0 for the axis,
-    any int k >= 0 for level k).  The paths are :func:`red_halves`' heads,
-    each joined to its tails by :func:`join`.
+    any int k >= 0 for level k).  The paths are :func:`red_halves` joined.
     """
-    return join(([head], tails, ends) for head, tails, ends in red_halves(config, n, final))
+    return join(red_halves(config, n, final))
 
 
 def red_halves(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     """The length-n paths of the model as ``(head, tails, end levels)``
-    triples: each path is the head followed by one of the tails, and ends
-    at the tail's end level.  In order, the triples' words are those of
-    :func:`enumerate_red`, with the same meaning of ``final``.
+    triples, each path a head followed by one of its tails and ending at
+    the tail's end level; in order, their words are :func:`enumerate_red`'s,
+    with the same meaning of ``final``.
 
-    The heads are every word of n // 2 steps, ending anywhere; a head's
-    tails are the words of the remaining steps from its last letter and
-    level that end as ``final`` asks.  Both halves come from :func:`_words`
-    memos, one per end condition, so heads with one last letter and level
-    share one list of tails and one of end levels: the caller must not
-    change them.  The heads have one length, so the joins stay in step
-    order.  Nothing is joined here: a caller that prints the paths or
-    counts them needs no word of n steps.
+    The heads are every word of n // 2 steps; a head's tails are the words
+    of the remaining steps from its last letter and level that end as
+    ``final`` asks.  Both come from :func:`_words` memos, so heads with one
+    last letter and level share one list of tails and one of end levels,
+    which the caller must not change.  Nothing is joined here; the heads
+    have one length, so joining them keeps the paths in step order.
     """
     moves = _moves(config, n)
     want = normalize_final(final)
-    h = n // 2
     anywhere: dict = {}
-    ending = anywhere if want is None else {}
+    return _halves(moves, anywhere, want, anywhere if want is None else {}, n)
+
+
+def red_lengths(config: ModelConfig, max_n: int):
+    """``red_halves(config, n)`` for n = 0, 1, ..., max_n in turn, all from
+    one open :func:`_words` memo, so lists are shared across lengths too."""
+    moves = _moves(config, max_n)
+    memo: dict = {}
+    for n in range(max_n + 1):
+        yield _halves(moves, memo, None, memo, n)
+
+
+def _halves(moves, anywhere: dict, want, ending: dict, n: int) -> list:
+    """:func:`red_halves`' triples, heads from ``anywhere``, tails from ``ending``."""
+    h = n // 2
     heads, levels = _words(moves, None, anywhere, None, 0, h)
     return [
         (head, *_words(moves, want, ending, head[-1:] or None, level, n - h))
@@ -97,54 +102,28 @@ def red_halves(config: ModelConfig, n: int, final: FinalSpec = None) -> list:
     ]
 
 
-def red_junctions(config: ModelConfig, max_n: int):
-    """For each n = 0, 1, ..., max_n in turn, the length-n paths of the
-    model as a list of ``(heads, tails, end levels)`` junctions: each head
-    followed by each tail is a path, ending at the tail's end level.
-
-    A junction's heads are the words of n // 2 steps that end at one last
-    letter and level, in step order; its tails are the words of the
-    remaining steps from there, ending anywhere.  One :func:`_words` memo
-    serves the heads and tails of every length, so the lists are shared
-    and the caller must not change them.  The junctions are in the order
-    of their first heads.
-    """
-    moves = _moves(config, max_n)
-    memo: dict = {}
-    for n in range(max_n + 1):
-        h = n // 2
-        heads, levels = _words(moves, None, memo, None, 0, h)
-        groups: dict = {}
-        for head, level in zip(heads, levels):
-            groups.setdefault((head[-1:] or None, level), []).append(head)
-        yield [
-            (group, *_words(moves, None, memo, prev, level, n - h))
-            for (prev, level), group in groups.items()
-        ]
-
-
-def census(junctions) -> Counter:
-    """The paths of ``junctions`` counted by (layer, end level), a path's
-    layer being its last letter's, F for the empty path.  Each junction's
-    tails are counted once and weighted by its number of heads, so no path
-    is joined."""
+def census(halves) -> Counter:
+    """The paths of ``halves`` counted by (layer, end level), a path's
+    layer being its last letter's, F for the empty path.  Heads that share
+    a list of tails share its count: each list is counted once, found by
+    its ``id`` while ``halves`` holds it, and weighted by its heads, so no
+    path is joined."""
+    weights = Counter(id(tails) for _, tails, _ in halves)
     out: Counter = Counter()
-    for heads, tails, ends in junctions:
-        weight = len(heads)
+    for tails, ends in {id(t): (t, e) for _, t, e in halves}.values():
         layers = map(ENTRY_LAYER.get, map(_last, tails), repeat("F"))
         for key, count in Counter(zip(layers, ends)).items():
-            out[key] += weight * count
+            out[key] += weights[id(tails)] * count
     return out
 
 
-def join(junctions) -> list:
-    """The paths of ``junctions`` as ``Path``s, each head's in the order of
+def join(halves) -> list:
+    """The paths of ``halves`` as ``Path``s, each head's in the order of
     its tails; ``tuple.__new__`` makes each one in a ``map``, so no Python
     call is made per path."""
     out: list = []
-    for heads, tails, ends in junctions:
-        for head in heads:
-            out += map(tuple.__new__, repeat(Path), zip(map(head.__add__, tails), ends))
+    for head, tails, ends in halves:
+        out += map(tuple.__new__, repeat(Path), zip(map(head.__add__, tails), ends))
     return out
 
 
@@ -200,8 +179,9 @@ def _words(moves, want, memo: dict, prev, level: int, k: int) -> tuple:
 def enumerate_geometric(n: int, final: FinalSpec = None) -> list:
     """All length-n non-self-crossing paths from (0,0) over {NE, SE, SW}.
 
-    Each path is its tuple of n + 1 (x, y) vertices; the last one's y is its
-    final height.  Paths stay at height >= 0 and may not traverse the same
+    Each path is a ``(word, height)`` pair: its steps as the letters that
+    ``_RED_TO_GEO`` draws as them, in the table's order, and its final
+    height.  Paths stay at height >= 0 and may not traverse the same
     ground twice: no two steps may cover the same segment of the plane, in
     either direction.  Sharing vertices is fine (SE then SW makes a perfectly
     legal spike).  Overlap is detected by segment midpoints: in doubled
@@ -214,28 +194,22 @@ def enumerate_geometric(n: int, final: FinalSpec = None) -> list:
         raise SizeGuard(f"refusing geometric enumeration past n={GEO_LIMIT}")
     want = normalize_final(final)
     out: list = []
-    verts = [(0, 0)]
     used: set = set()
 
-    def walk(x: int, y: int) -> None:
-        if len(verts) == n + 1:
+    def walk(word: str, x: int, y: int) -> None:
+        if len(word) == n:
             if want is None or y == want:
-                out.append(tuple(verts))
+                out.append((word, y))
             return
-        for dx, dy in GEO_STEPS:
-            ny = y + dy
-            if ny < 0:
-                continue
+        for s, (dx, dy) in _RED_TO_GEO.items():
             mid = (2 * x + dx, 2 * y + dy)
-            if mid in used:
+            if y + dy < 0 or mid in used:
                 continue
             used.add(mid)
-            verts.append((x + dx, ny))
-            walk(x + dx, ny)
-            verts.pop()
+            walk(word + s, x + dx, y + dy)
             used.remove(mid)
 
-    walk(0, 0)
+    walk("", 0, 0)
     return out
 
 
@@ -255,15 +229,12 @@ def red_to_geometric(path: Path) -> tuple:
 def models_agree(n: int, red: list | None = None) -> bool:
     """Do the red and geometric enumerations of length n match exactly?
 
-    Relabelling the red paths must yield the geometric paths, and the red
-    end levels the same census as the last vertices' heights.  The
-    geometric paths are distinct and the census counts both lists, so
-    together the two also rule out collisions in the relabelling.
+    A red path is its word and end level, a geometric one its word and
+    height.  The geometric paths are distinct, so one length and one set
+    of pairs mean that the two lists hold the same paths, each once.
     ``red`` is ``enumerate_red(SKEW, n)`` if the caller already holds it.
     """
     if red is None:
         red = enumerate_red(SKEW, n)
     geo = enumerate_geometric(n)
-    mapped = {red_to_geometric(p) for p in red}
-    census = Counter(p.final_level for p in red)
-    return mapped == set(geo) and census == Counter(g[-1][1] for g in geo)
+    return len(red) == len(geo) and set(red) == set(geo)

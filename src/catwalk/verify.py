@@ -72,10 +72,10 @@ def _suite_oracle(order: int, max_n: int) -> list:
     for name, config in variants.items():
         table = dp.count_table(config, max_n)
         bad = None
-        for n, junctions in enumerate(brute.red_junctions(config, max_n)):
+        for n, halves in enumerate(brute.red_lengths(config, max_n)):
             if name == "skew" and n <= geo_cap:
-                skew[n] = brute.join(junctions)
-            if brute.census(junctions) != table.final_counts(n):
+                skew[n] = brute.join(halves)
+            if brute.census(halves) != table.final_counts(n):
                 bad = n
                 break
         checks.append(

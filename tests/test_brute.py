@@ -24,6 +24,7 @@ from catwalk.model import (
     SKEW_CAT,
     STEP_ORDER,
     CatastropheRule,
+    Path,
     PathError,
     parse_steps,
     validate_path,
@@ -63,16 +64,18 @@ def test_closed_skew_length_6_census():
 def test_geometric_length_6_census():
     paths = enumerate_geometric(6, "closed")
     assert len(paths) == 10
-    assert all(p[0] == (0, 0) and p[-1][1] == 0 for p in paths)
+    assert all(len(word) == 6 and height == 0 for word, height in paths)
 
 
-def test_geometric_paths_are_vertex_tuples():
-    red = enumerate_red(SKEW, 6)
-    geo = enumerate_geometric(6)
-    for g in [*geo, *map(red_to_geometric, red)]:
-        assert type(g) is tuple and len(g) == 7
-        assert all(type(v) is tuple and len(v) == 2 for v in g)
-        assert all(type(c) is int for v in g for c in v)
+def test_geometric_words_draw_paths_that_reuse_no_segment():
+    for n in range(9):
+        for word, height in enumerate_geometric(n):
+            verts = red_to_geometric(Path(word, height))
+            assert len(verts) == n + 1
+            # a unit segment is its midpoint, in doubled coordinates
+            mids = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(verts, verts[1:])]
+            assert len(set(mids)) == n, word
+            assert verts[-1][1] == height, word
 
 
 def test_lex_order_includes_catastrophes_last():
@@ -129,13 +132,13 @@ def test_halves_share_tails_and_refuse_on_the_call():
     words = [head + tail for head, tails, _ in halves for tail in tails]
     assert words == [p.steps for p in enumerate_red(SKEW_CAT, 9, "closed")]
     # heads of one last letter and level share one list of tails
-    junction = {}
+    sharing = {}
     for head, tails, _ in halves:
-        junction.setdefault(id(tails), set()).add(
+        sharing.setdefault(id(tails), set()).add(
             (head[-1], validate_path(SKEW_CAT, head).final_level)
         )
-    assert sorted(map(len, junction.values())) == [1] * len(junction)
-    assert len(set.union(*junction.values())) == len(junction) < len(halves)
+    assert sorted(map(len, sharing.values())) == [1] * len(sharing)
+    assert len(set.union(*sharing.values())) == len(sharing) < len(halves)
     for bad in ((RED_LIMIT + 1, None), (-1, None), (3, "sideways")):
         with pytest.raises(ValueError):
             brute.red_halves(SKEW_CAT, *bad)
@@ -144,17 +147,13 @@ def test_halves_share_tails_and_refuse_on_the_call():
 def test_geometric_blocks_immediate_backtrack():
     # NE followed by SW would retrace the same segment back to (0, 0); of
     # the three two-step words from the origin only NE NE and NE SE remain
-    assert enumerate_geometric(2) == [
-        ((0, 0), (1, 1), (2, 2)),
-        ((0, 0), (1, 1), (2, 0)),
-    ]
+    assert enumerate_geometric(2) == [("UU", 2), ("UD", 0)]
 
 
 def test_geometric_allows_vertex_sharing_spike():
     # NE NE SE SW: the SE and SW steps share their meeting vertex but no
     # ground, so the path is legal
-    spike = ((0, 0), (1, 1), (2, 2), (3, 1), (2, 0))
-    assert spike in enumerate_geometric(4, "closed")
+    assert ("UUDR", 0) in enumerate_geometric(4, "closed")
 
 
 def test_red_to_geometric():
@@ -178,27 +177,19 @@ def test_models_agree_reads_the_red_paths_it_is_given():
     assert not models_agree(5, enumerate_red(SKEW, 4))
 
 
-def test_models_agree_catches_a_collision(monkeypatch):
-    # the relabelling sends the second red path onto the first
+def test_models_agree_catches_a_collision():
+    # the first red path listed twice and the last not at all: one length,
+    # one path short; and a repeat alone is one path too many
     red = enumerate_red(SKEW, 4)
-    relabel = brute.red_to_geometric
-    monkeypatch.setattr(
-        brute, "red_to_geometric", lambda p: relabel(red[0] if p == red[1] else p)
-    )
-    assert not models_agree(4)
+    assert not models_agree(4, [red[0], *red[:-1]])
+    assert not models_agree(4, [red[0], *red])
 
 
-def test_models_agree_catches_a_moved_vertex(monkeypatch):
-    # the relabelling lifts the last vertex of one red path by two
+def test_models_agree_catches_a_moved_vertex():
+    # the first red path's last vertex, its end level, lifted by two
     red = enumerate_red(SKEW, 4)
-    relabel = brute.red_to_geometric
-
-    def shifted(p):
-        g = relabel(p)
-        return g[:-1] + ((g[-1][0], g[-1][1] + 2),) if p == red[0] else g
-
-    monkeypatch.setattr(brute, "red_to_geometric", shifted)
-    assert not models_agree(4)
+    moved = red[0]._replace(final_level=red[0].final_level + 2)
+    assert not models_agree(4, [moved, *red[1:]])
 
 
 def _valid_words(config, n: int) -> list:
@@ -229,12 +220,27 @@ def test_enumeration_is_the_definition(config):
 def test_census_of_the_junctions_is_the_census_of_the_paths(name):
     config = VARIANTS[name]
     last = itemgetter(slice(-1, None))
-    for n, junctions in enumerate(brute.red_junctions(config, 12)):
+    for n, halves in enumerate(brute.red_lengths(config, 12)):
         paths = enumerate_red(config, n)
         # the per-path census: a path's layer is its last letter's, F if empty
         layers = map(ENTRY_LAYER.get, map(last, map(itemgetter(0), paths)), itertools.repeat("F"))
-        assert brute.census(junctions) == Counter(zip(layers, map(itemgetter(1), paths))), n
-        assert sorted(brute.join(junctions)) == sorted(paths), n
+        assert brute.census(halves) == Counter(zip(layers, map(itemgetter(1), paths))), n
+        assert brute.join(halves) == paths, n
+    assert n == 12
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_one_memo_of_every_length_lists_the_halves_of_each(name):
+    config = VARIANTS[name]
+    for n, halves in enumerate(brute.red_lengths(config, 12)):
+        assert halves == brute.red_halves(config, n), n
+        # census counts a shared list once: the heads of one last letter
+        # and level have one list of tails, and other heads another
+        tails = {}
+        for head, shared, _ in halves:
+            key = (head[-1:], validate_path(config, head).final_level)
+            assert tails.setdefault(key, shared) is shared, (n, head)
+        assert len({id(t) for t in tails.values()}) == len(tails), n
     assert n == 12
 
 

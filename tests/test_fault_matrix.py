@@ -100,29 +100,28 @@ def row(config, length, delta):
 
 
 def drop_path(config, n=6):
-    """``red_junctions`` loses one length-n path of ``config``: the last
-    tail of the last head of its last junction."""
+    """``red_lengths`` loses one length-n path of ``config``: the last tail
+    of its last head, which gets a list of tails of its own."""
 
     def plant(mp):
-        original = brute.red_junctions
+        original = brute.red_lengths
 
         def faulty(c, max_n):
-            for m, junctions in enumerate(original(c, max_n)):
+            for m, halves in enumerate(original(c, max_n)):
                 if c == config and m == n:
-                    *rest, (heads, tails, ends) = junctions
-                    last = (heads[-1:], tails[:-1], ends[:-1])
-                    junctions = [*rest, (heads[:-1], tails, ends), last]
-                yield junctions
+                    *rest, (head, tails, ends) = halves
+                    halves = [*rest, (head, tails[:-1], ends[:-1])]
+                yield halves
 
-        mp.setattr(brute, "red_junctions", faulty)
+        mp.setattr(brute, "red_lengths", faulty)
 
     return plant
 
 
 def census_weight(mp):
-    """``census`` weights each junction's tails by 1, not by its heads."""
+    """``census`` weights each shared list of tails by 1, not by its heads."""
     original = brute.census
-    mp.setattr(brute, "census", lambda js: original([(h[:1], t, e) for h, t, e in js]))
+    mp.setattr(brute, "census", lambda hs: original({id(t): (h, t, e) for h, t, e in hs}.values()))
 
 
 def even_min_fires_odd(attr):
@@ -169,7 +168,7 @@ def level_view_one_up(mp):
 
 def red_drawn_south_east(mp):
     """``red_to_geometric`` draws a red step like a black one."""
-    mp.setitem(brute._RED_TO_GEO, "R", brute.SE)
+    mp.setitem(brute._RED_TO_GEO, "R", brute._RED_TO_GEO["D"])
 
 
 # fault -> (plant, the exact set of checks that fail)
@@ -330,9 +329,9 @@ def test_planted_fault_fails_exactly_its_checks(monkeypatch, fault):
 
 
 def test_a_dropped_path_is_one_listed_path_of_its_length(monkeypatch):
-    listed = [brute.join(j) for j in brute.red_junctions(SKEW_CAT, 8)]
+    listed = [brute.join(h) for h in brute.red_lengths(SKEW_CAT, 8)]
     drop_path(SKEW_CAT)(monkeypatch)
-    planted = [brute.join(j) for j in brute.red_junctions(SKEW_CAT, 8)]
+    planted = [brute.join(h) for h in brute.red_lengths(SKEW_CAT, 8)]
     assert [len(a) - len(b) for a, b in zip(listed, planted)] == [0] * 6 + [1, 0, 0]
     assert set(planted[6]) < set(listed[6])
     assert planted[:6] + planted[7:] == listed[:6] + listed[7:]

@@ -137,23 +137,23 @@ def test_oracle_suite_enumerates_skew_once_per_length(monkeypatch):
     # one listing per model serves every length; the geometric comparison
     # joins the skew paths the census read, and no path is enumerated again
     listed = []
-    red_junctions = brute.red_junctions
+    red_lengths = brute.red_lengths
 
     def counted(config, max_n):
         lengths = []
         listed.append((config, lengths))
-        for junctions in red_junctions(config, max_n):
+        for halves in red_lengths(config, max_n):
             lengths.append(len(lengths))
-            yield junctions
+            yield halves
 
     def refuse(*args):
         raise AssertionError("enumerate_red called")
 
-    monkeypatch.setattr(brute, "red_junctions", counted)
+    monkeypatch.setattr(brute, "red_lengths", counted)
     monkeypatch.setattr(brute, "enumerate_red", refuse)
     report = verify.run_suite("oracle", max_n=7)
     assert report.ok
     assert [config for config, _ in listed].count(SKEW) == 1
     assert [lengths for _, lengths in listed] == [list(range(8))] * 6
     with pytest.raises(ValueError):
-        list(red_junctions(SKEW, -1))
+        list(red_lengths(SKEW, -1))
