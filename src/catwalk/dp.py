@@ -33,14 +33,13 @@ recurrence checks compare every level, so they step full rows.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, by whole-row comparisons, the step-inflow identities the
-per-(layer, level) generating functions must satisfy.  Its
-:class:`Check` and :class:`Report` are the result types of every suite in
-:mod:`verify` too.
+per-(layer, level) generating functions must satisfy.  Every model meets one
+system on the layers F, G and H: without red steps H is empty, and these
+split identities imply the merged ones on f_i + g_i.
 """
 
 from __future__ import annotations
 
-import time
 from itertools import product
 from operator import add
 from typing import NamedTuple
@@ -265,7 +264,7 @@ def count_table(config: ModelConfig, n_max: int) -> CountTable:
     return CountTable(list(Transfer(config).rows(n_max)))
 
 
-# -- checks, reports and recurrence verification ---------------------------
+# -- recurrence verification ------------------------------------------------
 
 
 class Check(NamedTuple):
@@ -276,124 +275,64 @@ class Check(NamedTuple):
     detail: str
 
 
-class Report(NamedTuple):
-    """The checks of one verify suite or of one recurrence system."""
-
-    name: str
-    checks: list
-    elapsed_ms: int
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.name,
-            "checks": [
-                {"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail}
-                for c in self.checks
-            ],
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-def compare(name: str, pairs, detail_ok: str) -> Check:
-    """A check that each ``(label, lhs, rhs)`` pair of series agrees.
-
-    A failure names the first pair and the first coefficient that differ;
-    a pass reports ``detail_ok``.
-    """
-    for label, lhs, rhs in pairs:
-        n = lhs.first_difference(rhs)
-        if n is not None:
-            return Check(
-                name,
-                False,
-                f"fails at {label}, coefficient of z^{n}: {lhs.coeff(n)} != {rhs.coeff(n)}",
-            )
-    return Check(name, True, detail_ok)
-
-
-def verify_recurrences(config: ModelConfig, order: int) -> Report:
-    """Check the step-inflow identities of a model's counting series.
+def verify_recurrences(config: ModelConfig, order: int) -> list:
+    """Check the step-inflow identities of a model's counting series, one
+    :class:`Check` per identity in the order below.
 
     Writing f_i, g_i, h_i for the series of counts ending in (F, i), (G, i),
-    (H, i), a model with red steps is checked against the "skew" system
+    (H, i), every model is checked against one system, for i < order:
 
-        f_{i+1} = z (f_i + g_i)                 up-steps never follow a red step
-        g_i     = z (f_{i+1} + g_{i+1} + h_{i+1})
-        h_i     = z (g_{i+1} + h_{i+1})         red steps never follow an up-step
-        f_0     = 1 + z * sum of (f_i + g_i + h_i) over catastrophe levels i
+        up-inflow          f_{i+1} = z (f_i + g_i)     up-steps never follow a red step
+        black-down-inflow  g_i     = z (f_{i+1} + g_{i+1} + h_{i+1})
+        red-down-inflow    h_i     = z (g_{i+1} + h_{i+1})   red steps never follow an up-step
+        axis-boundary      f_0     = 1 + z * sum of (f_i + g_i + h_i) over catastrophe levels i
 
-    and any other model against the "dyck" system on the merged t_i:
+    Without red steps the red-down inflow reads h_i = 0, so a stray count in
+    H is still caught.  H is then empty, and summed on t_i = f_i + g_i the
+    identities give the merged system t_i = z (t_{i-1} + t_{i+1}) for i >= 1,
+    t_0 = 1 + z t_1 + z * sum of t_i over catastrophe levels i (Banderier and
+    Wallner, 2017): the split identities imply it, and they also catch a path
+    counted in the wrong layer, which it cannot.  The catastrophe levels are
+    those of the rule, and none when the model lacks the catastrophe step.
 
-        t_i = z (t_{i-1} + t_{i+1})   for i >= 1
-        t_0 = 1 + z t_1 + z * sum of t_i over catastrophe levels i
-
-    The catastrophe levels are those of the rule, and none when the model
-    lacks the catastrophe step.  The identities are written out here, not
-    derived from :class:`Transfer`, so they check the kernel rather than
-    restate it; they encode the preset adjacency rules, so a model outside
-    them fails.  The z^t identity ties the row of length t to the row of
-    length t - 1 (all zero for t = 0), so the rows stream past two at a
-    time, each padded to levels 0..order.  The checks are whole-row
-    comparisons; the first bad instance is searched only after a mismatch.
-    Every instance i < order is compared on every row, above level t too.
-    A failed check names its first failing instance and the first
-    coefficient where it fails.
+    The identities are written out here, not derived from :class:`Transfer`,
+    so they check the kernel rather than restate it; they encode the preset
+    adjacency rules, so a model outside them fails.  The z^t identity ties
+    the row of length t to the row of length t - 1 (all zero for t = 0), so
+    the rows stream past two at a time, each padded to levels 0..order.  The
+    checks are whole-row comparisons; the first bad instance is searched
+    only after a mismatch.  Every instance is compared on every row, above
+    level t too.  A failed check names its first failing instance and the
+    first coefficient where it fails.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    start = time.perf_counter()
     n = order
     cat = config.catastrophe.firing(n)
+    red = DOWN_RED in config.steps
     inflow = [f"i={i}" for i in range(n)]
-    if DOWN_RED in config.steps:
-        system = "skew"
-        labels = {
-            "up-inflow": inflow,
-            "black-down-inflow": inflow,
-            "red-down-inflow": inflow,
-            "axis-boundary": ["f0"],
-        }
-
-        def view(row):  # the three layers as they are
-            return row
-
-        def sides(t, row, prev):  # the (lhs, rhs) lists of each check, one entry per instance
-            (f, g, h), (pf, pg, ph) = row, prev
-            down = list(map(add, pg, ph))  # the layers a red step may leave: G and H
-            total = list(map(add, pf, down))  # a black step may leave any layer
-            return (
-                (f[1:], list(map(add, pf[:n], pg[:n]))),
-                (g[:n], total[1:]),
-                (h[:n], down[1:]),
-                ([f[0]], [(t == 0) + sum(map(total.__getitem__, cat))]),
-            )
-
-    else:
-        system = "dyck"
-        labels = {"interior": inflow[1:], "axis-boundary": ["t0"]}
-
-        def view(row):  # the merged t_i
-            f, g, h = row
-            return list(map(add, f, map(add, g, h)))
-
-        def sides(t, s, ps):
-            return (
-                (s[1:n], list(map(add, ps[: n - 1], ps[2:]))),
-                ([s[0]], [(t == 0) + ps[1] + sum(map(ps.__getitem__, cat))]),
-            )
-
+    labels = {
+        "up-inflow": inflow,
+        "black-down-inflow": inflow,
+        "red-down-inflow": inflow,
+        "axis-boundary": ["f0"],
+    }
     first: dict = {}  # check name -> (instance, t, lhs, rhs) of its first failure
-    prev = view(([0] * (n + 1),) * 3)
+    zero = [0] * (n + 1)
+    prev = (zero,) * 3
     for t, row in enumerate(Transfer(config).rows(n)):
-        row = view(tuple(vec + [0] * (n + 1 - len(vec)) for vec in row))
-        for name, (lhs, rhs) in zip(labels, sides(t, row, prev)):
+        row = f, g, h = tuple(vec + [0] * (n + 1 - len(vec)) for vec in row)
+        pf, pg, ph = prev
+        up = list(map(add, pf, pg))  # the layers an up-step may leave: F and G
+        total = list(map(add, up, ph))  # a black down-step may leave any layer
+        down = list(map(add, pg, ph)) if red else zero  # a red one G and H
+        sides = (  # the (lhs, rhs) lists of each check, one entry per instance
+            (f[1:], up[:n]),
+            (g[:n], total[1:]),
+            (h[:n], down[1:]),
+            ([f[0]], [(t == 0) + sum(map(total.__getitem__, cat))]),
+        )
+        for name, (lhs, rhs) in zip(labels, sides):
             if lhs != rhs:
                 # only an earlier instance than the one already failing can take its place
                 below = first.get(name, (len(lhs),))[0]
@@ -410,4 +349,4 @@ def verify_recurrences(config: ModelConfig, order: int) -> Report:
             checks.append(Check(name, False, detail))
         else:
             checks.append(Check(name, True, f"{len(instances)} instances checked"))
-    return Report(system, checks, int((time.perf_counter() - start) * 1000))
+    return checks

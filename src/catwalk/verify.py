@@ -2,23 +2,70 @@
 
 Each suite bundles checks that pit independent computation routes against
 each other: closed forms against the dynamic programming counts, both
-against brute-force enumeration, the kernel roots against the kernel, and
-the low-order coefficients against externally published sequences.  A
-report is a flat list of named pass/fail checks plus timing, ready for
-text or JSON output.  tests/test_fault_matrix.py pins the checks each of a
-table of planted faults fails: every check is the only one to catch some
-fault, or follows from checks named there.
+against brute-force enumeration, the kernel roots against the kernel, the
+count rows against their step-inflow identities, and the low-order
+coefficients against externally published sequences.  The recurrences
+suite checks every preset against one system on the layers F, G and H
+(:func:`dp.verify_recurrences`): without red steps H is empty, and the
+split identities imply the merged ones on f_i + g_i.  A :class:`Report` is
+a flat list of named pass/fail :class:`Check` results plus timing, ready
+for text or JSON output.  tests/test_fault_matrix.py pins the checks each
+of a table of planted faults fails: every check is the only one to catch
+some fault, or follows from checks named there.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
+from typing import NamedTuple
 
 from . import brute, closedform as cf, dp
-from .dp import Check, Report
+from .dp import Check
 from .model import CatastropheRule, DYCK_CAT, PRESETS, SKEW, SKEW_CAT, with_rule
-from .series import Series, SeriesError
+from .series import Series
+
+
+class Report(NamedTuple):
+    """The checks of one verify suite, or of all of them."""
+
+    name: str
+    checks: list
+    elapsed_ms: int
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def failures(self) -> list:
+        return [c for c in self.checks if not c.ok]
+
+    def to_json(self) -> dict:
+        return {
+            "suite": self.name,
+            "checks": [
+                {"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail}
+                for c in self.checks
+            ],
+            "elapsed_ms": self.elapsed_ms,
+        }
+
+
+def compare(name: str, pairs, detail_ok: str) -> Check:
+    """A check that each ``(label, lhs, rhs)`` pair of series agrees.
+
+    A failure names the first pair and the first coefficient that differ;
+    a pass reports ``detail_ok``.
+    """
+    for label, lhs, rhs in pairs:
+        n = lhs.first_difference(rhs)
+        if n is not None:
+            return Check(
+                name,
+                False,
+                f"fails at {label}, coefficient of z^{n}: {lhs.coeff(n)} != {rhs.coeff(n)}",
+            )
+    return Check(name, True, detail_ok)
 
 
 def _suite_kernel(order: int, max_n: int) -> list:
@@ -27,7 +74,7 @@ def _suite_kernel(order: int, max_n: int) -> list:
     for model in cf.MODELS:
         res = cf.kernel_residual(model, order)
         checks.append(
-            dp.compare(
+            compare(
                 f"kernel-root-{model}",
                 [("K(r2)", res, zero)],
                 f"K(r2) vanishes through z^{order}",
@@ -40,7 +87,7 @@ def _suite_kernel(order: int, max_n: int) -> list:
         low = cf.kernel_at(model, zero)
         mid = low + z - cf.kernel_at(model, Series.one(order))
         checks.append(
-            dp.compare(
+            compare(
                 f"reciprocal-root-{model}",
                 [("reciprocal kernel at 1/r1", low * q * q - mid * q + z, zero)],
                 f"reciprocal kernel vanishes at 1/r1 through z^{order}",
@@ -52,13 +99,12 @@ def _suite_kernel(order: int, max_n: int) -> list:
 def _suite_recurrences(order: int, max_n: int) -> list:
     checks = []
     for name, config in sorted(PRESETS.items()):
-        report = dp.verify_recurrences(config, order)
-        if report.ok:
-            detail = f"{report.name} system holds through z^{order}"
+        failures = [c for c in dp.verify_recurrences(config, order) if not c.ok]
+        if failures:
+            detail = f"{failures[0].name}: {failures[0].detail}"
         else:
-            first = report.failures()[0]
-            detail = f"{first.name}: {first.detail}"
-        checks.append(Check(f"recurrences-{name}", report.ok, detail))
+            detail = f"step-inflow identities hold through z^{order}"
+        checks.append(Check(f"recurrences-{name}", not failures, detail))
     return checks
 
 
@@ -71,22 +117,22 @@ def _suite_oracle(order: int, max_n: int) -> list:
     skew = {}  # n -> the red paths of SKEW, for the geometric comparison below
     for name, config in variants.items():
         table = dp.count_table(config, max_n)
-        bad = None
+        ok, detail = True, f"enumeration matches table for n <= {max_n}"
         for n, halves in enumerate(brute.red_lengths(config, max_n)):
             if name == "skew" and n <= geo_cap:
                 skew[n] = brute.join(halves)
-            if brute.census(halves) != table.final_counts(n):
-                bad = n
+            listed, counted = brute.census(halves), table.final_counts(n)
+            if listed != counted:
+                # the first (layer, level) in sorted order whose counts differ
+                key = min(
+                    k for k in listed.keys() | counted.keys() if listed[k] != counted.get(k, 0)
+                )
+                ok, detail = False, (
+                    f"census mismatch at n={n}, ({key[0]}, {key[1]}): "
+                    f"{listed[key]} listed, {counted.get(key, 0)} counted"
+                )
                 break
-        checks.append(
-            Check(
-                f"oracle-{name}",
-                bad is None,
-                f"enumeration matches table for n <= {max_n}"
-                if bad is None
-                else f"census mismatch at n={bad}",
-            )
-        )
+        checks.append(Check(f"oracle-{name}", ok, detail))
     bad = None
     for n in range(geo_cap + 1):
         if not brute.models_agree(n, skew.get(n)):
@@ -116,7 +162,7 @@ def _suite_theorem(order: int, max_n: int) -> list:
     f0 = fj[0]
     # ladder between consecutive level series, multiplied out to avoid 1/r1
     checks.append(
-        dp.compare(
+        compare(
             "level-ladder",
             ((f"j={j}", two_m_z2 * fj[j + 1], r2 * fj[j]) for j in range(j_top + 1)),
             f"(2 - z^2) f_(j+1) == r2 f_j for j <= {j_top}",
@@ -134,7 +180,7 @@ def _suite_theorem(order: int, max_n: int) -> list:
         ("axis-sum", cf.fgh0(n), f0 + g0 + h0, "fgh0 == f0 + g0 + h0"),
         ("axis-boundary-tails", f0, 1 + z * (sf + sg + sh), "f0 == 1 + z (tail sums)"),
     ):
-        checks.append(dp.compare(name, [(name, lhs, rhs)], f"{detail} through z^{n}"))
+        checks.append(compare(name, [(name, lhs, rhs)], f"{detail} through z^{n}"))
 
     # every registry series with a DP view against its counts, read off one
     # stream of the kernel's rows per model; the level-0 series formed above
@@ -154,14 +200,14 @@ def _suite_theorem(order: int, max_n: int) -> list:
     for entry in viewed:
         closed = known[entry.name] if entry.name in known else entry.build(n)
         checks.append(
-            dp.compare(
+            compare(
                 f"dp-{entry.name}",
                 [(entry.name, closed, counted[entry.model][entry.view])],
                 f"closed form matches table through z^{n}",
             )
         )
     checks.append(
-        dp.compare(
+        compare(
             "dp-level-family",
             ((e.name, series, counted[e.model][e.view]) for e, series in family),
             f"level series match table for 1 <= j <= {j_dp}",
@@ -220,12 +266,13 @@ def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> Report:
     """Run one named suite (or all of them) and collect the report.
 
     ``order`` bounds the series comparisons, ``max_n`` the brute-force
-    enumerations.  A suite that raises a :class:`SeriesError`, as a division
-    by a wrong kernel root does, is one failed check ``<suite>-error`` naming
-    the exception and the innermost catwalk function outside the series
-    engine that it passed through, and the other suites still run.  Raises
-    ValueError for an unknown suite name and lets the brute-force size
-    guards propagate if max_n is pushed past them.
+    enumerations.  A suite that raises, as a division by a wrong kernel root
+    or an index past a faulty DP row does, is one failed check
+    ``<suite>-error`` naming the exception and the innermost catwalk function
+    outside the series engine that it passed through, and the other suites
+    still run.  Raises ValueError for an unknown suite name, and lets a
+    brute-force :class:`brute.SizeGuard` propagate if max_n is pushed past
+    it: that is a refusal of the sizes asked for, not a fault.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -238,7 +285,9 @@ def run_suite(suite: str = "all", order: int = 100, max_n: int = 12) -> Report:
     for name in sorted(_SUITES) if suite == "all" else [suite]:
         try:
             checks.extend(_SUITES[name](order, max_n))
-        except SeriesError as exc:
+        except brute.SizeGuard:
+            raise
+        except Exception as exc:
             detail = f"{type(exc).__name__} in {_crash_site(exc)}: {exc}"
             checks.append(Check(f"{name}-error", False, detail))
     elapsed = int((time.perf_counter() - start) * 1000)

@@ -1,10 +1,15 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
-import catwalk
-from catwalk import dp, model
+# in-process imports leave no bytecode under src/: a stale cache there
+# changes how long a later process takes to set up
+sys.dont_write_bytecode = True
+
+import catwalk  # noqa: E402
+from catwalk import dp, model  # noqa: E402
 
 SCHEMA_DIR = pathlib.Path(catwalk.__file__).parent / "schemas"
 

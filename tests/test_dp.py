@@ -124,12 +124,13 @@ def test_table_bounds():
 
 
 def test_recurrences_pass_for_presets():
+    # every model meets the one system on F, G and H, with or without red steps
+    names = ["up-inflow", "black-down-inflow", "red-down-inflow", "axis-boundary"]
     for config in (DYCK, DYCK_CAT, SKEW, SKEW_CAT):
-        report = dp.verify_recurrences(config, 30)
-        assert report.ok
-        assert report.failures() == []
-    assert dp.verify_recurrences(DYCK_CAT, 10).name == "dyck"
-    assert dp.verify_recurrences(SKEW, 10).name == "skew"
+        checks = dp.verify_recurrences(config, 30)
+        assert [c.name for c in checks] == names
+        assert all(c.ok for c in checks), checks
+        assert [c.detail for c in checks] == ["30 instances checked"] * 3 + ["1 instances checked"]
 
 
 RULES = {
@@ -148,21 +149,22 @@ RULES = {
 def test_recurrences_pass_under_every_rule(preset, rule):
     # a rule on a model without the catastrophe step fires nothing, so the
     # plain presets pass under every rule too
-    report = dp.verify_recurrences(with_rule(preset, rule), 30)
-    assert report.ok, report.failures()
+    checks = dp.verify_recurrences(with_rule(preset, rule), 30)
+    assert failing(checks) == set(), checks
 
 
 def test_recurrences_pass_for_even_rule():
     even = with_rule(SKEW_CAT, CatastropheRule.even_min(2))
-    assert dp.verify_recurrences(even, 25).ok
+    assert failing(dp.verify_recurrences(even, 25)) == set()
     even_d = with_rule(DYCK_CAT, CatastropheRule.even_min(2))
-    assert dp.verify_recurrences(even_d, 25).ok
+    assert failing(dp.verify_recurrences(even_d, 25)) == set()
 
 
-def failing(report) -> set:
-    for check in report.failures():
+def failing(checks) -> set:
+    failures = [check for check in checks if not check.ok]
+    for check in failures:
         assert check.detail.startswith("fails at ") and "coefficient of z^" in check.detail
-    return {check.name for check in report.failures()}
+    return {check.name for check in failures}
 
 
 # two models outside the preset adjacency rules
@@ -182,9 +184,9 @@ class Skipping(dp.Transfer):
 def test_recurrences_negative_controls(monkeypatch):
     # the identities encode the preset adjacency rules: red steps free to
     # follow and precede up-steps break the up and red-down inflows, and a
-    # plain model that forbids an up-step after a down-step breaks the interior
+    # plain model that forbids an up-step after a down-step breaks the up inflow
     assert failing(dp.verify_recurrences(RED_FREE, 15)) == {"up-inflow", "red-down-inflow"}
-    assert "interior" in failing(dp.verify_recurrences(NO_DU, 15))
+    assert failing(dp.verify_recurrences(NO_DU, 15)) == {"up-inflow"}
 
     # a kernel that loses the lowest firing level breaks the boundary identity
     monkeypatch.setattr(dp, "Transfer", Skipping)
@@ -197,48 +199,34 @@ def test_recurrences_bad_arguments():
         dp.verify_recurrences(DYCK, 0)
 
 
-def reference_recurrences(config: ModelConfig, order: int) -> tuple:
-    """The (system, checks) of ``dp.verify_recurrences``, by a second route:
-    for each row, every instance of every identity as its own coefficient
-    pair, compared one by one below the instance already failing.  It reads
-    the rows of ``dp.Transfer``, so a patched kernel reaches both routes."""
+def reference_recurrences(config: ModelConfig, order: int) -> list:
+    """The checks of ``dp.verify_recurrences``, by a second route: for each
+    row, every instance of every identity as its own coefficient pair,
+    compared one by one below the instance already failing.  It reads the
+    rows of ``dp.Transfer``, so a patched kernel reaches both routes."""
     n = order
     cat = config.catastrophe.firing(n)
+    red = R in config.steps
     inflow = [f"i={i}" for i in range(n)]
-    if R in config.steps:
-        system = "skew"
-        labels = {
-            "up-inflow": inflow,
-            "black-down-inflow": inflow,
-            "red-down-inflow": inflow,
-            "axis-boundary": ["f0"],
-        }
-
-        def sides(t, row, prev):
-            (f, g, h), (pf, pg, ph) = row, prev
-            return (
-                [(f[i + 1], pf[i] + pg[i]) for i in range(n)],
-                [(g[i], pf[i + 1] + pg[i + 1] + ph[i + 1]) for i in range(n)],
-                [(h[i], pg[i + 1] + ph[i + 1]) for i in range(n)],
-                [(f[0], (t == 0) + sum(pf[i] + pg[i] + ph[i] for i in cat))],
-            )
-
-    else:
-        system = "dyck"
-        labels = {"interior": inflow[1:], "axis-boundary": ["t0"]}
-
-        def sides(t, row, prev):
-            s, ps = (list(map(sum, zip(*r))) for r in (row, prev))
-            return (
-                [(s[i], ps[i - 1] + ps[i + 1]) for i in range(1, n)],
-                [(s[0], (t == 0) + ps[1] + sum(ps[i] for i in cat))],
-            )
-
+    labels = {
+        "up-inflow": inflow,
+        "black-down-inflow": inflow,
+        "red-down-inflow": inflow,
+        "axis-boundary": ["f0"],
+    }
     first: dict = {}  # check name -> (instance, t, lhs, rhs) of its first failure
     prev = ([0] * (n + 1),) * 3
     for t, row in enumerate(dp.Transfer(config).rows(n)):
-        row = tuple(vec + [0] * (n + 1 - len(vec)) for vec in row)
-        for name, pairs in zip(labels, sides(t, row, prev)):
+        row = f, g, h = tuple(vec + [0] * (n + 1 - len(vec)) for vec in row)
+        pf, pg, ph = prev
+        sides = (
+            [(f[i + 1], pf[i] + pg[i]) for i in range(n)],
+            [(g[i], pf[i + 1] + pg[i + 1] + ph[i + 1]) for i in range(n)],
+            # without red steps no path ends in H
+            [(h[i], pg[i + 1] + ph[i + 1] if red else 0) for i in range(n)],
+            [(f[0], (t == 0) + sum(pf[i] + pg[i] + ph[i] for i in cat))],
+        )
+        for name, pairs in zip(labels, sides):
             below = first.get(name, (len(pairs),))[0]
             k = next((k for k in range(below) if pairs[k][0] != pairs[k][1]), None)
             if k is not None:
@@ -252,7 +240,7 @@ def reference_recurrences(config: ModelConfig, order: int) -> tuple:
             checks.append(dp.Check(name, False, detail))
         else:
             checks.append(dp.Check(name, True, f"{len(instances)} instances checked"))
-    return system, checks
+    return checks
 
 
 PARITY_CONFIGS = {
@@ -273,15 +261,15 @@ PARITY_CONFIGS = {
 def test_recurrences_match_the_reference(config, kernel, monkeypatch):
     monkeypatch.setattr(dp, "Transfer", kernel)
     for order in (1, 2, 3, 7, 15, 40):
-        report = dp.verify_recurrences(config, order)
-        assert (report.name, report.checks) == reference_recurrences(config, order), order
+        assert dp.verify_recurrences(config, order) == reference_recurrences(config, order), order
 
 
 def test_recurrences_report_the_lowest_failing_instance(monkeypatch):
     # planted counts: one extra path in row T1 at level L1 of a layer, and in
     # the later row T2 at the lower level L2.  Each copy feeds its own row's
     # identities and, as the row before, those of the next one; the kernel
-    # itself runs on the true rows
+    # itself runs on the true rows.  The system is the same with or without
+    # red steps, and so are the failures
     order, (t1, l1), (t2, l2) = 12, (7, 5), (10, 2)
     true = {config: list(dp.Transfer(config).rows(order)) for config in (SKEW_CAT, DYCK_CAT)}
 
@@ -295,32 +283,23 @@ def test_recurrences_report_the_lowest_failing_instance(monkeypatch):
 
     monkeypatch.setattr(dp, "Transfer", Planted)
 
-    f, g_next = true[SKEW_CAT][t2][0], true[SKEW_CAT][t2 + 1][1]
-    f_axis = true[SKEW_CAT][t1 + 1][0][0]
-    checks = {c.name: c for c in dp.verify_recurrences(SKEW_CAT, order).checks}
-    # f_{L2} at z^T2 is one too many; the row after sees it as f_{L2} of its
-    # previous row, in black-down at i = L2 - 1; the axis sees level L1 fire first
-    assert checks["up-inflow"].detail == (
-        f"fails at i={l2 - 1}, coefficient of z^{t2}: {f[l2] + 1} != {f[l2]}"
-    )
-    assert checks["black-down-inflow"].detail == (
-        f"fails at i={l2 - 1}, coefficient of z^{t2 + 1}: {g_next[l2 - 1]} != {g_next[l2 - 1] + 1}"
-    )
-    assert checks["axis-boundary"].detail == (
-        f"fails at f0, coefficient of z^{t1 + 1}: {f_axis} != {f_axis + 1}"
-    )
-    assert checks["red-down-inflow"].ok
-
-    merged = [list(map(sum, zip(*row))) for row in true[DYCK_CAT]]
-    s_next, s_axis = merged[t2 + 1][l2 - 1], merged[t1 + 1][0]
-    checks = {c.name: c for c in dp.verify_recurrences(DYCK_CAT, order).checks}
-    # t_{L2} at z^T2 fails at i = L2, and as the row before at i = L2 - 1
-    assert checks["interior"].detail == (
-        f"fails at i={l2 - 1}, coefficient of z^{t2 + 1}: {s_next} != {s_next + 1}"
-    )
-    assert checks["axis-boundary"].detail == (
-        f"fails at t0, coefficient of z^{t1 + 1}: {s_axis} != {s_axis + 1}"
-    )
+    for config, rows in true.items():
+        f, g_next = rows[t2][0], rows[t2 + 1][1]
+        f_axis = rows[t1 + 1][0][0]
+        checks = {c.name: c for c in dp.verify_recurrences(config, order)}
+        # f_{L2} at z^T2 is one too many; the row after sees it as f_{L2} of its
+        # previous row, in black-down at i = L2 - 1; the axis sees level L1 fire first
+        assert checks["up-inflow"].detail == (
+            f"fails at i={l2 - 1}, coefficient of z^{t2}: {f[l2] + 1} != {f[l2]}"
+        )
+        assert checks["black-down-inflow"].detail == (
+            f"fails at i={l2 - 1}, coefficient of z^{t2 + 1}: "
+            f"{g_next[l2 - 1]} != {g_next[l2 - 1] + 1}"
+        )
+        assert checks["axis-boundary"].detail == (
+            f"fails at f0, coefficient of z^{t1 + 1}: {f_axis} != {f_axis + 1}"
+        )
+        assert checks["red-down-inflow"].ok
 
 
 def test_recurrences_check_levels_above_the_row_length(monkeypatch):
@@ -334,13 +313,12 @@ def test_recurrences_check_levels_above_the_row_length(monkeypatch):
                 yield row
 
     monkeypatch.setattr(dp, "Transfer", Overreaching)
-    checks = {c.name: c for c in dp.verify_recurrences(SKEW_CAT, 8).checks}
-    assert checks["up-inflow"].detail == "fails at i=4, coefficient of z^3: 1 != 0"
-    assert checks["black-down-inflow"].detail == "fails at i=4, coefficient of z^4: 0 != 1"
-    checks = {c.name: c for c in dp.verify_recurrences(DYCK_CAT, 8).checks}
-    # t_5 at z^3 fails first at i=5, then as the row before at i=4 (UUUU is t_4 at z^4)
-    assert checks["interior"].detail == "fails at i=4, coefficient of z^4: 1 != 2"
-    assert checks["axis-boundary"].detail.startswith("fails at t0, coefficient of z^4: ")
+    for config in (SKEW_CAT, DYCK_CAT):
+        checks = {c.name: c for c in dp.verify_recurrences(config, 8)}
+        # f_5 at z^3 is one too many, and feeds g_4 at z^4 and the axis at z^4
+        assert checks["up-inflow"].detail == "fails at i=4, coefficient of z^3: 1 != 0"
+        assert checks["black-down-inflow"].detail == "fails at i=4, coefficient of z^4: 0 != 1"
+        assert checks["axis-boundary"].detail.startswith("fails at f0, coefficient of z^4: ")
 
 
 HORIZON_RULES = {

@@ -230,10 +230,11 @@ FAULTS = {
         {"kernel-root-dyck", "kernel-root-skew", "reciprocal-root-dyck", "reciprocal-root-skew"},
     ),
     # the DP's rows: one more path at (F, 2) of length 4; at length 20, one
-    # path moved from (F, 6) to (F, 8), past every view the registry reads.
-    # A planted row does not feed the rows after it, so the skew closed
-    # counts change only where a fault plants one: at (G, 0) of length 10,
-    # past MAX_N.
+    # path moved from (F, 6) to (F, 8), past every view the registry reads,
+    # and one from (F, 4) to (G, 4), which keeps every level's sum over the
+    # layers.  A planted row does not feed the rows after it, so the skew
+    # closed counts change only where a fault plants one: at (G, 0) of
+    # length 10, past MAX_N.
     "transfer-count-dyck": (row(DYCK, 4, {(0, 2): 1}), {"oracle-dyck", "recurrences-dyck"}),
     "transfer-count-dyck-cat": (
         row(DYCK_CAT, 4, {(0, 2): 1}),
@@ -250,6 +251,12 @@ FAULTS = {
             row(config, 20, {(0, 6): -1, (0, 8): 1}), {f"recurrences-{name}"}
         )
         for name, config in PRESETS.items()
+    },
+    **{
+        f"transfer-layer-{name}": (
+            row(config, 20, {(0, 4): -1, (1, 4): 1}), {f"recurrences-{name}"}
+        )
+        for name, config in (("dyck", DYCK), ("dyck-cat", DYCK_CAT))
     },
     # the registry's pairing of each closed form with its DP view
     **{
@@ -335,6 +342,20 @@ def test_a_dropped_path_is_one_listed_path_of_its_length(monkeypatch):
     assert [len(a) - len(b) for a, b in zip(listed, planted)] == [0] * 6 + [1, 0, 0]
     assert set(planted[6]) < set(listed[6])
     assert planted[:6] + planted[7:] == listed[:6] + listed[7:]
+
+
+def test_a_dropped_path_names_the_first_end_state_that_differs(monkeypatch):
+    # the dropped length-6 path is one of the 7 that end in (G, 0): with a
+    # black down-step onto the axis
+    listed = brute.join(brute.red_halves(SKEW_CAT, 6))
+    drop_path(SKEW_CAT)(monkeypatch)
+    (dropped,) = set(listed) - set(brute.join(list(brute.red_lengths(SKEW_CAT, 8))[6]))
+    assert (dropped.steps[-1], dropped.final_level) == ("D", 0)
+    assert sum(p.steps[-1] == "D" and p.final_level == 0 for p in listed) == 7
+    report = verify.run_suite("oracle", ORDER, MAX_N)
+    assert report.failures() == [
+        dp.Check("oracle-skew-cat", False, "census mismatch at n=6, (G, 0): 6 listed, 7 counted")
+    ]
 
 
 def test_every_route_piece_has_a_fault():

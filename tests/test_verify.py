@@ -3,7 +3,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from catwalk import brute, closedform as cf, dp, verify
+from catwalk import brute, cli, closedform as cf, dp, verify
 from catwalk.model import SKEW
 from catwalk.series import Series, ValuationError
 
@@ -64,7 +64,34 @@ def test_a_series_error_fails_its_suite_and_the_others_run(monkeypatch):
     jsonschema.validate(report.to_json(), load_schema("verify_report"))
 
 
-def test_a_non_series_error_propagates(monkeypatch):
+class Overreading(dp.Transfer):
+    """A kernel that reads the firing levels up to two past a row's top."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        firing = self.firing
+        self.firing = lambda top: list(firing(top + 2))
+
+
+def test_an_index_error_fails_its_suite_and_the_others_run(monkeypatch, capsys):
+    # the oracle's count table runs on the faulty kernel: dyck-cat fires at
+    # level 2 of a row one level wide, and the DP step raises IndexError
+    def count_table(config, n_max):
+        return dp.CountTable(list(Overreading(config).rows(n_max)))
+
+    monkeypatch.setattr(dp, "count_table", count_table)
+    report = verify.run_suite("all", order=20, max_n=4)
+    detail = "IndexError in dp.__call__: list index out of range"
+    assert report.failures() == [dp.Check("oracle-error", False, detail)]
+    assert len(report.checks) == 24  # the seven oracle checks are one error record
+    jsonschema.validate(report.to_json(), load_schema("verify_report"))
+    assert cli.main(["verify", "--suite", "oracle", "--order", "20", "--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"FAIL oracle-error: {detail}"
+
+
+def test_a_size_guard_propagates(monkeypatch):
+    # a refusal of the sizes asked for is no fault of a route: it is not a
+    # failed check, and the CLI exits 2
     def refuse(order, max_n):
         raise brute.SizeGuard("refusing brute-force enumeration past n=20")
 
