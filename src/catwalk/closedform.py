@@ -91,10 +91,6 @@ def disc(model: str, order: int) -> Series:
     return _poly(_KERNELS[_check_model(model)].disc, order)
 
 
-def sqrt_disc(model: str, order: int) -> Series:
-    return disc(model, order).sqrt()
-
-
 def _expand(form: str, model: str, order: int) -> Series:
     """The closed form (A + B sqrt(disc)) / D of ``form`` through z^order.
 
@@ -105,7 +101,7 @@ def _expand(form: str, model: str, order: int) -> Series:
     a, b, d = _FORMS[form, _check_model(model)]
     v = next(i for i, c in enumerate(d) if c)
     n = order + v
-    s = sqrt_disc(model, n)
+    s = disc(model, n).sqrt()
     num = _poly(a, n) + (s * b[0] if len(b) == 1 else _poly(b, n) * s)
     num, e = num.shift_down(v), d[v:]
     return num / e[0] if len(e) == 1 else num / _poly(e, order)
@@ -219,20 +215,12 @@ def fj_family(j: int, order: int) -> tuple:
     return (f, *channels(r2("skew", order), f_next))
 
 
-def g0(order: int) -> Series:
-    return fj_family(0, order)[1]
-
-
-def h0(order: int) -> Series:
-    return fj_family(0, order)[2]
-
-
 def g0_via_elimination(order: int) -> Series:
     """g0 computed the long way round, (r2 f0 - 2z f0 + z^2 f1) / (2z).
 
-    Algebraically identical to the product form of :func:`g0`; computing it
-    through a different chain of operations makes the agreement a check
-    rather than a tautology.
+    Algebraically identical to the product form g0 = (r2 - z) f1 of
+    :func:`fj_family`; computing it through a different chain of operations
+    makes the agreement a check rather than a tautology.
     """
     n = order + 1
     base = f0("skew", n)
@@ -316,8 +304,8 @@ REGISTRY = {
         Entry("f0-dyck-cat", lambda n: f0("dyck", n), DYCK_CAT, (None, 0)),
         Entry("open-dyck-cat", lambda n: open_total("dyck", n), DYCK_CAT, (None, None)),
         Entry("f0-skew-cat", lambda n: f0("skew", n), SKEW_CAT, ("F", 0)),
-        Entry("g0-skew-cat", g0, SKEW_CAT, ("G", 0)),
-        Entry("h0-skew-cat", h0, SKEW_CAT, ("H", 0)),
+        Entry("g0-skew-cat", lambda n: fj_family(0, n)[1], SKEW_CAT, ("G", 0)),
+        Entry("h0-skew-cat", lambda n: fj_family(0, n)[2], SKEW_CAT, ("H", 0)),
         Entry("fgh0-skew-cat", fgh0, SKEW_CAT, (None, 0)),
         Entry("open-skew-cat", lambda n: open_total("skew", n), SKEW_CAT, (None, None)),
     )

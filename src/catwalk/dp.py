@@ -48,8 +48,6 @@ from .model import INCOMING, LAYER_ORDER, STEP_ORDER, FinalSpec, ModelConfig
 from .model import normalize_final
 from .series import Series
 
-UP, DOWN_BLACK, DOWN_RED, CATASTROPHE = STEP_ORDER
-
 
 class State(NamedTuple):
     """An end state, the index of the paper's series f_j, g_j and h_j: a
@@ -76,13 +74,13 @@ class Transfer:
         live = [j for j, tag in enumerate(LAYER_ORDER) if j == 0 or INCOMING[tag] in config.steps]
         after = {j: config.next_steps(INCOMING[LAYER_ORDER[j]]) for j in live}
         self.sources = {step: tuple(j for j in live if step in after[j]) for step in STEP_ORDER}
-        self.lift_start = UP in config.steps and 0 not in self.sources[UP]
+        self.lift_start = "U" in config.steps and 0 not in self.sources["U"]
         self.firing = config.catastrophe.firing
         # a step's inflow is the elementwise sum of the layers that may take
         # it, for C, U, D and R in turn.  A row's step builds each sum of k >= 2
         # layers by one map(add) onto the sum of the first k - 1: (the layers,
         # the first k - 1, the last), shared prefixes once, shorter ones first
-        self._inflows = tuple(self.sources[s] for s in (CATASTROPHE, UP, DOWN_BLACK, DOWN_RED))
+        self._inflows = tuple(self.sources[s] for s in "CUDR")
         sums = (
             (layers[:k], layers[: k - 1], layers[k - 1])
             for layers in self._inflows
@@ -92,7 +90,7 @@ class Transfer:
         # per layer: the step entering it above level 0, the level that step
         # leaves less the level it enters, and the layers that may take it
         into = map(INCOMING.get, LAYER_ORDER)
-        self._into = [(s, -1 if s == UP else 1, self.sources[s]) for s in into]
+        self._into = [(s, -1 if s == "U" else 1, self.sources[s]) for s in into]
 
     def __call__(self, row: tuple, size: int) -> tuple:
         """The row one step longer, cut to levels 0..size-1 (2 <= size <= len + 1).
@@ -125,7 +123,7 @@ class Transfer:
         layer order; into any other, its entering step from each layer in
         order, then the up-step out of (F, 0) when only the start may take
         it.  x less the paths before the one it falls in is its rank there."""
-        into, cat = self._into, self.sources[CATASTROPHE]
+        into, cat = self._into, self.sources["C"]
         lifted = ("U", -1, into[0][2] + (0,) * self.lift_start)  # into (F, 1)
         fire = tuple(self.firing(len(rows) - 2))  # row t holds those up to t
         steps = ["C"] * (len(rows) - 1)  # the steps into (F, 0)
@@ -309,7 +307,7 @@ def verify_recurrences(config: ModelConfig, order: int) -> list:
         raise ValueError("order must be >= 1")
     n = order
     cat = config.catastrophe.firing(n)
-    red = DOWN_RED in config.steps
+    red = "R" in config.steps
     inflow = [f"i={i}" for i in range(n)]
     labels = {
         "up-inflow": inflow,

@@ -25,7 +25,6 @@ the red model a faithful relabelling of non-crossing geometric paths
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate
 from typing import Iterable, Union
@@ -67,8 +66,8 @@ _make_by_new = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _frozen(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of a value type whose ``__dict__``
-    holds what ``__new__`` derives from the fields: every instance is immutable."""
+    """``__setattr__`` and ``__delattr__`` of a value type with a ``__dict__``,
+    where a config keeps what ``__new__`` derives: every instance is immutable."""
     verb = "set" if value else "delete"
     raise AttributeError(f"cannot {verb} {name!r}: {type(self).__name__} is immutable")
 
@@ -102,11 +101,7 @@ class CatastropheRule(namedtuple("CatastropheRule", "kind k levels")):
             k, levels = 0, frozenset()
         else:
             raise ConfigError(f"unknown catastrophe rule kind {kind!r}")
-        self = super().__new__(cls, kind, k, levels)
-        if kind == "levels":
-            # sorted once for firing(); not a field, so ==, hash and repr ignore it
-            object.__setattr__(self, "_ascending", sorted(levels))
-        return self
+        return super().__new__(cls, kind, k, levels)
 
     _make = _make_by_new
     __setattr__ = __delattr__ = _frozen
@@ -143,7 +138,7 @@ class CatastropheRule(namedtuple("CatastropheRule", "kind k levels")):
             return range(self.k, top + 1)
         if self.kind == "even_min":
             return range(self.k + self.k % 2, top + 1, 2)
-        return self._ascending[: bisect_right(self._ascending, top)]
+        return sorted(lv for lv in self.levels if lv <= top)
 
     def to_json(self) -> dict:
         if self.kind == "none":

@@ -149,10 +149,6 @@ class Series:
             raise OrderExceeded(f"coefficient {n} beyond truncation order {self.order}")
         return self._c[n]
 
-    def coeffs(self) -> tuple:
-        """Every coefficient, each an int or a Fraction."""
-        return self._c
-
     def is_zero(self) -> bool:
         return not any(self._c)
 

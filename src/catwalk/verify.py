@@ -17,7 +17,6 @@ some fault, or follows from checks named there.
 from __future__ import annotations
 
 import time
-import traceback
 from typing import NamedTuple
 
 from . import brute, closedform as cf, dp
@@ -244,11 +243,15 @@ def _suite_oeis(order: int, max_n: int) -> list:
 
 def _crash_site(exc: Exception) -> str:
     """``module.function`` of the innermost frame of ``exc``'s traceback in a
-    catwalk module other than ``series``; the suite's own frame is one."""
+    catwalk module other than ``series``, a method named with its class where
+    the interpreter records it (3.11+); the suite's own frame is one."""
+    import traceback
+
     for frame, _ in reversed(list(traceback.walk_tb(exc.__traceback__))):
-        module = frame.f_globals["__name__"]
+        module, code = frame.f_globals["__name__"], frame.f_code
         if module.startswith("catwalk.") and module != "catwalk.series":
-            return f"{module.removeprefix('catwalk.')}.{frame.f_code.co_name}"
+            name = getattr(code, "co_qualname", code.co_name)
+            return f"{module.removeprefix('catwalk.')}.{name}"
 
 
 _SUITES = {

@@ -44,6 +44,14 @@ for name in ("r2-skew", "f0-dyck-cat", "open-skew-cat", "fgh0-skew-cat"):
     closedform.series_by_name(name, 20)
     assert spans.summary()["layers"]["series.sqrt"]["calls"] - before == 1, name
 
+# the theorem suite at order 100 takes 14 square roots; with 3 for each of
+# fj:J and hj:J and 1 for f0-dyck-cat they make the 21 that
+# bench/test_bench.py pins for an expansion round
+from catwalk import verify
+before = spans.summary()["layers"]["series.sqrt"]["calls"]
+assert verify.run_suite("theorem", 100, 12).ok
+assert spans.summary()["layers"]["series.sqrt"]["calls"] - before == 14
+
 # the sampler's spans: one build, and each draw validated once through the
 # validate_path name the sampler imports
 from catwalk import cli

@@ -27,8 +27,8 @@ TAIL_H = [0, 0, 0, 0, 0, 0, 1, 1, 7]
 
 def test_disc_and_sqrt():
     assert cf.disc("dyck", 4).as_integers() == DISC_DYCK
-    assert cf.sqrt_disc("dyck", 8).as_integers() == SQRT_DISC_DYCK
-    assert cf.sqrt_disc("skew", 8).as_integers() == SQRT_DISC_SKEW
+    assert cf.disc("dyck", 8).sqrt().as_integers() == SQRT_DISC_DYCK
+    assert cf.disc("skew", 8).sqrt().as_integers() == SQRT_DISC_SKEW
 
 
 def test_r2_expansions():
@@ -81,7 +81,8 @@ def test_open_expansions():
 def test_fgh0_expansion_and_sum():
     assert cf.fgh0(12).as_integers() == FGH0_SKEW_CAT
     n = 40
-    assert cf.fgh0(n) == cf.f0("skew", n) + cf.g0(n) + cf.h0(n)
+    _, g0, h0 = cf.fj_family(0, n)
+    assert cf.fgh0(n) == cf.f0("skew", n) + g0 + h0
 
 
 # every (A + B sqrt(disc)) / D form, as a function of the order alone
@@ -159,7 +160,7 @@ def test_channel_difference():
 
 
 def test_g0_elimination_route():
-    assert cf.g0_via_elimination(40) == cf.g0(40)
+    assert cf.g0_via_elimination(40) == cf.fj_family(0, 40)[1]
 
 
 def test_tail_sums_expansions_and_boundary():
@@ -201,7 +202,7 @@ def test_registry_names_resolve():
         s = cf.series_by_name(concrete, 9)
         assert s.order == 9
     assert cf.series_by_name("fj:3", 12) == cf.fj_family(3, 12)[0]
-    assert cf.series_by_name("gj:0", 12) == cf.g0(12)
+    assert cf.series_by_name("gj:0", 12) == cf.fj_family(0, 12)[1]
     assert cf.series_by_name("F0-Skew-Cat", 6) == cf.f0("skew", 6)
 
 
@@ -237,6 +238,6 @@ def test_counting_series_are_integral():
 
 
 def test_unknown_model_rejected():
-    for form in (cf.disc, cf.sqrt_disc, cf.r2, cf.inv_r1, cf.f0, cf.open_total):
+    for form in (cf.disc, cf.r2, cf.inv_r1, cf.f0, cf.open_total):
         with pytest.raises(ValueError):
             form("motzkin", 5)

@@ -64,18 +64,30 @@ def test_only_the_automaton_imports_the_automaton():
             assert "catwalk.automaton" not in _imports(module), module
 
 
-def test_cli_import_leaves_the_automaton_unloaded():
+def _loaded_by_cli_import(modules: set) -> str:
+    """Which of ``modules`` a fresh ``import catwalk.cli`` loads, as printed."""
     done = subprocess.run(
         [
             sys.executable, "-B", "-c",
-            "import sys, catwalk.cli; print('catwalk.automaton' in sys.modules)",
+            f"import sys, catwalk.cli; print(sorted({modules!r} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(SRC.parent)},
         timeout=60,
     )
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_leaves_the_automaton_unloaded():
+    assert _loaded_by_cli_import({"catwalk.automaton"}) == "[]\n"
+
+
+def test_cli_import_leaves_the_crash_report_modules_unloaded():
+    # verify loads traceback, and with it linecache and tokenize, only to
+    # name the crash site of a suite that raised
+    assert _loaded_by_cli_import({"traceback", "linecache", "tokenize"}) == "[]\n"
 
 
 def _nodes(module: str, kind) -> list:

@@ -81,7 +81,7 @@ def test_an_index_error_fails_its_suite_and_the_others_run(monkeypatch, capsys):
 
     monkeypatch.setattr(dp, "count_table", count_table)
     report = verify.run_suite("all", order=20, max_n=4)
-    detail = "IndexError in dp.__call__: list index out of range"
+    detail = "IndexError in dp.Transfer.__call__: list index out of range"
     assert report.failures() == [dp.Check("oracle-error", False, detail)]
     assert len(report.checks) == 24  # the seven oracle checks are one error record
     jsonschema.validate(report.to_json(), load_schema("verify_report"))
