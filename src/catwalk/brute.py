@@ -102,18 +102,27 @@ def _halves(moves, anywhere: dict, want, ending: dict, n: int) -> list:
     ]
 
 
-def census(halves) -> Counter:
+def census(halves, counted: dict | None = None) -> Counter:
     """The paths of ``halves`` counted by (layer, end level), a path's
     layer being its last letter's, F for the empty path.  Heads that share
     a list of tails share its count: each list is counted once, found by
-    its ``id`` while ``halves`` holds it, and weighted by its heads, so no
-    path is joined."""
+    its ``id``, and weighted by its heads, so no path is joined.
+
+    ``counted`` keeps each list's count, beside the list so that its id
+    stays the list's, for the next call: one dict over the lengths of one
+    :func:`red_lengths` counts the lists of k-step tails its memo shares
+    between lengths 2k - 1 and 2k once."""
+    if counted is None:
+        counted = {}
     weights = Counter(id(tails) for _, tails, _ in halves)
+    for _, tails, ends in halves:
+        if id(tails) not in counted:
+            layers = map(ENTRY_LAYER.get, map(_last, tails), repeat("F"))
+            counted[id(tails)] = (tails, Counter(zip(layers, ends)))
     out: Counter = Counter()
-    for tails, ends in {id(t): (t, e) for _, t, e in halves}.values():
-        layers = map(ENTRY_LAYER.get, map(_last, tails), repeat("F"))
-        for key, count in Counter(zip(layers, ends)).items():
-            out[key] += weights[id(tails)] * count
+    for key, weight in weights.items():
+        for state, count in counted[key][1].items():
+            out[state] += weight * count
     return out
 
 

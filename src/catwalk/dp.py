@@ -210,12 +210,19 @@ def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
 def view_series(config: ModelConfig, order: int, views) -> list:
     """One series per (layer, level) view, None meaning any: the counts of
     lengths 0..order that end there, read off the rows cut at the
-    :func:`horizon` of the highest level a view reads, holding one row."""
+    :func:`horizon` of the highest level a view reads, holding one row.
+    A view of one layer and one level is one index into the row, 0 past
+    the row's width or below level 0; any other view is :func:`ending`'s."""
     top = max((level for _, level in views if level is not None), default=None)
     columns = [[] for _ in views]
+    layers = [None if None in view else LAYER_ORDER.index(view[0]) for view in views]
     for row in Transfer(config).rows(order, horizon(config, order, top)):
-        for column, view in zip(columns, views):
-            column.append(ending(row, *view))
+        for column, (layer, level), j in zip(columns, views, layers):
+            if j is None:
+                column.append(ending(row, layer, level))
+            else:
+                vec = row[j]
+                column.append(vec[level] if 0 <= level < len(vec) else 0)
     return [Series(column) for column in columns]
 
 

@@ -161,8 +161,13 @@ class Series:
 
     def first_difference(self, other: "Series") -> int | None:
         """The lowest power of z whose coefficients differ over the common
-        order, or None if they all agree."""
-        return next((n for n, (x, y) in enumerate(zip(self._c, other._c)) if x != y), None)
+        order, or None if they all agree: the common prefixes are compared
+        as tuples first, and searched only when they differ."""
+        n = min(len(self._c), len(other._c))
+        a, b = self._c[:n], other._c[:n]
+        if a == b:
+            return None
+        return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
 
     def as_integers(self) -> list:
         """The coefficients as Python ints.
@@ -234,7 +239,8 @@ class Series:
         ``self`` must vanish at least to order ``v`` as well, the common
         factor ``z^v`` is cancelled, and the result is truncated at
         ``min(orders) - v``.  Each coefficient takes one exact quotient,
-        q_k = (a_k - sum_j b_j q_{k-j}) / b_0, over the divisor's span.
+        q_k = (a_k - sum_j b_j q_{k-j}) / b_0, the sum running over the
+        divisor's nonzero taps b_j, j >= 1, as in :meth:`sqrt`.
         """
         if not isinstance(other, Series):
             raise TypeError("div expects a Series")
@@ -252,14 +258,15 @@ class Series:
                 raise ValuationError(
                     f"divisor valuation {v} exceeds working order {n}"
                 )
-        a = self._c[v : n + 1]
-        b = other._c[v : n + 1]
-        b = b[: _span(b)]
-        b0, tail = b[0], b[1:]
+        b0 = other._c[v]
+        taps = [(j, b) for j, b in enumerate(other._c[v + 1 : n + 1], 1) if b]
         out: list = []
-        for k, ak in enumerate(a):
-            j = min(k, len(tail))
-            out.append(_quotient(ak - sum(map(mul, tail[:j], reversed(out[k - j : k]))), b0))
+        for k, ak in enumerate(self._c[v : n + 1]):
+            for j, b in taps:
+                if j > k:
+                    break
+                ak -= b * out[k - j]
+            out.append(_quotient(ak, b0))
         return Series._of(out)
 
     def pow(self, k: int) -> "Series":

@@ -17,6 +17,7 @@ some fault, or follows from checks named there.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import NamedTuple
 
 from . import brute, closedform as cf, dp
@@ -117,10 +118,11 @@ def _suite_oracle(order: int, max_n: int) -> list:
     for name, config in variants.items():
         table = dp.count_table(config, max_n)
         ok, detail = True, f"enumeration matches table for n <= {max_n}"
+        tail_counts: dict = {}  # each list of tails with its count, across lengths
         for n, halves in enumerate(brute.red_lengths(config, max_n)):
             if name == "skew" and n <= geo_cap:
                 skew[n] = brute.join(halves)
-            listed, counted = brute.census(halves), table.final_counts(n)
+            listed, counted = brute.census(halves, tail_counts), table.final_counts(n)
             if listed != counted:
                 # the first (layer, level) in sorted order whose counts differ
                 key = min(
@@ -153,20 +155,37 @@ def _suite_theorem(order: int, max_n: int) -> list:
     checks = []
     n = order
     z = Series.z(n)
-    two_m_z2 = Series([2, 0, -1], order=n)
-    r2 = cf.r2("skew", n)
     j_top = 10
-    # the ladder `series --gf fj:J` prints, checked here against r2 and the DP
-    fj = cf.level_ladder(j_top + 1, n)
-    f0 = fj[0]
-    # ladder between consecutive level series, multiplied out to avoid 1/r1
-    checks.append(
-        compare(
-            "level-ladder",
-            ((f"j={j}", two_m_z2 * fj[j + 1], r2 * fj[j]) for j in range(j_top + 1)),
-            f"(2 - z^2) f_(j+1) == r2 f_j for j <= {j_top}",
+    # the ladder `series --gf fj:J` prints, checked here against r2 and the
+    # DP; the level-ladder check reads it and r2 j_top - 1 orders past n,
+    # every other check at n
+    big = n + j_top - 1
+    ladder, r2_big = cf.level_ladder(j_top + 1, big), cf.r2("skew", big)
+    fj = [f.truncate(n) for f in ladder]
+    f0, r2 = fj[0], r2_big.truncate(n)
+    # e_j = (2 - z^2) f_(j+1) - r2 f_j vanishes for every j, multiplied out
+    # to avoid 1/r1.  Only e_0 and e_1 are formed; the kernel's rungs
+    #     rho_j = z (2 - z^2) f_(j+1) - (1 + z^2) f_j + z f_(j-1) = 0
+    # for 1 <= j <= j_top multiply sparse polynomials only.  r2 is a root of
+    # the kernel z u^2 - (1 + z^2) u + z (2 - z^2), so
+    #     z r2 e_j = z e_(j-1) + r2 rho_j,
+    # and z r2 = 2 z^2 + ...: each rung costs e_j one order.  With all of
+    # them compared through z^big, e_j = 0 holds through z^(big - j + 1),
+    # at least z^n, for every j <= j_top.
+    two_m_z2 = Series([2, 0, -1], order=big)
+    one_p_z2 = Series([1, 0, 1], order=big)
+    z_big = Series.z(big)
+    roots = ((f"j={j}", two_m_z2 * ladder[j + 1], r2_big * ladder[j]) for j in (0, 1))
+    rungs = (
+        (
+            f"rung j={j}",
+            z_big * two_m_z2 * ladder[j + 1],
+            one_p_z2 * ladder[j] - z_big * ladder[j - 1],
         )
+        for j in range(1, j_top + 1)
     )
+    detail = f"(2 - z^2) f_(j+1) == r2 f_j for j <= {j_top}"
+    checks.append(compare("level-ladder", chain(roots, rungs), detail))
     # g_j and h_j as `series --gf gj:J|hj:J` forms them, for the levels the
     # DP checks below read
     j_dp = 5

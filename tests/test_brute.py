@@ -230,6 +230,26 @@ def test_census_of_the_junctions_is_the_census_of_the_paths(name):
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
+def test_census_counts_each_list_once_across_lengths(name):
+    # one dict of counts over every length of one memo holds one count per
+    # list, beside the list itself
+    counted: dict = {}
+    ids: set = set()
+    per_length = 0
+    for n, halves in enumerate(brute.red_lengths(VARIANTS[name], 12)):
+        assert brute.census(halves, counted) == brute.census(halves), n
+        lists = {id(tails) for _, tails, _ in halves}
+        ids |= lists
+        per_length += len(lists)
+    assert set(counted) == ids
+    assert all(id(tails) == key for key, (tails, _) in counted.items())
+    if name in ("dyck-cat", "skew-cat"):
+        # catastrophes from odd levels mix the parities of the levels, so
+        # lengths 2k - 1 and 2k read some lists of k-step tails both
+        assert len(ids) < per_length
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
 def test_one_memo_of_every_length_lists_the_halves_of_each(name):
     config = VARIANTS[name]
     for n, halves in enumerate(brute.red_lengths(config, 12)):

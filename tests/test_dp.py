@@ -377,6 +377,17 @@ def test_view_series_with_merged_levels_equals_the_full_rows(rule):
             assert dp.view_series(config, order, []) == []
 
 
+def test_a_layer_level_view_reads_zero_off_the_row():
+    # a (layer, level) view is one index into the row, which reads 0 below
+    # level 0 and past the row's width, as ending does
+    views = [(F, -1), (G, -3), (H, 0), (G, 1), (F, 12)]
+    for config in (SKEW_CAT, DYCK_CAT):
+        rows = list(dp.Transfer(config).rows(10))
+        got = [s.as_integers() for s in dp.view_series(config, 10, views)]
+        assert got == [[dp.ending(row, *view) for row in rows] for view in views], config
+        assert got[0] == got[1] == got[4] == [0] * 11
+
+
 def _row_widths(monkeypatch, build, n) -> list:
     """The width of each row that ``build()`` steps to, in order of length."""
     widths = []

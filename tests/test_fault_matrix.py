@@ -121,7 +121,11 @@ def drop_path(config, n=6):
 def census_weight(mp):
     """``census`` weights each shared list of tails by 1, not by its heads."""
     original = brute.census
-    mp.setattr(brute, "census", lambda hs: original({id(t): (h, t, e) for h, t, e in hs}.values()))
+    mp.setattr(
+        brute,
+        "census",
+        lambda hs, *rest: original({id(t): (h, t, e) for h, t, e in hs}.values(), *rest),
+    )
 
 
 def even_min_fires_odd(attr):
@@ -216,6 +220,8 @@ FAULTS = {
         },
     ),
     "ladder-f8": (returns(cf, "level_ladder", at(8)), {"level-ladder"}),
+    # only the top rung of the level-ladder check reads f_11
+    "ladder-f11": (returns(cf, "level_ladder", at(11)), {"level-ladder"}),
     "channels-g": (
         returns(cf, "channels", at(0)),
         {"g0-elimination", "axis-sum", "dp-g0-skew-cat", "dp-level-family"},

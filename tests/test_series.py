@@ -97,6 +97,17 @@ def test_div_errors():
         Series.zero(2) / Series([0, 0, 0, 1])
 
 
+def test_first_difference_over_the_common_order():
+    s = Series([1, 2, 3, 4])
+    assert s.first_difference(Series([1, 2, 3, 4])) is None
+    assert s.first_difference(Series([1, 2, 3])) is None  # the common order is 2
+    assert s.first_difference(Series([1, 2, 5, 4, 9])) == 2
+    assert Series([0, 1]).first_difference(Series([1, 1])) == 0
+    # an integral Fraction is the int of the same value
+    assert s.first_difference(Series([1, Fraction(4, 2), 3, 4])) is None
+    assert Series([1, Fraction(1, 2)]).first_difference(Series([1, Fraction(1, 3)])) == 1
+
+
 def test_scalar_division():
     s = Series([2, 4]) / 2
     assert s == Series([1, 2])
@@ -257,6 +268,30 @@ def test_engine_div_matches_reference(lead):
         assert q.order == 13 - v
         assert q == Series(ref_div(a, b))
         assert q * Series(b[v:]) == Series(a[v:])
+
+
+@pytest.mark.parametrize("lead", [2, -5, Fraction(2, 3)])
+def test_div_over_sparse_divisors_matches_reference(lead):
+    # the quotient runs over the divisor's nonzero taps: divisors with zero
+    # taps inside, trailing zeros and valuation up to 2, over integer
+    # dividends, so each quotient is an int where it is exact and a Fraction
+    # where it is not
+    rng = random.Random(6007)
+    kinds = set()
+    for _ in range(40):
+        v = rng.randrange(0, 3)
+        inner = [Fraction(rng.randint(-6, 6)) if rng.random() < 0.4 else Fraction(0) for _ in range(6)]
+        inner[rng.randrange(6)] = Fraction(0)
+        b = [Fraction(0)] * v + [Fraction(lead)] + inner + [Fraction(0)] * rng.randint(1, 5)
+        a = [Fraction(0)] * v + [Fraction(rng.randint(-9, 9)) for _ in range(len(b) - v)]
+        q = Series(a) / Series(b)
+        want = ref_div(a, b)
+        assert q == Series(want)
+        types = [type(q.coeff(i)) for i in range(q.order + 1)]
+        assert types == [int if c.denominator == 1 else Fraction for c in want]
+        assert q * Series(b[v:]) == Series(a[v:])
+        kinds.update(types)
+    assert kinds == {int, Fraction}
 
 
 def test_engine_sqrt_matches_reference_on_fractional_series():

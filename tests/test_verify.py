@@ -146,6 +146,26 @@ def test_theorem_suite_checks_every_registry_view():
     assert checked - {"level-family"} == set(DP_VIEWED)
 
 
+def test_theorem_suite_forms_few_dense_products(monkeypatch):
+    # level-ladder forms (2 - z^2) f_(j+1) - r2 f_j for j = 0 and 1 only and
+    # climbs the kernel's rungs by sparse products; with one dense product
+    # per rung the suite formed 26
+    dense = []
+    mul = Series.__mul__
+
+    def nonzero(s):
+        return sum(1 for i in range(s.order + 1) if s.coeff(i))
+
+    def counting(self, other):
+        if isinstance(other, Series) and min(nonzero(self), nonzero(other)) >= 10:
+            dense.append((self.order, other.order))
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    assert verify.run_suite("theorem", 100, 12).ok
+    assert len(dense) <= 17
+
+
 def test_oracle_suite_reaches_the_brute_force_limit_in_bounded_memory():
     # the peak measured 26.9 MiB traced (CPython 3.11); the enumeration of
     # every length afresh that this replaced reached 140 MB RSS at max_n = 18
