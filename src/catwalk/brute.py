@@ -102,7 +102,7 @@ def _halves(moves, anywhere: dict, want, ending: dict, n: int) -> list:
     ]
 
 
-def census(halves, counted: dict | None = None) -> Counter:
+def census(halves, counted: dict) -> Counter:
     """The paths of ``halves`` counted by (layer, end level), a path's
     layer being its last letter's, F for the empty path.  Heads that share
     a list of tails share its count: each list is counted once, found by
@@ -112,8 +112,6 @@ def census(halves, counted: dict | None = None) -> Counter:
     stays the list's, for the next call: one dict over the lengths of one
     :func:`red_lengths` counts the lists of k-step tails its memo shares
     between lengths 2k - 1 and 2k once."""
-    if counted is None:
-        counted = {}
     weights = Counter(id(tails) for _, tails, _ in halves)
     for _, tails, ends in halves:
         if id(tails) not in counted:

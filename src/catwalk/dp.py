@@ -168,11 +168,17 @@ class Transfer:
 
 
 def ending(row: tuple, layer: str | None, level: int | None) -> int:
-    """The paths of one row that end in (layer, level), None meaning any."""
-    vecs = row if layer is None else (row[LAYER_ORDER.index(layer)],)
+    """The paths of one row that end in (layer, level), None meaning any;
+    0 at a level below 0 or past the row's width, and one index into the
+    row when both are given."""
     if level is None:
+        vecs = row if layer is None else (row[LAYER_ORDER.index(layer)],)
         return sum(map(sum, vecs))
-    return sum(vec[level] for vec in vecs) if 0 <= level < len(row[0]) else 0
+    if not 0 <= level < len(row[0]):
+        return 0
+    if layer is None:
+        return sum(vec[level] for vec in row)
+    return row[LAYER_ORDER.index(layer)][level]
 
 
 def horizon(config: ModelConfig, n: int, level: int | None) -> int:
@@ -210,19 +216,12 @@ def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
 def view_series(config: ModelConfig, order: int, views) -> list:
     """One series per (layer, level) view, None meaning any: the counts of
     lengths 0..order that end there, read off the rows cut at the
-    :func:`horizon` of the highest level a view reads, holding one row.
-    A view of one layer and one level is one index into the row, 0 past
-    the row's width or below level 0; any other view is :func:`ending`'s."""
+    :func:`horizon` of the highest level a view reads, holding one row."""
     top = max((level for _, level in views if level is not None), default=None)
     columns = [[] for _ in views]
-    layers = [None if None in view else LAYER_ORDER.index(view[0]) for view in views]
     for row in Transfer(config).rows(order, horizon(config, order, top)):
-        for column, (layer, level), j in zip(columns, views, layers):
-            if j is None:
-                column.append(ending(row, layer, level))
-            else:
-                vec = row[j]
-                column.append(vec[level] if 0 <= level < len(vec) else 0)
+        for column, view in zip(columns, views):
+            column.append(ending(row, *view))
     return [Series(column) for column in columns]
 
 

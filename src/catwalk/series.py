@@ -161,13 +161,8 @@ class Series:
 
     def first_difference(self, other: "Series") -> int | None:
         """The lowest power of z whose coefficients differ over the common
-        order, or None if they all agree: the common prefixes are compared
-        as tuples first, and searched only when they differ."""
-        n = min(len(self._c), len(other._c))
-        a, b = self._c[:n], other._c[:n]
-        if a == b:
-            return None
-        return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+        order, or None if they all agree."""
+        return next((n for n, (x, y) in enumerate(zip(self._c, other._c)) if x != y), None)
 
     def as_integers(self) -> list:
         """The coefficients as Python ints.

@@ -166,12 +166,16 @@ def _suite_theorem(order: int, max_n: int) -> list:
     # e_j = (2 - z^2) f_(j+1) - r2 f_j vanishes for every j, multiplied out
     # to avoid 1/r1.  Only e_0 and e_1 are formed; the kernel's rungs
     #     rho_j = z (2 - z^2) f_(j+1) - (1 + z^2) f_j + z f_(j-1) = 0
-    # for 1 <= j <= j_top multiply sparse polynomials only.  r2 is a root of
-    # the kernel z u^2 - (1 + z^2) u + z (2 - z^2), so
-    #     z r2 e_j = z e_(j-1) + r2 rho_j,
-    # and z r2 = 2 z^2 + ...: each rung costs e_j one order.  With all of
-    # them compared through z^big, e_j = 0 holds through z^(big - j + 1),
-    # at least z^n, for every j <= j_top.
+    # for 1 <= j <= j_top multiply sparse polynomials only.  With the kernel
+    # K(u) = z u^2 - (1 + z^2) u + z (2 - z^2),
+    #     z r2 e_j = z e_(j-1) + r2 rho_j - f_j K(r2),
+    # and z r2 = 2 z^2 + ...: while K(r2) = 0, each rung costs e_j one
+    # order, and with all of them compared through z^big, e_j = 0 holds
+    # through z^(big - j + 1), at least z^n, for every j <= j_top.  e_0
+    # cannot show K(r2) = 0: f_1 = f_0 r2 / (2 - z^2) takes r2's square
+    # root, so e_0 vanishes for any root of the discriminant.  e_1 =
+    # -f_0 K(r2) / (z (2 - z^2)) can: comparing it directly pins K(r2) = 0
+    # through z^big, which the rungs need, so e_1 is not folded into them.
     two_m_z2 = Series([2, 0, -1], order=big)
     one_p_z2 = Series([1, 0, 1], order=big)
     z_big = Series.z(big)

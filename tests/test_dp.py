@@ -378,8 +378,8 @@ def test_view_series_with_merged_levels_equals_the_full_rows(rule):
 
 
 def test_a_layer_level_view_reads_zero_off_the_row():
-    # a (layer, level) view is one index into the row, which reads 0 below
-    # level 0 and past the row's width, as ending does
+    # ending reads a (layer, level) view by one index into the row, and 0
+    # below level 0 and past the row's width
     views = [(F, -1), (G, -3), (H, 0), (G, 1), (F, 12)]
     for config in (SKEW_CAT, DYCK_CAT):
         rows = list(dp.Transfer(config).rows(10))

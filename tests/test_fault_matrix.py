@@ -124,7 +124,7 @@ def census_weight(mp):
     mp.setattr(
         brute,
         "census",
-        lambda hs, *rest: original({id(t): (h, t, e) for h, t, e in hs}.values(), *rest),
+        lambda hs, counted: original({id(t): (h, t, e) for h, t, e in hs}.values(), counted),
     )
 
 
@@ -222,6 +222,10 @@ FAULTS = {
     "ladder-f8": (returns(cf, "level_ladder", at(8)), {"level-ladder"}),
     # only the top rung of the level-ladder check reads f_11
     "ladder-f11": (returns(cf, "level_ladder", at(11)), {"level-ladder"}),
+    # every square root taken past the suite's order gains z^(ORDER + 10):
+    # only the ladder check, at ORDER + 9, reads so far, and there only its
+    # direct e_1 comparison sees that r2 is no longer a root of the kernel
+    "sqrt-past-order": (returns(Series, "sqrt", lambda s: plus(s, ORDER + 10)), {"level-ladder"}),
     "channels-g": (
         returns(cf, "channels", at(0)),
         {"g0-elimination", "axis-sum", "dp-g0-skew-cat", "dp-level-family"},
