@@ -361,7 +361,7 @@ def _verify_args(p) -> None:
     p.add_argument(
         "--suite", choices=verify_mod.SUITES, default="all", help="which suite to run"
     )
-    p.add_argument("--order", type=_positive, default=100, help="series comparison order")
+    p.add_argument("--order", type=_nonneg, default=100, help="series comparison order")
     p.add_argument(
         "--max-n", type=_nonneg, default=12, help="brute-force enumeration bound"
     )

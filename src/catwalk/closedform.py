@@ -192,34 +192,33 @@ def level_ladder(top: int, order: int) -> list:
     return [f.truncate(order) for f in ladder]
 
 
-def channels(rt: Series, f_next: Series) -> tuple:
-    """(g_j, h_j) of the red catastrophe model from r2 and f_{j+1}:
-    g_j = (r2 - z) f_{j+1} and h_j = g_j - z f_{j+1}, at their common order."""
+def level_family(ladder: list, rt: Series, j: int) -> tuple:
+    """(f_j, g_j, h_j) of the red catastrophe model from a :func:`level_ladder`
+    that reaches f_{j+1} and from r2: g_j = (r2 - z) f_{j+1} and
+    h_j = g_j - z f_{j+1}, at their common order."""
+    f_next = ladder[j + 1]
     zf = f_next.shift_up()
     g = rt * f_next - zf
-    return g, g - zf
+    return ladder[j], g, g - zf
 
 
 def fj_family(j: int, order: int) -> tuple:
-    """The level-j layer series (f_j, g_j, h_j) of the red catastrophe model.
-
-    f_j and f_{j+1} come off :func:`level_ladder`, and g_j and h_j are
-    :func:`channels` of r2 and f_{j+1}, the code the theorem suite checks.
-    """
+    """The level-j layer series (f_j, g_j, h_j) of the red catastrophe model:
+    :func:`level_family` of the ladder to f_{j+1} and r2, the function the
+    theorem suite checks."""
     if j < 0:
         raise ValueError("level index must be >= 0")
     if j > order:
         # q has valuation 1, so every factor q^j vanishes through z^order
         return (Series.zero(order),) * 3
-    f, f_next = level_ladder(j + 1, order)[j:]
-    return (f, *channels(r2("skew", order), f_next))
+    return level_family(level_ladder(j + 1, order), r2("skew", order), j)
 
 
 def g0_via_elimination(order: int) -> Series:
     """g0 computed the long way round, (r2 f0 - 2z f0 + z^2 f1) / (2z).
 
     Algebraically identical to the product form g0 = (r2 - z) f1 of
-    :func:`fj_family`; computing it through a different chain of operations
+    :func:`level_family`; computing it through a different chain of operations
     makes the agreement a check rather than a tautology.
     """
     n = order + 1

@@ -24,12 +24,12 @@ a level read only after a catastrophe, at (F, 0) like any other path.  All
 those levels of a layer have the same completions: the rows sum them into
 one top slot, and the row at length t is min(t, n - t + c) + 1 levels wide,
 not t + 1.  Each row total stays exact, and so does each level below c.
-:func:`horizon` gives the c that :func:`count` and :func:`view_series`
-pass.  The sampler passes c = want + 1 only for a fixed end level and no
-catastrophe firing within n: :meth:`Transfer.unrank` places a catastrophe
-by the paths at each firing level of a row on its own, which a top slot
-would pool, and an open draw reads every end level.  The table and the
-recurrence checks compare every level, so they step full rows.
+:func:`horizon` gives the c that :func:`count`, :func:`view_series` and
+the sampler pass.  The sampler cuts only for a fixed end level and no
+catastrophe firing within n, where c = want + 1: :meth:`Transfer.unrank`
+places a catastrophe by the paths at each firing level of a row on its
+own, which a top slot would pool, and an open draw reads every end level.
+The table and the recurrence checks compare every level, on full rows.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, by whole-row comparisons, the step-inflow identities the

@@ -39,8 +39,8 @@ class Sampler:
 
     When the end level is fixed and no catastrophe fires within the length,
     a path above that level plus the steps left cannot come down in time:
-    the rows merge those levels into one top slot (c = want + 1 in
-    :meth:`dp.Transfer.rows`), and no draw reads it.
+    the rows are cut at :func:`dp.horizon`, which merges those levels into
+    one top slot, and no draw reads it.
     """
 
     def __init__(self, config: ModelConfig, n: int, final: FinalSpec = "closed"):
@@ -48,7 +48,7 @@ class Sampler:
         self.want = normalize_final(final)
         self._step = dp.Transfer(config)
         full = self.want is None or config.catastrophe.firing(n)
-        self._rows = list(self._step.rows(n, None if full else self.want + 1))
+        self._rows = list(self._step.rows(n, None if full else dp.horizon(config, n, self.want)))
         self.total = dp.ending(self._rows[n], None, self.want)
         if self.total == 0:
             raise EmptyEnsemble(

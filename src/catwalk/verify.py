@@ -162,7 +162,7 @@ def _suite_theorem(order: int, max_n: int) -> list:
     big = n + j_top - 1
     ladder, r2_big = cf.level_ladder(j_top + 1, big), cf.r2("skew", big)
     fj = [f.truncate(n) for f in ladder]
-    f0, r2 = fj[0], r2_big.truncate(n)
+    r2 = r2_big.truncate(n)
     # e_j = (2 - z^2) f_(j+1) - r2 f_j vanishes for every j, multiplied out
     # to avoid 1/r1.  Only e_0 and e_1 are formed; the kernel's rungs
     #     rho_j = z (2 - z^2) f_(j+1) - (1 + z^2) f_j + z f_(j-1) = 0
@@ -190,11 +190,10 @@ def _suite_theorem(order: int, max_n: int) -> list:
     )
     detail = f"(2 - z^2) f_(j+1) == r2 f_j for j <= {j_top}"
     checks.append(compare("level-ladder", chain(roots, rungs), detail))
-    # g_j and h_j as `series --gf gj:J|hj:J` forms them, for the levels the
-    # DP checks below read
+    # (f_j, g_j, h_j) as `series --gf fj:J|gj:J|hj:J` forms them, for the
+    # levels the DP checks below read
     j_dp = 5
-    gh = [cf.channels(r2, fj[j + 1]) for j in range(j_dp + 1)]
-    g0, h0 = gh[0]
+    (f0, g0, h0), *levels = [cf.level_family(fj, r2, j) for j in range(j_dp + 1)]
 
     sf, sg, sh = cf.tail_sums(n)
     for name, lhs, rhs, detail in (
@@ -211,8 +210,8 @@ def _suite_theorem(order: int, max_n: int) -> list:
     viewed = [e for e in cf.REGISTRY.values() if e.view is not None]
     family = [
         (cf.lookup(f"{head}:{j}"), series)
-        for j in range(1, j_dp + 1)
-        for head, series in zip(("fj", "gj", "hj"), (fj[j], *gh[j]))
+        for j, fgh in enumerate(levels, 1)
+        for head, series in zip(("fj", "gj", "hj"), fgh)
     ]
     entries = viewed + [e for e, _ in family]
     counted: dict = {}  # model -> view -> its counts as a series

@@ -32,6 +32,8 @@ assert spans.summary()["counters"]["dp.table_entries"] > 0
 # climbs without powers, so the tail sums' q^2 is what runs through Series.pow
 closedform.series_by_name("fj:2", 20)
 assert spans.summary()["layers"]["series.sqrt"]["calls"] == 3, spans.summary()["layers"]
+closedform.series_by_name("hj:3", 20)  # f0, r2 and 1/r1 again, through level_family
+assert spans.summary()["layers"]["series.sqrt"]["calls"] == 6, spans.summary()["layers"]
 closedform.tail_sums(20)
 layers = spans.summary()["layers"]
 for name in ("series.mul", "series.sqrt", "series.div", "series.pow"):

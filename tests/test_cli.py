@@ -528,6 +528,20 @@ def test_verify_csv(capsys):
     assert all(row[1] == "pass" for row in rows[1:])
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_verify_order_has_one_bound(order, capsys):
+    # the parser reads any natural order; run_suite alone refuses one below 2
+    code, out, err = run(capsys, "verify", "--suite", "kernel", "--order", order)
+    assert (code, out, err) == (2, "", "error: order must be >= 2\n")
+
+
+def test_sample_count_must_be_positive(capsys):
+    argv = ["sample", "--model", "dyck", "--n", "4", "--closed", "--count", "0"]
+    code, out, err = _parsed(cli.main, argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("catwalk sample: error: argument --count: must be >= 1\n")
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(

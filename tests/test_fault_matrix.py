@@ -170,6 +170,11 @@ def level_view_one_up(mp):
     mp.setattr(cf, "lookup", faulty)
 
 
+def swap_g_and_h(mp):
+    """``level_family`` returns (f_j, h_j, g_j) for (f_j, g_j, h_j)."""
+    returns(cf, "level_family", lambda fgh: (fgh[0], fgh[2], fgh[1]))(mp)
+
+
 def red_drawn_south_east(mp):
     """``red_to_geometric`` draws a red step like a black one."""
     mp.setitem(brute._RED_TO_GEO, "R", brute._RED_TO_GEO["D"])
@@ -227,11 +232,16 @@ FAULTS = {
     # direct e_1 comparison sees that r2 is no longer a root of the kernel
     "sqrt-past-order": (returns(Series, "sqrt", lambda s: plus(s, ORDER + 10)), {"level-ladder"}),
     "channels-g": (
-        returns(cf, "channels", at(0)),
+        returns(cf, "level_family", at(1)),
         {"g0-elimination", "axis-sum", "dp-g0-skew-cat", "dp-level-family"},
     ),
     "channels-h": (
-        returns(cf, "channels", at(1)), {"axis-sum", "dp-h0-skew-cat", "dp-level-family"}
+        returns(cf, "level_family", at(2)), {"axis-sum", "dp-h0-skew-cat", "dp-level-family"}
+    ),
+    # g and h trade places: their sum, and so axis-sum, stays right
+    "level-family-swap": (
+        swap_g_and_h,
+        {"dp-g0-skew-cat", "dp-h0-skew-cat", "dp-level-family", "g0-elimination"},
     ),
     "tail-sums-g": (returns(cf, "tail_sums", at(1)), {"axis-boundary-tails"}),
     "g0-elimination": (returns(cf, "g0_via_elimination", plus), {"g0-elimination"}),
@@ -398,3 +408,11 @@ def test_a_crashing_suite_is_a_failed_check_of_the_report(monkeypatch, capsys):
         "dividend has valuation 0, divisor has valuation 1" in lines
     )
     assert lines[-1].startswith("suite=all checks=19 failures=2 ")
+
+
+def test_series_and_the_suite_read_one_level_family(monkeypatch, capsys):
+    # the plant the suite's level-family-swap row fails on also breaks what
+    # `series --gf` prints: both form g_j and h_j through level_family
+    swap_g_and_h(monkeypatch)
+    code = cli.main(["series", "--gf", "g0-skew-cat", "--order", "10", "--check-dp"])
+    assert (code, capsys.readouterr()) == (1, ("", "mismatch at z^2: closed form 0, table 1\n"))
