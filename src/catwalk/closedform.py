@@ -215,33 +215,35 @@ def fj_family(j: int, order: int) -> tuple:
 
 
 def g0_via_elimination(order: int) -> Series:
-    """g0 computed the long way round, (r2 f0 - 2z f0 + z^2 f1) / (2z).
+    """g0 computed the long way round, f0 (r2 - 2z + z^2 q) / (2z), q = 1/r1.
 
     Algebraically identical to the product form g0 = (r2 - z) f1 of
-    :func:`level_family`; computing it through a different chain of operations
+    :func:`level_family`, since f1 = f0 q; computing it through a different
+    chain of operations, one product of f0 with a sum of the kernel roots,
     makes the agreement a check rather than a tautology.
     """
     n = order + 1
     base = f0("skew", n)
-    f1 = base * inv_r1("skew", n)
-    rt = r2("skew", n)
-    z = Series.z(n)
-    num = (rt - 2 * z) * base + z * z * f1
+    num = base * (r2("skew", n) - 2 * Series.z(n) + inv_r1("skew", n).shift_up(2))
     return num.shift_down(1) / 2
 
 
 def tail_sums(order: int) -> tuple:
     """Sums over levels j >= 2 of (f_j, g_j, h_j), as three series.
 
-    Geometric in q = 1/r1:  sum f_j = f_0 q^2 / (1 - q), and the g and h
-    tails carry the extra factors (r2 - z) q and (r2 - 2z) q.
+    Geometric in q = 1/r1:  S = sum f_j = f_2 / (1 - q), f_2 = f_0 q^2.
+    g_j = (r2 - z) f_{j+1} and h_j = g_j - z f_{j+1}, so the g and h tails
+    are (r2 - z) T and (r2 - z) T - z T, with T = S - f_2 = sum_{j>=3} f_j:
+    one product for both.
     """
     base = f0("skew", order)
     q = inv_r1("skew", order)
-    z = Series.z(order)
     rt = r2("skew", order)
-    geom = base * q.pow(2) / (1 - q)
-    return (geom, (rt - z) * q * geom, (rt - 2 * z) * q * geom)
+    f2 = base * q.pow(2)
+    s = f2 / (1 - q)
+    t = s - f2
+    g = (rt - Series.z(order)) * t
+    return (s, g, g - t.shift_up())
 
 
 # -- reference sequences ---------------------------------------------------

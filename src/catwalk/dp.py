@@ -216,12 +216,21 @@ def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
 def view_series(config: ModelConfig, order: int, views) -> list:
     """One series per (layer, level) view, None meaning any: the counts of
     lengths 0..order that end there, read off the rows cut at the
-    :func:`horizon` of the highest level a view reads, holding one row."""
+    :func:`horizon` of the highest level a view reads, holding one row.  A
+    view naming both is one index into the row, 0 at a level below 0 or
+    past the row's width, as :func:`ending` reads it; any other view goes
+    through :func:`ending`."""
     top = max((level for _, level in views if level is not None), default=None)
     columns = [[] for _ in views]
+    slots = [None if None in view else LAYER_ORDER.index(view[0]) for view in views]
     for row in Transfer(config).rows(order, horizon(config, order, top)):
-        for column, view in zip(columns, views):
-            column.append(ending(row, *view))
+        width = len(row[0])
+        for column, view, slot in zip(columns, views, slots):
+            if slot is None:
+                column.append(ending(row, *view))
+            else:
+                level = view[1]
+                column.append(row[slot][level] if 0 <= level < width else 0)
     return [Series(column) for column in columns]
 
 

@@ -163,6 +163,18 @@ def test_g0_elimination_route():
     assert cf.g0_via_elimination(40) == cf.fj_family(0, 40)[1]
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 30])
+def test_second_routes_equal_the_ladder(n):
+    # f_j has valuation >= j, so the levels 2 <= j <= n give every tail
+    # sum exactly through z^n; g0's elimination route is g0 of fj_family
+    ladder, r2 = cf.level_ladder(n + 1, n), cf.r2("skew", n)
+    sums = [Series.zero(n)] * 3
+    for j in range(2, n + 1):
+        sums = [s + x for s, x in zip(sums, cf.level_family(ladder, r2, j))]
+    assert list(cf.tail_sums(n)) == sums
+    assert cf.g0_via_elimination(n) == cf.fj_family(0, n)[1]
+
+
 def test_tail_sums_expansions_and_boundary():
     sf, sg, sh = cf.tail_sums(8)
     assert sf.as_integers() == TAIL_F

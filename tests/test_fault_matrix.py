@@ -243,7 +243,9 @@ FAULTS = {
         swap_g_and_h,
         {"dp-g0-skew-cat", "dp-h0-skew-cat", "dp-level-family", "g0-elimination"},
     ),
+    "tail-sums-f": (returns(cf, "tail_sums", at(0)), {"axis-boundary-tails"}),
     "tail-sums-g": (returns(cf, "tail_sums", at(1)), {"axis-boundary-tails"}),
+    "tail-sums-h": (returns(cf, "tail_sums", at(2)), {"axis-boundary-tails"}),
     "g0-elimination": (returns(cf, "g0_via_elimination", plus), {"g0-elimination"}),
     "kernel-at": (
         returns(cf, "kernel_at", plus),

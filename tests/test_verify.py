@@ -148,10 +148,13 @@ def test_theorem_suite_checks_every_registry_view():
 
 def test_theorem_suite_forms_few_dense_products(monkeypatch):
     # level-ladder forms (2 - z^2) f_(j+1) - r2 f_j for j = 0 and 1 only and
-    # climbs the kernel's rungs by sparse products; with one dense product
-    # per rung the suite formed 26
-    dense = []
-    mul = Series.__mul__
+    # climbs the kernel's rungs by sparse products; tail_sums forms its g
+    # and h tails from one product (r2 - z) T, and g0_via_elimination its
+    # numerator as one product f0 (r2 - 2z + z^2 q).  The 14 square roots
+    # and the one power are the suite's share of what the benchmark's
+    # expansion round pins
+    dense, roots, powers = [], [], []
+    mul, sqrt, pow_ = Series.__mul__, Series.sqrt, Series.pow
 
     def nonzero(s):
         return sum(1 for i in range(s.order + 1) if s.coeff(i))
@@ -161,9 +164,20 @@ def test_theorem_suite_forms_few_dense_products(monkeypatch):
             dense.append((self.order, other.order))
         return mul(self, other)
 
+    def rooting(self):
+        roots.append(self.order)
+        return sqrt(self)
+
+    def powering(self, k):
+        powers.append(k)
+        return pow_(self, k)
+
     monkeypatch.setattr(Series, "__mul__", counting)
+    monkeypatch.setattr(Series, "sqrt", rooting)
+    monkeypatch.setattr(Series, "pow", powering)
     assert verify.run_suite("theorem", 100, 12).ok
-    assert len(dense) <= 17
+    assert len(dense) <= 13
+    assert (len(roots), len(powers)) == (14, 1)
 
 
 def test_oracle_suite_reaches_the_brute_force_limit_in_bounded_memory():
