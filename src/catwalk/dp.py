@@ -5,14 +5,14 @@ indexed by level, one per layer of ``LAYER_ORDER``, the letters F (after an
 up-step, the start or a catastrophe), G (after a black down-step) and H
 (after a red down-step).  :meth:`Transfer.rows` is the one row generator:
 it steps a row by shifts and ``map(add)``, and :meth:`Transfer.unrank`
-walks paths back through its rows.  :func:`ending` reads one row at a
-(layer, level) view, None meaning any layer or any level.  :func:`count`
-reads the last row, holding one, and :func:`view_series` holds one row
-too: it collects the series of each view the closed-form registry names.
-:class:`CountTable` keeps one row per length and reads off it the closed
-and open counts, the nonzero end-state counts keyed by :class:`State` and
-the series of one (layer, level); any other view is :func:`count` or
-:func:`view_series`.
+walks paths back through its rows.  :func:`ending` is the one reader of a
+row at a (layer, level) view, None meaning any layer or any level.
+:func:`count` reads the last row through it and :func:`view_series`
+every row, for the series of each view the closed-form registry names,
+each holding one row.  :class:`CountTable` keeps one row per length and
+reads off it the closed and open counts, the nonzero end-state counts
+keyed by :class:`State` and the series of one (layer, level); any other
+view is :func:`count` or :func:`view_series`.
 
 Given c, :meth:`Transfer.rows` merges levels.  Take a path that will have
 length n, now at length t and at a level of at least n - t + c, where
@@ -215,22 +215,14 @@ def count(config: ModelConfig, n: int, final: FinalSpec) -> int:
 
 def view_series(config: ModelConfig, order: int, views) -> list:
     """One series per (layer, level) view, None meaning any: the counts of
-    lengths 0..order that end there, read off the rows cut at the
-    :func:`horizon` of the highest level a view reads, holding one row.  A
-    view naming both is one index into the row, 0 at a level below 0 or
-    past the row's width, as :func:`ending` reads it; any other view goes
-    through :func:`ending`."""
+    lengths 0..order that end there, each read by :func:`ending` off the
+    rows cut at the :func:`horizon` of the highest level a view reads,
+    holding one row."""
     top = max((level for _, level in views if level is not None), default=None)
     columns = [[] for _ in views]
-    slots = [None if None in view else LAYER_ORDER.index(view[0]) for view in views]
     for row in Transfer(config).rows(order, horizon(config, order, top)):
-        width = len(row[0])
-        for column, view, slot in zip(columns, views, slots):
-            if slot is None:
-                column.append(ending(row, *view))
-            else:
-                level = view[1]
-                column.append(row[slot][level] if 0 <= level < width else 0)
+        for column, view in zip(columns, views):
+            column.append(ending(row, *view))
     return [Series(column) for column in columns]
 
 

@@ -7,11 +7,12 @@ count rows against their step-inflow identities, and the low-order
 coefficients against externally published sequences.  The recurrences
 suite checks every preset against one system on the layers F, G and H
 (:func:`dp.verify_recurrences`): without red steps H is empty, and the
-split identities imply the merged ones on f_i + g_i.  A :class:`Report` is
-a flat list of named pass/fail :class:`Check` results plus timing, ready
-for text or JSON output.  tests/test_fault_matrix.py pins the checks each
-of a table of planted faults fails: every check is the only one to catch
-some fault, or follows from checks named there.
+split identities imply the merged ones on f_i + g_i.  Every series check
+is built by :func:`compare`.  A :class:`Report` is a flat list of named
+pass/fail :class:`Check` results plus timing, ready for text or JSON
+output.  tests/test_fault_matrix.py pins the checks each of a table of
+planted faults fails: every check is the only one to catch some fault, or
+follows from checks named there.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ class Report(NamedTuple):
 
 
 def compare(name: str, pairs, detail_ok: str) -> Check:
-    """A check that each ``(label, lhs, rhs)`` pair of series agrees.
+    """A check that each ``(label, lhs, rhs)`` pair of series agrees over
+    their common order: the one builder of every series check of the suites.
 
-    A failure names the first pair and the first coefficient that differ;
-    a pass reports ``detail_ok``.
+    A failure names the first pair and the first coefficient that differ,
+    with both values; a pass reports ``detail_ok``.
     """
     for label, lhs, rhs in pairs:
         n = lhs.first_difference(rhs)
@@ -239,25 +241,25 @@ def _suite_theorem(order: int, max_n: int) -> list:
 
 def _suite_oeis(order: int, max_n: int) -> list:
     axis = cf.f0("dyck", len(cf.A224747) - 1)
-    ok_axis = cf.matches_prefix(axis, cf.A224747)
-    ok_shift = cf.oeis_shift_check(len(cf.A274115_PREFIX) - 1)
+    n = len(cf.A274115_PREFIX) - 1
+    shifted = 1 + Series.z(n) * cf.open_total("dyck", n)
     top = 2 * len(cf.A002212) - 2
-    closed = dp.view_series(SKEW, top, [(None, 0)])[0].as_integers()
-    ok_skew = closed[::2] == list(cf.A002212) and not any(closed[1::2])
+    (closed,) = dp.view_series(SKEW, top, [(None, 0)])
+    skew = Series([c for a in cf.A002212 for c in (a, 0)][: top + 1])  # none at odd lengths
     return [
-        Check(
+        compare(
             "oeis-axis-dyck-cat",
-            ok_axis,
-            f"matches published sequence for n <= {len(cf.A224747) - 1}",
+            [("f0-dyck-cat", axis, Series(cf.A224747))],
+            f"matches published sequence for n <= {axis.order}",
         ),
-        Check(
+        compare(
             "oeis-open-shift",
-            ok_shift,
-            f"1 + z * open total matches shifted sequence for n <= {len(cf.A274115_PREFIX) - 1}",
+            [("1 + z open-dyck-cat", shifted, Series(cf.A274115_PREFIX))],
+            f"1 + z * open total matches shifted sequence for n <= {n}",
         ),
-        Check(
+        compare(
             "oeis-skew-dyck",
-            ok_skew,
+            [("closed skew", closed, skew)],
             f"closed skew counts match published sequence for n <= {top}",
         ),
     ]

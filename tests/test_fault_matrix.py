@@ -380,6 +380,23 @@ def test_a_dropped_path_names_the_first_end_state_that_differs(monkeypatch):
     ]
 
 
+# a failed oeis check names the first coefficient that differs: the
+# route's value, then the published one
+OEIS_FAILURES = {
+    "form-f0-dyck-z5": ("oeis-axis-dyck-cat", "f0-dyck-cat, coefficient of z^5: 6 != 5"),
+    "form-open-dyck-z5": ("oeis-open-shift", "1 + z open-dyck-cat, coefficient of z^6: 18 != 17"),
+    "transfer-axis-skew": ("oeis-skew-dyck", "closed skew, coefficient of z^10: 138 != 137"),
+}
+
+
+@pytest.mark.parametrize("fault", list(OEIS_FAILURES))
+def test_a_failed_oeis_check_names_the_first_coefficient_that_differs(monkeypatch, fault):
+    check, where = OEIS_FAILURES[fault]
+    FAULTS[fault][0](monkeypatch)
+    report = verify.run_suite("oeis", ORDER, MAX_N)
+    assert report.failures() == [dp.Check(check, False, f"fails at {where}")]
+
+
 def test_every_route_piece_has_a_fault():
     assert {f"form-{f}-{m}" for f, m in cf._FORMS} <= set(FAULTS)
     names = set(CHECKS)
