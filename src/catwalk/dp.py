@@ -29,13 +29,14 @@ the sampler pass.  The sampler cuts only for a fixed end level and no
 catastrophe firing within n, where c = want + 1: :meth:`Transfer.unrank`
 places a catastrophe by the paths at each firing level of a row on its
 own, which a top slot would pool, and an open draw reads every end level.
-The table and the recurrence checks compare every level, on full rows.
+The table and the recurrence checks read full rows.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
-time and confirms, by whole-row comparisons, the step-inflow identities the
-per-(layer, level) generating functions must satisfy.  Every model meets one
-system on the layers F, G and H: without red steps H is empty, and these
-split identities imply the merged ones on f_i + g_i.
+time and confirms, by one list comparison per identity at each row's own
+width, the step-inflow identities the per-(layer, level) generating
+functions must satisfy.  Every model meets one system on the layers F, G
+and H: without red steps H is empty, and these split identities imply the
+merged ones on f_i + g_i.
 """
 
 from __future__ import annotations
@@ -280,6 +281,9 @@ class Check(NamedTuple):
     detail: str
 
 
+_IDENTITIES = ("up-inflow", "black-down-inflow", "red-down-inflow", "axis-boundary")
+
+
 def verify_recurrences(config: ModelConfig, order: int) -> list:
     """Check the step-inflow identities of a model's counting series, one
     :class:`Check` per identity in the order below.
@@ -303,47 +307,39 @@ def verify_recurrences(config: ModelConfig, order: int) -> list:
     The identities are written out here, not derived from :class:`Transfer`,
     so they check the kernel rather than restate it; they encode the preset
     adjacency rules, so a model outside them fails.  The z^t identity ties
-    the row of length t to the row of length t - 1 (all zero for t = 0), so
-    the rows stream past two at a time, each padded to levels 0..order.  The
-    checks are whole-row comparisons; the first bad instance is searched
-    only after a mismatch.  Every instance is compared on every row, above
-    level t too.  A failed check names its first failing instance and the
-    first coefficient where it fails.
+    the row of length t to the row of length t - 1 (none for t = 0), so the
+    rows stream past two at a time.  A row t + 1 levels wide after one t
+    wide is compared at its own width, one list comparison per identity on
+    levels 0..t: above level t both sides hold 0.  Any other row, or one
+    where a comparison fails, goes to :func:`_padded_search`, which pads
+    both rows to levels 0..order and searches for the first failing
+    instance.  A failed check names it and the first coefficient where it
+    fails.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     n = order
-    cat = config.catastrophe.firing(n)
+    firing = config.catastrophe.firing
     red = "R" in config.steps
     inflow = [f"i={i}" for i in range(n)]
-    labels = {
-        "up-inflow": inflow,
-        "black-down-inflow": inflow,
-        "red-down-inflow": inflow,
-        "axis-boundary": ["f0"],
-    }
+    labels = dict(zip(_IDENTITIES, (inflow, inflow, inflow, ["f0"])))
     first: dict = {}  # check name -> (instance, t, lhs, rhs) of its first failure
-    zero = [0] * (n + 1)
-    prev = (zero,) * 3
+    prev = ([], [], [])  # the row before length 0 has no level
     for t, row in enumerate(Transfer(config).rows(n)):
-        row = f, g, h = tuple(vec + [0] * (n + 1 - len(vec)) for vec in row)
+        f, g, h = row
         pf, pg, ph = prev
-        up = list(map(add, pf, pg))  # the layers an up-step may leave: F and G
-        total = list(map(add, up, ph))  # a black down-step may leave any layer
-        down = list(map(add, pg, ph)) if red else zero  # a red one G and H
-        sides = (  # the (lhs, rhs) lists of each check, one entry per instance
-            (f[1:], up[:n]),
-            (g[:n], total[1:]),
-            (h[:n], down[1:]),
-            ([f[0]], [(t == 0) + sum(map(total.__getitem__, cat))]),
-        )
-        for name, (lhs, rhs) in zip(labels, sides):
-            if lhs != rhs:
-                # only an earlier instance than the one already failing can take its place
-                below = first.get(name, (len(lhs),))[0]
-                k = next((k for k in range(below) if lhs[k] != rhs[k]), None)
-                if k is not None:
-                    first[name] = (k, t, lhs[k], rhs[k])
+        if len(f) == len(g) == len(h) == t + 1 and len(pf) == len(pg) == len(ph) == t:
+            up = list(map(add, pf, pg))  # the layers an up-step may leave: F and G
+            total = [*map(add, up, ph), 0, 0]  # a black down-step any; 0 at levels t, t + 1
+            if (
+                f[1:] == up
+                and g == total[1:]
+                and (h == [*map(add, pg, ph), 0, 0][1:] if red else not any(h))  # a red one G, H
+                and f[0] == (t == 0) + sum(map(total.__getitem__, firing(t - 1)))
+            ):
+                prev = row
+                continue
+        _padded_search(first, t, row, prev, n, firing(n), red)
         prev = row
 
     checks = []
@@ -355,3 +351,28 @@ def verify_recurrences(config: ModelConfig, order: int) -> list:
         else:
             checks.append(Check(name, True, f"{len(instances)} instances checked"))
     return checks
+
+
+def _padded_search(first: dict, t: int, row: tuple, prev: tuple, n: int, cat, red: bool) -> None:
+    """Compare the row of length t and the row before it, each padded to
+    levels 0..n, on every instance of :func:`verify_recurrences`' identities,
+    and record in ``first`` each check's failure at a lower instance than
+    the one recorded there, as (instance, t, lhs, rhs)."""
+    f, g, h = (vec + [0] * (n + 1 - len(vec)) for vec in row)
+    pf, pg, ph = (vec + [0] * (n + 1 - len(vec)) for vec in prev)
+    up = list(map(add, pf, pg))  # the layers an up-step may leave: F and G
+    total = list(map(add, up, ph))  # a black down-step may leave any layer
+    down = list(map(add, pg, ph)) if red else [0] * (n + 1)  # a red one G and H
+    sides = (  # the (lhs, rhs) lists of each check, one entry per instance
+        (f[1:], up[:n]),
+        (g[:n], total[1:]),
+        (h[:n], down[1:]),
+        ([f[0]], [(t == 0) + sum(map(total.__getitem__, cat))]),
+    )
+    for name, (lhs, rhs) in zip(_IDENTITIES, sides):
+        if lhs != rhs:
+            # only an earlier instance than the one already failing can take its place
+            below = first.get(name, (len(lhs),))[0]
+            k = next((k for k in range(below) if lhs[k] != rhs[k]), None)
+            if k is not None:
+                first[name] = (k, t, lhs[k], rhs[k])

@@ -256,7 +256,45 @@ PARITY_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("kernel", [dp.Transfer, Skipping], ids=["transfer", "skipping"])
+def reshaped(reshape) -> type:
+    """A kernel whose row of length t, in the rows of lengths 0..n, is
+    ``reshape(t, n, row)`` of the true row."""
+
+    class Reshaped(dp.Transfer):
+        def rows(self, n, c=None):
+            for t, row in enumerate(super().rows(n, c)):
+                yield reshape(t, n, row)
+
+    return Reshaped
+
+
+def widened(layer: int, lengths) -> type:
+    """A kernel that gives ``layer`` one more level, holding one path, in
+    the rows of the lengths in ``lengths(n)``."""
+    return reshaped(
+        lambda t, n, row: tuple(
+            vec + [1] if j == layer and t in lengths(n) else vec for j, vec in enumerate(row)
+        )
+    )
+
+
+# rows of a width other than t + 1, which dp.verify_recurrences sends to its
+# padded search: G or H with a path above level t in row 1 and in row n
+# (there at level n + 1, past every instance); every layer's top level
+# dropped from one row; and a path in G at level n of row n - 1, past that
+# row's instances, so only row n, itself t + 1 wide, sees it
+WIDTH_KERNELS = {
+    "wide-g": widened(1, lambda n: (1, n)),
+    "wide-h": widened(2, lambda n: (1, n)),
+    "dropped-top": reshaped(
+        lambda t, n, row: tuple(vec[:-1] for vec in row) if t == n // 2 + 1 else row
+    ),
+    "late-g": widened(1, lambda n: (n - 1,)),
+}
+KERNELS = {"transfer": dp.Transfer, "skipping": Skipping, **WIDTH_KERNELS}
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 @pytest.mark.parametrize("config", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS.keys())
 def test_recurrences_match_the_reference(config, kernel, monkeypatch):
     monkeypatch.setattr(dp, "Transfer", kernel)
@@ -302,16 +340,18 @@ def test_recurrences_report_the_lowest_failing_instance(monkeypatch):
         assert checks["red-down-inflow"].ok
 
 
+class Overreaching(dp.Transfer):
+    def rows(self, n, want=None):
+        for t, row in enumerate(super().rows(n, want)):
+            if t == 3:
+                row = (row[0] + [0, 1], row[1], row[2])
+            yield row
+
+
 def test_recurrences_check_levels_above_the_row_length(monkeypatch):
     # row t holds levels 0..t; a kernel that writes a count above them is
-    # still caught, because every row is checked at every level below the order
-    class Overreaching(dp.Transfer):
-        def rows(self, n, want=None):
-            for t, row in enumerate(super().rows(n, want)):
-                if t == 3:
-                    row = (row[0] + [0, 1], row[1], row[2])
-                yield row
-
+    # still caught, because a row of any other width is checked at every
+    # level up to the order
     monkeypatch.setattr(dp, "Transfer", Overreaching)
     for config in (SKEW_CAT, DYCK_CAT):
         checks = {c.name: c for c in dp.verify_recurrences(config, 8)}
@@ -319,6 +359,40 @@ def test_recurrences_check_levels_above_the_row_length(monkeypatch):
         assert checks["up-inflow"].detail == "fails at i=4, coefficient of z^3: 1 != 0"
         assert checks["black-down-inflow"].detail == "fails at i=4, coefficient of z^4: 0 != 1"
         assert checks["axis-boundary"].detail.startswith("fails at f0, coefficient of z^4: ")
+
+
+@pytest.fixture
+def padded_rows(monkeypatch) -> list:
+    """The lengths of the rows dp.verify_recurrences sends to its padded
+    search, in the order sent."""
+    rows, search = [], dp._padded_search
+
+    def counted(first, t, *rest):
+        rows.append(t)
+        search(first, t, *rest)
+
+    monkeypatch.setattr(dp, "_padded_search", counted)
+    return rows
+
+
+def test_recurrences_pad_no_row_of_a_passing_model(padded_rows):
+    # a row t + 1 levels wide after one t wide is compared at its own width
+    rule_configs = [config for name, config in PARITY_CONFIGS.items() if "-rule" in name]
+    for config in (*PRESETS.values(), *rule_configs):
+        assert failing(dp.verify_recurrences(config, 60)) == set()
+    assert padded_rows == []
+
+
+def test_recurrences_pad_the_rows_of_a_faulty_kernel(padded_rows, monkeypatch):
+    # a failed comparison, or a row of another width, is searched on padded rows
+    for kernel in (Skipping, Overreaching):
+        monkeypatch.setattr(dp, "Transfer", kernel)
+        for config in (SKEW_CAT, DYCK_CAT):
+            padded_rows.clear()
+            assert failing(dp.verify_recurrences(config, 15))
+            assert padded_rows
+    # Overreaching's row 3 is two levels too wide, and row 4 follows it
+    assert padded_rows == [3, 4]
 
 
 HORIZON_RULES = {
