@@ -4,15 +4,16 @@ A row counts the paths of one length by end state: a tuple of int lists
 indexed by level, one per layer of ``LAYER_ORDER``, the letters F (after an
 up-step, the start or a catastrophe), G (after a black down-step) and H
 (after a red down-step).  :meth:`Transfer.rows` is the one row generator:
-it steps a row by shifts and ``map(add)``, and :meth:`Transfer.unrank`
-walks paths back through its rows.  :func:`ending` is the one reader of a
-row at a (layer, level) view, None meaning any layer or any level.
-:func:`count` reads the last row through it and :func:`view_series`
-every row, for the series of each view the closed-form registry names,
-each holding one row.  :class:`CountTable` keeps one row per length and
-reads off it the closed and open counts, the nonzero end-state counts
-keyed by :class:`State` and the series of one (layer, level); any other
-view is :func:`count` or :func:`view_series`.
+it builds each layer of the next row by one slice of its step's inflow,
+a ``map(add)`` of the layers that may take the step, and
+:meth:`Transfer.unrank` walks paths back through its rows.  :func:`ending`
+is the one reader of a row at a (layer, level) view, None meaning any
+layer or any level.  :func:`count` reads the last row through it and
+:func:`view_series` every row, for the series of each view the
+closed-form registry names, each holding one row.  :class:`CountTable`
+keeps one row per length and reads off it the closed and open counts, the
+nonzero end-state counts keyed by :class:`State` and the series of one
+(layer, level); any other view is :func:`count` or :func:`view_series`.
 
 Given c, :meth:`Transfer.rows` merges levels.  Take a path that will have
 length n, now at length t and at a level of at least n - t + c, where
@@ -30,6 +31,12 @@ catastrophe firing within n, where c = want + 1: :meth:`Transfer.unrank`
 places a catastrophe by the paths at each firing level of a row on its
 own, which a top slot would pool, and an open draw reads every end level.
 The table and the recurrence checks read full rows.
+
+A catastrophe falls from any firing level to (F, 0), so each coefficient
+of f_0 sums a row over its firing levels (Banderier and Wallner, 2017).
+Where the rule fires at every level from k up, :meth:`Transfer.rows`
+carries instead each layer's paths at levels k and up from row to row,
+updated by the paths that cross level k in one step.
 
 The rows also feed :func:`verify_recurrences`, which streams them two at a
 time and confirms, by one list comparison per identity at each row's own
@@ -78,10 +85,12 @@ class Transfer:
         self.lift_start = "U" in config.steps and 0 not in self.sources["U"]
         self.firing = config.catastrophe.firing
         # a step's inflow is the elementwise sum of the layers that may take
-        # it, for C, U, D and R in turn.  A row's step builds each sum of k >= 2
+        # it, for U, D and R in turn.  A row's step builds each sum of k >= 2
         # layers by one map(add) onto the sum of the first k - 1: (the layers,
-        # the first k - 1, the last), shared prefixes once, shorter ones first
-        self._inflows = tuple(self.sources[s] for s in "CUDR")
+        # the first k - 1, the last), shared prefixes once, shorter ones first.
+        # A step no layer may take has the zero row as its inflow
+        self._inflows = tuple(self.sources[s] for s in "UDR")
+        self._idle = () in self._inflows
         sums = (
             (layers[:k], layers[: k - 1], layers[k - 1])
             for layers in self._inflows
@@ -93,28 +102,41 @@ class Transfer:
         into = map(INCOMING.get, LAYER_ORDER)
         self._into = [(s, -1 if s == "U" else 1, self.sources[s]) for s in into]
 
-    def __call__(self, row: tuple, size: int) -> tuple:
-        """The row one step longer, cut to levels 0..size-1 (2 <= size <= len + 1).
+    def __call__(self, row: tuple, size: int, inflow: int | None = None) -> tuple:
+        """The row one step longer, cut to levels 0..size-1 (2 <= size <= len + 1),
+        with ``inflow`` paths into (F, 0); None sums the catastrophes from
+        the firing levels of ``row`` here.
 
-        The up-steps that would land above level size - 1 are added into it,
-        none at full width.  No down-step needs adding when size >= len - 1,
-        the only sizes a row that shrinks by at most one level per step asks for.
+        Each layer of the new row is one slice of its step's inflow, edited
+        in place.  The up-steps that would land above level size - 1 are
+        added into it, none at full width.  No down-step needs adding when
+        size >= len - 1, the only sizes a row that shrinks by at most one
+        level per step asks for.
         """
-        sums = {(): [0] * len(row[0]), (0,): row[0], (1,): row[1], (2,): row[2]}
+        if inflow is None:
+            fired = self.firing(len(row[0]) - 1)
+            inflow = 0
+            for j in self.sources["C"]:
+                if isinstance(fired, range):
+                    inflow += sum(row[j][fired.start : fired.stop : fired.step])
+                else:
+                    inflow += sum(map(row[j].__getitem__, fired))
+        sums = {(0,): row[0], (1,): row[1], (2,): row[2]}
+        if self._idle:
+            sums[()] = [0] * len(row[0])
         for layers, head, last in self._sums:
             sums[layers] = list(map(add, sums[head], row[last]))
-        fire, up, g, h = map(sums.__getitem__, self._inflows)
-        fired = self.firing(len(fire) - 1)
-        if isinstance(fired, range):
-            f = [sum(fire[fired.start : fired.stop : fired.step])]
-        else:
-            f = [sum(map(fire.__getitem__, fired))]
-        f += up[: size - 1]
+        up, g, h = map(sums.__getitem__, self._inflows)
+        f = up[: size - 1]
+        f.insert(0, inflow)
         if self.lift_start:
             f[1] += row[0][0]
-        f[-1] += sum(up[size - 1 :])
+        if size <= len(up):
+            f[-1] += sum(up[size - 1 :])
         g, h = g[1 : size + 1], h[1 : size + 1]
-        return f, g + [0] * (size - len(g)), h + [0] * (size - len(h))
+        g += [0] * (size - len(g))
+        h += [0] * (size - len(h))
+        return f, g, h
 
     def unrank(self, rows: list, layer: int, level: int, x: int) -> list:
         """The step letters of the x-th path into (layer, level), 0 <= x < its
@@ -158,14 +180,59 @@ class Transfer:
 
         Given c (see the module docstring), the levels from n - t + c up
         share one top slot: the row of length t has min(t, n - t + c) + 1.
+
+        When ``firing(n)`` is ``range(k, n + 1)``, as for ``min_level``, the
+        catastrophes into a row are the paths at levels k and up of the
+        layers that may take C in the row before.  :meth:`_carry` keeps
+        those tails from row to row, so no row sums its firing levels.  They
+        stay exact: a merged top slot keeps its paths and sits at level
+        n - t + c >= c, so at k or up when c >= k, which :func:`horizon`
+        gives whenever a level fires within n (a smaller c is refused), and
+        a row that shrinks by one level drops no down-step.  Any other
+        ``firing`` result is summed level by level at each row by
+        :meth:`__call__`.
         """
         if n < 0:
             raise ValueError("path length must be >= 0")
-        row = ([1], [0], [0])  # length 0: the empty path, in (F, 0)
+        cat, fired = self.sources["C"], self.firing(n)
+        carry = bool(cat) and type(fired) is range and fired.step == 1 and fired.stop == n + 1
+        k = fired.start if carry else 0
+        if carry and fired and c is not None and c < k:
+            raise ValueError(f"c = {c} merges levels below the firing level {k}")
+        row, tails = ([1], [0], [0]), (0, 0, 0)  # length 0: the empty path, in (F, 0)
         yield row
         for t in range(1, n + 1):
-            row = self(row, t + 1 if c is None else min(t, n - t + c) + 1)
+            if carry:
+                inflow = 0
+                for j in cat:
+                    inflow += tails[j]
+                tails = self._carry(row, tails, k)
+            else:
+                inflow = None if cat else 0
+            row = self(row, t + 1 if c is None else min(t, n - t + c) + 1, inflow)
             yield row
+
+    def _carry(self, row: tuple, tails: tuple, k: int) -> tuple:
+        """The paths at levels k and up in each layer of the row after
+        ``row``, given ``tails``, those of ``row``: into F, those an up-step
+        takes from level k - 1 and up, with the start's lift to level 1; into
+        G and H, those a down-step takes from level k + 1 and up.  A row no
+        wider than k has no path at level k or up."""
+        width = len(row[0])
+        if width < k:
+            return tails
+        up, down, red = self._inflows
+        f = row[0][0] if self.lift_start and k == 1 else 0
+        for j in up:
+            f += tails[j] + row[j][k - 1]
+        if width == k:
+            return f, 0, 0
+        g = h = 0
+        for j in down:
+            g += tails[j] - row[j][k]
+        for j in red:
+            h += tails[j] - row[j][k]
+        return f, g, h
 
 
 def ending(row: tuple, layer: str | None, level: int | None) -> int:
@@ -335,7 +402,7 @@ def verify_recurrences(config: ModelConfig, order: int) -> list:
                 f[1:] == up
                 and g == total[1:]
                 and (h == [*map(add, pg, ph), 0, 0][1:] if red else not any(h))  # a red one G, H
-                and f[0] == (t == 0) + sum(map(total.__getitem__, firing(t - 1)))
+                and f[0] == (t == 0) + _level_sum(total, firing(t - 1))
             ):
                 prev = row
                 continue
@@ -353,6 +420,13 @@ def verify_recurrences(config: ModelConfig, order: int) -> list:
     return checks
 
 
+def _level_sum(vec: list, levels) -> int:
+    """The sum of ``vec`` at ``levels``, by one slice when they are a range."""
+    if isinstance(levels, range):
+        return sum(vec[levels.start : levels.stop : levels.step])
+    return sum(map(vec.__getitem__, levels))
+
+
 def _padded_search(first: dict, t: int, row: tuple, prev: tuple, n: int, cat, red: bool) -> None:
     """Compare the row of length t and the row before it, each padded to
     levels 0..n, on every instance of :func:`verify_recurrences`' identities,
@@ -367,7 +441,7 @@ def _padded_search(first: dict, t: int, row: tuple, prev: tuple, n: int, cat, re
         (f[1:], up[:n]),
         (g[:n], total[1:]),
         (h[:n], down[1:]),
-        ([f[0]], [(t == 0) + sum(map(total.__getitem__, cat))]),
+        ([f[0]], [(t == 0) + _level_sum(total, cat)]),
     )
     for name, (lhs, rhs) in zip(_IDENTITIES, sides):
         if lhs != rhs:

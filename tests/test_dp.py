@@ -462,13 +462,74 @@ def test_a_layer_level_view_reads_zero_off_the_row():
         assert got[0] == got[1] == got[4] == [0] * 11
 
 
+class Listed(dp.Transfer):
+    """A kernel whose firing levels are a list: every row sums them itself."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        firing = self.firing
+        self.firing = lambda top: list(firing(top))
+
+
+# a start that alone may take an up-step, firing from level 1; and a rule
+# that fires at no level up to the longest length compared
+TAIL_CONFIGS = {
+    **PARITY_CONFIGS,
+    "lift-min1": ModelConfig("UDRC", ("UU",), CatastropheRule.min_level(1)),
+    "skew-cat-min50": with_rule(SKEW_CAT, CatastropheRule.min_level(50)),
+}
+
+
+@pytest.mark.parametrize("config", TAIL_CONFIGS.values(), ids=TAIL_CONFIGS.keys())
+def test_carried_tails_equal_the_summed_firing_levels(config):
+    # a rule that fires from level k up carries each layer's paths at levels
+    # k and up from row to row; summing the firing levels at every row gives
+    # the same rows, full or cut at the horizon of any end level
+    for n in range(41):
+        for c in {None, *(dp.horizon(config, n, want) for want in (None, 0, 2))}:
+            rows = list(dp.Transfer(config).rows(n, c))
+            assert rows == list(Listed(config).rows(n, c)), (n, c)
+
+
+def _firing_calls(kernel, config, n) -> list:
+    """The tops the rule's ``firing`` is called with while ``kernel`` steps
+    the rows of lengths 0..n."""
+    step, calls = kernel(config), []
+    firing = step.firing
+    step.firing = lambda top: calls.append(top) or firing(top)
+    for _ in step.rows(n):
+        pass
+    return calls
+
+
+def test_carried_tails_read_the_firing_levels_once():
+    # min_level fires from one level up: its rows read firing(n) once, at any n
+    for config in (SKEW_CAT, DYCK_CAT):
+        assert _firing_calls(dp.Transfer, config, 200) == [200]
+        assert _firing_calls(dp.Transfer, config, 50) == [50]
+        # a list of firing levels is summed at every row, from the row's top
+        assert len(_firing_calls(Skipping, config, 200)) == 201
+        # even_min fires every other level: summed at every row too
+        even = with_rule(config, CatastropheRule.even_min(2))
+        assert _firing_calls(dp.Transfer, even, 200) == [200, *range(200)]
+
+
+def test_rows_refuse_a_horizon_below_the_firing_level():
+    # a top slot below the lowest firing level would pool firing and
+    # non-firing levels in the carried tails
+    with pytest.raises(ValueError, match="firing level 2"):
+        list(dp.Transfer(SKEW_CAT).rows(10, 1))
+    # nothing fires within n = 1: any c will do
+    assert list(dp.Transfer(SKEW_CAT).rows(1, 1)) == list(dp.Transfer(SKEW_CAT).rows(1))
+
+
 def _row_widths(monkeypatch, build, n) -> list:
     """The width of each row that ``build()`` steps to, in order of length."""
     widths = []
     step = dp.Transfer.__call__
 
-    def recording(self, row, size):
-        out = step(self, row, size)
+    def recording(self, row, size, *rest):
+        out = step(self, row, size, *rest)
         widths.append(len(out[0]))
         return out
 

@@ -99,6 +99,20 @@ def row(config, length, delta):
     return plant
 
 
+def carried_tail(mp):
+    """``Transfer._carry`` leaves the up-steps from level k - 1 out of F's
+    tail: every rule that fires from level k up loses those catastrophes."""
+    original = dp.Transfer._carry
+
+    def faulty(self, row, tails, k):
+        f, g, h = original(self, row, tails, k)
+        if k <= len(row[0]):
+            f -= sum(row[j][k - 1] for j in self.sources["U"])
+        return f, g, h
+
+    mp.setattr(dp.Transfer, "_carry", faulty)
+
+
 def drop_path(config, n=6):
     """``red_lengths`` loses one length-n path of ``config``: the last tail
     of its last head, which gets a list of tails of its own."""
@@ -280,6 +294,15 @@ FAULTS = {
         )
         for name, config in (("dyck", DYCK), ("dyck-cat", DYCK_CAT))
     },
+    # the catastrophe tails the DP carries from row to row, off by one level
+    "carried-tail": (
+        carried_tail,
+        {
+            "oracle-dyck-cat", "oracle-skew-cat", "recurrences-dyck-cat", "recurrences-skew-cat",
+            "dp-f0-dyck-cat", "dp-open-dyck-cat", "dp-f0-skew-cat", "dp-g0-skew-cat",
+            "dp-h0-skew-cat", "dp-fgh0-skew-cat", "dp-open-skew-cat", "dp-level-family",
+        },
+    ),
     # the registry's pairing of each closed form with its DP view
     **{
         f"view-{name}": (view(name), {f"dp-{name}"})
